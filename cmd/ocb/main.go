@@ -253,7 +253,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	printPhase(cold)
+	printResult(cold)
 
 	if policy != nil && *reorg {
 		start := time.Now()
@@ -273,29 +273,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	printPhase(warm)
+	printResult(warm)
 
 	final := db.Store.Stats()
 	fmt.Printf("totals: %d transaction I/Os, %d clustering I/Os, %d objects accessed, hit ratio %.2f\n",
 		final.Disk.TransactionIOs(), final.Disk.ClusteringIOs(),
 		final.ObjectsAccessed, final.Pool.HitRatio())
 	return nil
-}
-
-func printPhase(m *core.PhaseMetrics) {
-	t := report.New(fmt.Sprintf("%s run — %d transactions in %s (mean %.1f I/Os per tx)",
-		m.Name, m.Transactions, report.Dur(m.Duration), m.MeanIOsPerTx()),
-		"Type", "Count", "Mean response (µs)", "P95 (µs)", "Mean objects", "Mean I/Os")
-	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerType[typ]
-		if tm.Count == 0 {
-			continue
-		}
-		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
-			report.F1(tm.ResponseQ.P95()), report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()))
-	}
-	t.AddRow("all", report.I64(m.Transactions), report.F1(m.Global.Response.Mean()),
-		report.F1(m.Global.ResponseQ.P95()), report.F1(m.Global.Objects.Mean()),
-		report.F1(m.Global.IOs.Mean()))
-	_ = t.Render(os.Stdout)
 }

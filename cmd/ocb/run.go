@@ -12,6 +12,70 @@ import (
 	"ocb/internal/workload"
 )
 
+// scenarioFlags are the flags `ocb run` and `ocb sweep` share: which
+// scenario to build, on which backend, how it is sized, seeded and
+// paced. Each subcommand declares its own flags beside them.
+type scenarioFlags struct {
+	name, file, backend, thinkDist string
+	backendOpts                    backend.OptionFlags
+	warmup, measured               int
+	quick                          bool
+	seed                           int64
+}
+
+// declare registers the shared flags on a subcommand's flag set.
+func (f *scenarioFlags) declare(fs *flag.FlagSet) {
+	fs.StringVar(&f.name, "scenario", "", "scenario preset: "+strings.Join(scenarios.List(), " | "))
+	fs.StringVar(&f.file, "scenario-file", "", "JSON scenario spec (see examples/scenarios/)")
+	fs.StringVar(&f.backend, "backend", backend.DefaultName,
+		fmt.Sprintf("system-under-test backend: %s", strings.Join(backend.List(), " | ")))
+	fs.Var(&f.backendOpts, "backend-opt", "backend-specific option key=value (repeatable)")
+	fs.StringVar(&f.thinkDist, "think-dist", "", "stochastic pacing: lewis distribution for the inter-op gaps (negexp:0.5, selfsimilar, ...)")
+	fs.IntVar(&f.warmup, "warmup", 0, "untimed warmup operations per client (needs -measured; COLDN for ocb)")
+	fs.IntVar(&f.measured, "measured", 0, "sampled mix: measured operations per client, per sweep point (HOTN for ocb)")
+	fs.BoolVar(&f.quick, "quick", false, "scaled-down geometry (seconds instead of minutes)")
+	fs.Int64Var(&f.seed, "seed", 0, "seed offset applied to the preset (0 keeps it)")
+}
+
+// build resolves the parsed shared flags: it checks that exactly one
+// scenario source is named, folds the shared flags into o (which arrives
+// carrying the subcommand's own settings), builds the preset or loads
+// the spec file, and prints the scenario header. The caller owns closing
+// the scenario.
+func (f *scenarioFlags) build(fs *flag.FlagSet, o scenarios.Options) (*scenarios.Scenario, error) {
+	if (f.name == "") == (f.file == "") {
+		fs.Usage()
+		return nil, fmt.Errorf("need exactly one of -scenario or -scenario-file")
+	}
+	opts, err := backend.ParseOptions(f.backendOpts)
+	if err != nil {
+		return nil, err
+	}
+	o.Backend = f.backend
+	o.BackendOptions = opts
+	o.Quick = f.quick
+	o.Seed = f.seed
+	o.ThinkDist = f.thinkDist
+	o.Warmup = f.warmup
+	o.Measured = f.measured
+
+	var sc *scenarios.Scenario
+	if f.file != "" {
+		sc, err = scenarios.LoadFile(f.file, o)
+	} else {
+		sc, err = scenarios.Build(f.name, o)
+	}
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("scenario %s — %s\n", sc.Name, sc.Description)
+	for _, note := range sc.Notes {
+		fmt.Printf("  %s\n", note)
+	}
+	fmt.Println()
+	return sc, nil
+}
+
 // runScenario implements the `ocb run` subcommand: build a scenario
 // preset (or a JSON spec file) and execute it through the unified
 // workload engine, printing one result table per phase.
@@ -26,63 +90,24 @@ func runScenario(args []string) error {
 		fmt.Fprintf(fs.Output(), "\nflags:\n")
 		fs.PrintDefaults()
 	}
-	name := fs.String("scenario", "", "scenario preset: "+strings.Join(scenarios.List(), " | "))
-	file := fs.String("scenario-file", "", "JSON scenario spec (see examples/scenarios/)")
-	backendName := fs.String("backend", backend.DefaultName,
-		fmt.Sprintf("system-under-test backend: %s", strings.Join(backend.List(), " | ")))
-	var backendOpts backend.OptionFlags
-	fs.Var(&backendOpts, "backend-opt", "backend-specific option key=value (repeatable)")
+	var shared scenarioFlags
+	shared.declare(fs)
 	clients := fs.Int("clients", 0, "CLIENTN: concurrent clients (0 keeps the preset default)")
-	think := fs.Duration("think", 0, "THINK latency between operations")
-	thinkDist := fs.String("think-dist", "", "stochastic pacing: lewis distribution for the inter-op gaps (negexp:0.5, selfsimilar, ...)")
-	openLoop := fs.Bool("openloop", false, "open-loop pacing: fixed arrival schedule of one op per THINK")
+	think := fs.Duration("think", 0, "THINK latency between operations (closed loop: each client sleeps it after every op)")
 	rate := fs.Float64("rate", 0, "open-loop arrival rate target, ops/sec across all clients (latency from scheduled arrival; exclusive with -think)")
 	tolerateErrors := fs.Bool("tolerate-errors", false, "count op failures as errors instead of aborting the run")
-	warmup := fs.Int("warmup", 0, "untimed warmup operations per client (needs -measured; COLDN for ocb)")
-	measured := fs.Int("measured", 0, "sampled mix: measured operations per client (HOTN for ocb)")
-	quick := fs.Bool("quick", false, "scaled-down geometry (seconds instead of minutes)")
-	seed := fs.Int64("seed", 0, "seed offset applied to the preset (0 keeps it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*name == "") == (*file == "") {
-		fs.Usage()
-		return fmt.Errorf("need exactly one of -scenario or -scenario-file")
-	}
-	opts, err := backend.ParseOptions(backendOpts)
-	if err != nil {
-		return err
-	}
-	o := scenarios.Options{
-		Backend:        *backendName,
-		BackendOptions: opts,
-		Quick:          *quick,
-		Seed:           *seed,
+	sc, err := shared.build(fs, scenarios.Options{
 		Clients:        *clients,
 		Think:          *think,
-		ThinkDist:      *thinkDist,
-		OpenLoop:       *openLoop,
 		Rate:           *rate,
 		TolerateErrors: *tolerateErrors,
-		Warmup:         *warmup,
-		Measured:       *measured,
-	}
-
-	var sc *scenarios.Scenario
-	if *file != "" {
-		sc, err = scenarios.LoadFile(*file, o)
-	} else {
-		sc, err = scenarios.Build(*name, o)
-	}
+	})
 	if err != nil {
 		return err
 	}
-
-	fmt.Printf("scenario %s — %s\n", sc.Name, sc.Description)
-	for _, note := range sc.Notes {
-		fmt.Printf("  %s\n", note)
-	}
-	fmt.Println()
 
 	// The scenario owns its system under test; release it (files,
 	// scratch directories) once the run is done.

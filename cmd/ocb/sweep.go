@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ocb/internal/backend"
 	"ocb/internal/report"
 	"ocb/internal/scenarios"
 	"ocb/internal/workload"
@@ -27,29 +26,16 @@ func sweepScenario(args []string) error {
 		fmt.Fprintf(fs.Output(), "       ocb sweep -scenario oo1 -search-p95 5000 -rate-max 20000 [flags]\n\nflags:\n")
 		fs.PrintDefaults()
 	}
-	name := fs.String("scenario", "", "scenario preset: "+strings.Join(scenarios.List(), " | "))
-	file := fs.String("scenario-file", "", "JSON scenario spec (see examples/scenarios/)")
-	backendName := fs.String("backend", backend.DefaultName,
-		fmt.Sprintf("system-under-test backend: %s", strings.Join(backend.List(), " | ")))
-	var backendOpts backend.OptionFlags
-	fs.Var(&backendOpts, "backend-opt", "backend-specific option key=value (repeatable)")
+	var shared scenarioFlags
+	shared.declare(fs)
 	clientList := fs.String("clients", "", "comma-separated client counts to sweep (default: the scenario's own)")
 	rateList := fs.String("rates", "", "comma-separated arrival-rate targets in ops/sec across all clients")
-	thinkDist := fs.String("think-dist", "", "stochastic pacing: lewis distribution for the inter-op gaps")
-	warmup := fs.Int("warmup", 0, "untimed warmup operations per client (needs -measured)")
-	measured := fs.Int("measured", 0, "measured operations per client per point")
-	quick := fs.Bool("quick", false, "scaled-down geometry")
-	seed := fs.Int64("seed", 0, "seed offset applied to the preset (0 keeps it)")
 	coldStart := fs.Bool("coldstart", false, "drop the backend cache before every point")
 	searchP95 := fs.Float64("search-p95", 0, "rate-search mode: find the max rate with P95 at or under this bound (µs)")
 	rateMin := fs.Float64("rate-min", 0, "rate-search bracket floor, ops/sec (default rate-max/64)")
 	rateMax := fs.Float64("rate-max", 0, "rate-search bracket ceiling, ops/sec (required with -search-p95)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if (*name == "") == (*file == "") {
-		fs.Usage()
-		return fmt.Errorf("need exactly one of -scenario or -scenario-file")
 	}
 	clientGrid, err := parseIntList(*clientList)
 	if err != nil {
@@ -62,10 +48,6 @@ func sweepScenario(args []string) error {
 	if *searchP95 > 0 && len(rateGrid) > 0 {
 		return fmt.Errorf("-search-p95 and -rates are exclusive: a search picks its own rates")
 	}
-	opts, err := backend.ParseOptions(backendOpts)
-	if err != nil {
-		return err
-	}
 	// Build at the grid's largest client count: suites that pre-size
 	// per-client state at build time (oo1's insert streams) must have a
 	// slot for every client any point will run.
@@ -75,32 +57,11 @@ func sweepScenario(args []string) error {
 			maxClients = n
 		}
 	}
-	o := scenarios.Options{
-		Backend:        *backendName,
-		BackendOptions: opts,
-		Quick:          *quick,
-		Seed:           *seed,
-		Clients:        maxClients,
-		ThinkDist:      *thinkDist,
-		Warmup:         *warmup,
-		Measured:       *measured,
-	}
-	var sc *scenarios.Scenario
-	if *file != "" {
-		sc, err = scenarios.LoadFile(*file, o)
-	} else {
-		sc, err = scenarios.Build(*name, o)
-	}
+	sc, err := shared.build(fs, scenarios.Options{Clients: maxClients})
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-
-	fmt.Printf("scenario %s — %s\n", sc.Name, sc.Description)
-	for _, note := range sc.Notes {
-		fmt.Printf("  %s\n", note)
-	}
-	fmt.Println()
 
 	// The sweep drives the final phase (the measured one by convention:
 	// warm for ocb, bench for the suites). Earlier phases run once, in

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"ocb/internal/core"
+	"ocb/internal/workload"
 )
 
 func main() {
@@ -35,15 +36,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, phase := range []*core.PhaseMetrics{res.Cold, res.Warm} {
+	for _, phase := range []*workload.Result{res.Cold, res.Warm} {
 		fmt.Printf("\n%s run: %d transactions in %s\n",
-			phase.Name, phase.Transactions, phase.Duration.Round(1e6))
-		fmt.Printf("  mean I/Os per transaction:    %.1f\n", phase.MeanIOsPerTx())
-		fmt.Printf("  mean objects per transaction: %.1f\n", phase.Global.Objects.Mean())
-		for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-			tm := phase.PerType[typ]
+			phase.Name, phase.Executed, phase.Duration.Round(1e6))
+		fmt.Printf("  mean I/Os per transaction:    %.1f\n", phase.MeanIOsPerOp())
+		fmt.Printf("  mean objects per transaction: %.1f\n", phase.Total.Objects.Mean())
+		for i := range phase.PerOp {
+			tm := &phase.PerOp[i]
 			fmt.Printf("  %-11s %5d tx, %.1f objects, %.1f I/Os\n",
-				typ, tm.Count, tm.Objects.Mean(), tm.IOs.Mean())
+				tm.Name, tm.Count, tm.Objects.Mean(), tm.IOs.Mean())
 		}
 	}
 

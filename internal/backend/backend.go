@@ -133,18 +133,6 @@ type Relocator interface {
 	Relocate(clusters [][]OID) (RelocStats, error)
 }
 
-// Resharder is the optional lock-sharding capability, independent of
-// physical relocation: the scalability sweep widens the sharding degree to
-// the client count on backends built from lock shards. Backends whose
-// concurrency does not come from sharding simply do not implement it.
-type Resharder interface {
-	// Reshard rebuilds the backend's lock sharding to the given degree
-	// (the backend may round it, e.g. to a power of two).
-	Reshard(shards int) error
-	// Shards reports the sharding degree currently in effect.
-	Shards() int
-}
-
 // Ranger is the optional ordered-index capability: the backend maintains
 // its objects in OID order (and, once SetKey has indexed them, in
 // attribute-key order) and answers range and positional queries against

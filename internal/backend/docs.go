@@ -62,9 +62,6 @@
 //   - Relocator (Relocate): physical reorganization. Clustering policies
 //     require it; on backends without it they return ErrNotSupported and
 //     the experiments print a skip line instead of failing.
-//   - Resharder (Reshard/Shards): rebuilding and reporting the
-//     lock-sharding degree; the scalability sweep widens it to the client
-//     count where available.
 //   - IOClassifier (SetIOClass): routing I/O charges between the
 //     transaction and clustering-overhead accounting classes.
 //   - Ranger (Scan/Seek/SetKey/ScanKey): an ordered index over the live
@@ -213,8 +210,8 @@
 //     store when the Hello handshake reports it has them (a remote
 //     SetIOClass, CheckIntegrity or Scan runs server-side; scans return
 //     their whole result in one round trip).
-//   - Degraded: Placer, Relocator, Resharder and Snapshotter/Restorer
-//     are not remoted — they are local-layout and local-file concerns,
+//   - Degraded: Placer, Relocator and Snapshotter/Restorer are not
+//     remoted — they are local-layout and local-file concerns,
 //     and a wire version would either ship whole images or lie about
 //     placement. Experiments needing them print their usual skip line.
 //   - Durable has client-side meaning: remote Close/Reopen cycles the

@@ -26,7 +26,6 @@ var (
 	_ backend.Backend      = (*store.Store)(nil)
 	_ backend.Placer       = (*store.Store)(nil)
 	_ backend.Relocator    = (*store.Store)(nil)
-	_ backend.Resharder    = (*store.Store)(nil)
 	_ backend.IOClassifier = (*store.Store)(nil)
 	_ backend.Snapshotter  = (*store.Store)(nil)
 	_ backend.Restorer     = (*store.Store)(nil)

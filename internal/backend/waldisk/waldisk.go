@@ -58,9 +58,9 @@
 // persist and reload generated databases), Checker (every index entry's
 // record is re-read and CRC-verified), and Durable (close + reopen from
 // the same directory, the hook the conformance durability section and the
-// crash-recovery tests drive). It has no page abstraction, so Placer,
-// Relocator and Resharder are deliberately absent: clustering experiments
-// report their capability skip exactly as they do on flatmem.
+// crash-recovery tests drive). It has no page abstraction, so Placer and
+// Relocator are deliberately absent: clustering experiments report their
+// capability skip exactly as they do on flatmem.
 package waldisk
 
 import (

@@ -228,9 +228,6 @@ func TestCapabilities(t *testing.T) {
 	if _, err := backend.AsPlacer(b); !errors.Is(err, backend.ErrNotSupported) {
 		t.Fatalf("AsPlacer: err = %v, want ErrNotSupported", err)
 	}
-	if _, ok := b.(backend.Resharder); ok {
-		t.Fatal("waldisk claims Resharder")
-	}
 	if got := backend.PageSizeOf(b); got != 4096 {
 		t.Fatalf("PageSizeOf fallback = %d, want the 4096 default", got)
 	}

@@ -90,12 +90,6 @@ type Params struct {
 	Dist5 lewis.Distribution
 	// ClientN is the number of concurrent benchmark clients. Default 1.
 	ClientN int
-	// OpenLoop switches think-time pacing: false (default) is a closed
-	// loop — each client sleeps Think after every transaction; true is an
-	// open loop — each client issues transactions on a fixed arrival
-	// schedule of one per Think, regardless of completion times, so
-	// service-time jitter does not throttle offered load.
-	OpenLoop bool
 
 	// ---- Testbed geometry (Section 4.2 material conditions) ----
 

@@ -1,88 +1,16 @@
 package core
 
 import (
-	"time"
-
 	"ocb/internal/backend"
 	"ocb/internal/cluster"
 	"ocb/internal/disk"
 	"ocb/internal/lewis"
-	"ocb/internal/stats"
 	"ocb/internal/workload"
 )
 
-// TypeMetrics aggregates the per-transaction-type measurements OCB
-// reports: response time, accessed objects, and I/Os.
-type TypeMetrics struct {
-	Count    int64
-	Response stats.Welford // microseconds
-	// ResponseQ retains response-time observations for quantiles
-	// (exact up to the sample cap, reservoir beyond).
-	ResponseQ stats.Sample
-	Objects   stats.Welford
-	IOs       stats.Welford
-}
-
-// merge folds o into m.
-func (m *TypeMetrics) merge(o *TypeMetrics) {
-	m.Count += o.Count
-	m.Response.Merge(&o.Response)
-	m.ResponseQ.Merge(&o.ResponseQ)
-	m.Objects.Merge(&o.Objects)
-	m.IOs.Merge(&o.IOs)
-}
-
-// PhaseMetrics aggregates one protocol phase (cold or warm run), globally
-// and per transaction type, plus the disk-counter delta of the phase.
-//
-// Exactness under concurrency (CLIENTN > 1): Transactions and the
-// per-type Count fields are exact and schedule-independent — each client
-// replays a deterministic stream. The Objects welfords are
-// schedule-independent under the read-only clustering-oriented mix; with
-// the Section 5 mutating mix (PInsert/PDelete > 0) a traversal's object
-// count depends on which insertions and deletions other clients committed
-// first, so only the totals' exactness survives, not their
-// run-to-run reproducibility.
-// DiskDelta is exact (atomic counters around the whole phase lose
-// nothing) and is additionally schedule-independent when the buffer
-// holds the phase's working set; under cache pressure the replacement
-// policy's choices depend on how clients interleave, so the delta can
-// vary slightly between runs. The per-transaction IOs welfords are
-// approximate: each transaction's I/O delta is read from the shared disk
-// counters, so it includes faults that concurrent clients interleaved
-// into the window. Response times are wall-clock and naturally vary run
-// to run. With CLIENTN == 1 every metric is exact and reproducible.
-type PhaseMetrics struct {
-	Name         string
-	Transactions int64
-	Duration     time.Duration
-	Global       TypeMetrics
-	PerType      [NumTxTypes]TypeMetrics
-	DiskDelta    disk.Stats
-}
-
-// MeanIOsPerTx is the phase's headline number: mean transaction I/Os per
-// transaction, computed from exact global disk counters (not the
-// per-transaction attribution, which is approximate under concurrency).
-func (m *PhaseMetrics) MeanIOsPerTx() float64 {
-	if m.Transactions == 0 {
-		return 0
-	}
-	return float64(m.DiskDelta.TransactionIOs()) / float64(m.Transactions)
-}
-
-// merge folds another phase (a client's share) into m.
-func (m *PhaseMetrics) merge(o *PhaseMetrics) {
-	m.Transactions += o.Transactions
-	m.Global.merge(&o.Global)
-	for t := range m.PerType {
-		m.PerType[t].merge(&o.PerType[t])
-	}
-}
-
 // Result is a full protocol execution: cold run then warm run.
 type Result struct {
-	Cold, Warm *PhaseMetrics
+	Cold, Warm *workload.Result
 	PolicyName string
 	Store      backend.Stats
 }
@@ -135,8 +63,7 @@ type phaseClient struct {
 // the nine transaction types as ops, core's own transaction sampler as
 // the mix (so streams are bit-identical to the pre-engine protocol), one
 // executor per client, and the phase's pacing parameters. Scenario
-// presets run these specs directly; RunPhase runs them and folds the
-// result back into OCB's PhaseMetrics.
+// presets run these specs directly; RunPhase runs them as they are.
 func (r *Runner) PhaseSpec(name string, txPerClient int, seed int64) *workload.Spec {
 	p := r.DB.P
 	ops := make([]workload.Op, NumTxTypes)
@@ -156,7 +83,6 @@ func (r *Runner) PhaseSpec(name string, txPerClient int, seed int64) *workload.S
 		Clients:  p.ClientN,
 		Measured: txPerClient,
 		Think:    p.Think,
-		OpenLoop: p.OpenLoop,
 		Seed:     seed,
 		Backend:  r.DB.Store,
 		Ops:      ops,
@@ -175,41 +101,10 @@ func (r *Runner) PhaseSpec(name string, txPerClient int, seed int64) *workload.S
 // deterministically in seed. Phases with equal seeds replay identical
 // transaction streams — the experiments use this to compare placements
 // before and after reclustering on the same workload. The fan-out,
-// pacing and measurement live in the workload engine; this wrapper only
-// translates the unified result back into OCB's PhaseMetrics.
-func (r *Runner) RunPhase(name string, txPerClient int, seed int64) (*PhaseMetrics, error) {
-	res, err := workload.Run(r.PhaseSpec(name, txPerClient, seed))
-	if err != nil {
-		return nil, err
-	}
-	return phaseFromResult(res), nil
-}
-
-// phaseFromResult folds a workload engine result into PhaseMetrics. The
-// engine's op order is the TxType order, so the translation is direct.
-func phaseFromResult(res *workload.Result) *PhaseMetrics {
-	m := &PhaseMetrics{
-		Name:         res.Name,
-		Transactions: res.Executed,
-		Duration:     res.Duration,
-		Global:       typeMetricsFrom(&res.Total),
-		DiskDelta:    res.DiskDelta,
-	}
-	for t := range m.PerType {
-		m.PerType[t] = typeMetricsFrom(&res.PerOp[t])
-	}
-	return m
-}
-
-// typeMetricsFrom converts one engine op aggregate (the fields coincide).
-func typeMetricsFrom(om *workload.OpMetrics) TypeMetrics {
-	return TypeMetrics{
-		Count:     om.Count,
-		Response:  om.Response,
-		ResponseQ: om.ResponseQ,
-		Objects:   om.Objects,
-		IOs:       om.IOs,
-	}
+// pacing and measurement live in the workload engine; the result's PerOp
+// is indexed by TxType.
+func (r *Runner) RunPhase(name string, txPerClient int, seed int64) (*workload.Result, error) {
+	return workload.Run(r.PhaseSpec(name, txPerClient, seed))
 }
 
 // SampleTransaction draws one transaction according to the workload

@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"ocb/internal/backend"
+	"ocb/internal/workload"
 )
 
 // These tests exercise the multi-client protocol under the race detector
 // (the CI race shard runs this package with -race) and pin down which
-// merged PhaseMetrics are schedule-independent: transaction counts,
+// merged results are schedule-independent: transaction counts,
 // per-type counts, per-transaction object counts and the phase's exact
 // disk-counter delta must be identical across repeated runs with the same
 // seed, no matter how the scheduler interleaves the clients.
@@ -28,7 +29,7 @@ func raceParams(clients int) Params {
 }
 
 // runOnce replays one phase from a cold cache with zeroed counters.
-func runOnce(t *testing.T, db *Database, txPerClient int, seed int64) *PhaseMetrics {
+func runOnce(t *testing.T, db *Database, txPerClient int, seed int64) *workload.Result {
 	t.Helper()
 	db.Store.DropCache()
 	db.Store.ResetStats()
@@ -52,28 +53,28 @@ func TestRunPhaseConcurrentScheduleIndependent(t *testing.T) {
 		m2 := runOnce(t, db, txPerClient, 777)
 		accessed2 := db.Store.Stats().ObjectsAccessed
 
-		if m1.Transactions != int64(clients*txPerClient) {
-			t.Fatalf("clients=%d: %d transactions, want %d", clients, m1.Transactions, clients*txPerClient)
+		if m1.Executed != int64(clients*txPerClient) {
+			t.Fatalf("clients=%d: %d transactions, want %d", clients, m1.Executed, clients*txPerClient)
 		}
-		if m1.Transactions != m2.Transactions {
-			t.Errorf("clients=%d: transaction counts differ: %d vs %d", clients, m1.Transactions, m2.Transactions)
+		if m1.Executed != m2.Executed {
+			t.Errorf("clients=%d: transaction counts differ: %d vs %d", clients, m1.Executed, m2.Executed)
 		}
-		for tt := range m1.PerType {
-			if m1.PerType[tt].Count != m2.PerType[tt].Count {
+		for tt := range m1.PerOp {
+			if m1.PerOp[tt].Count != m2.PerOp[tt].Count {
 				t.Errorf("clients=%d: type %v count differs: %d vs %d",
-					clients, TxType(tt), m1.PerType[tt].Count, m2.PerType[tt].Count)
+					clients, TxType(tt), m1.PerOp[tt].Count, m2.PerOp[tt].Count)
 			}
 		}
-		if m1.Global.Count != m2.Global.Count {
-			t.Errorf("clients=%d: global count differs: %d vs %d", clients, m1.Global.Count, m2.Global.Count)
+		if m1.Total.Count != m2.Total.Count {
+			t.Errorf("clients=%d: global count differs: %d vs %d", clients, m1.Total.Count, m2.Total.Count)
 		}
 		// Objects accessed per transaction are determined by the traversal
 		// streams, so the merged welford is bitwise reproducible.
-		if m1.Global.Objects.Mean() != m2.Global.Objects.Mean() ||
-			m1.Global.Objects.N() != m2.Global.Objects.N() {
+		if m1.Total.Objects.Mean() != m2.Total.Objects.Mean() ||
+			m1.Total.Objects.N() != m2.Total.Objects.N() {
 			t.Errorf("clients=%d: objects-per-tx welford differs: %v/%d vs %v/%d", clients,
-				m1.Global.Objects.Mean(), m1.Global.Objects.N(),
-				m2.Global.Objects.Mean(), m2.Global.Objects.N())
+				m1.Total.Objects.Mean(), m1.Total.Objects.N(),
+				m2.Total.Objects.Mean(), m2.Total.Objects.N())
 		}
 		if accessed1 != accessed2 {
 			t.Errorf("clients=%d: store object-access totals differ: %d vs %d", clients, accessed1, accessed2)
@@ -105,7 +106,7 @@ func TestRunPhaseConcurrentMatchesSerial(t *testing.T) {
 	}
 	conc := runOnce(t, db, txPerClient, 555)
 
-	serial := &PhaseMetrics{Name: "serial"}
+	serial := &workload.Result{PerOp: make([]workload.OpMetrics, NumTxTypes)}
 	sp := raceParams(1)
 	sdb, err := Generate(sp)
 	if err != nil {
@@ -118,18 +119,18 @@ func TestRunPhaseConcurrentMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial.Transactions += m.Transactions
-		for tt := range serial.PerType {
-			serial.PerType[tt].Count += m.PerType[tt].Count
+		serial.Executed += m.Executed
+		for tt := range serial.PerOp {
+			serial.PerOp[tt].Count += m.PerOp[tt].Count
 		}
 	}
-	if conc.Transactions != serial.Transactions {
-		t.Fatalf("concurrent %d transactions vs serial %d", conc.Transactions, serial.Transactions)
+	if conc.Executed != serial.Executed {
+		t.Fatalf("concurrent %d transactions vs serial %d", conc.Executed, serial.Executed)
 	}
-	for tt := range conc.PerType {
-		if conc.PerType[tt].Count != serial.PerType[tt].Count {
+	for tt := range conc.PerOp {
+		if conc.PerOp[tt].Count != serial.PerOp[tt].Count {
 			t.Errorf("type %v: concurrent count %d vs serial %d",
-				TxType(tt), conc.PerType[tt].Count, serial.PerType[tt].Count)
+				TxType(tt), conc.PerOp[tt].Count, serial.PerOp[tt].Count)
 		}
 	}
 }
@@ -160,24 +161,62 @@ func TestRunPhaseConcurrentGenericWorkload(t *testing.T) {
 	}
 }
 
-// TestOpenLoopPacing checks the open-loop arrival schedule: a phase of n
-// transactions with think time T takes at least (n-1)*T of wall clock but
-// does not stack service time on top of the schedule the way the closed
-// loop does.
-func TestOpenLoopPacing(t *testing.T) {
-	p := raceParams(1)
-	p.Think = 2 * time.Millisecond
-	p.OpenLoop = true
-	db, err := Generate(p)
+// TestSweepPointMatchesRunPhase pins the "same streams at every point"
+// property the scalability sweep relies on: a workload.Sweep point at one
+// client over a PhaseSpec — here visited after a 4-client point, on a
+// database generated for 4 clients — reports exactly what RunPhase
+// reports on an identically generated single-client database. A point's
+// streams depend on its own client count and the seed, never on the
+// database's CLIENTN or the point's position in the grid.
+func TestSweepPointMatchesRunPhase(t *testing.T) {
+	const txPerClient, seed = 40, 4242
+	db, err := Generate(raceParams(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := NewRunner(db, nil).PhaseSpec("sweep", txPerClient, seed)
+	spec.ColdStart = true
+	points, err := workload.Sweep(spec, workload.SweepOptions{Clients: []int{4, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := points[1].Result
+
+	sdb, err := Generate(raceParams(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runOnce(t, sdb, txPerClient, seed)
+
+	if got.Clients != 1 || got.Executed != want.Executed {
+		t.Fatalf("sweep point: %d clients, %d transactions; RunPhase executed %d",
+			got.Clients, got.Executed, want.Executed)
+	}
+	if got.Total.ObjectsTotal != want.Total.ObjectsTotal {
+		t.Errorf("objects accessed: sweep point %d, RunPhase %d", got.Total.ObjectsTotal, want.Total.ObjectsTotal)
+	}
+	if got.DiskDelta != want.DiskDelta {
+		t.Errorf("disk delta: sweep point %+v, RunPhase %+v", got.DiskDelta, want.DiskDelta)
+	}
+}
+
+// TestRatePacing checks the open-loop arrival schedule on an OCB phase: n
+// transactions at a rate target of one per T take at least (n-1)*T of
+// wall clock.
+func TestRatePacing(t *testing.T) {
+	db, err := Generate(raceParams(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 10
-	m, err := NewRunner(db, nil).RunPhase("open", n, 11)
+	const gap = 2 * time.Millisecond
+	spec := NewRunner(db, nil).PhaseSpec("rate", n, 11)
+	spec.Rate = float64(time.Second / gap)
+	m, err := workload.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min := time.Duration(n-1) * p.Think; m.Duration < min {
-		t.Fatalf("open-loop phase of %d tx finished in %v, schedule floor is %v", n, m.Duration, min)
+	if min := (n - 1) * gap; m.Duration < min {
+		t.Fatalf("rate-paced phase of %d tx finished in %v, schedule floor is %v", n, m.Duration, min)
 	}
 }

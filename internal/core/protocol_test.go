@@ -6,6 +6,7 @@ import (
 	"ocb/internal/cluster"
 	"ocb/internal/dstc"
 	"ocb/internal/lewis"
+	"ocb/internal/workload"
 )
 
 func TestRunnerFullProtocol(t *testing.T) {
@@ -18,25 +19,25 @@ func TestRunnerFullProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cold.Transactions != int64(p.ColdN) {
-		t.Fatalf("cold transactions = %d, want %d", res.Cold.Transactions, p.ColdN)
+	if res.Cold.Executed != int64(p.ColdN) {
+		t.Fatalf("cold transactions = %d, want %d", res.Cold.Executed, p.ColdN)
 	}
-	if res.Warm.Transactions != int64(p.HotN) {
-		t.Fatalf("warm transactions = %d, want %d", res.Warm.Transactions, p.HotN)
+	if res.Warm.Executed != int64(p.HotN) {
+		t.Fatalf("warm transactions = %d, want %d", res.Warm.Executed, p.HotN)
 	}
 	if res.PolicyName != "none" {
 		t.Fatalf("policy name = %q", res.PolicyName)
 	}
 	// Per-type counts must sum to the phase total.
 	var sum int64
-	for _, tm := range res.Warm.PerType {
+	for _, tm := range res.Warm.PerOp {
 		sum += tm.Count
 	}
-	if sum != res.Warm.Transactions {
-		t.Fatalf("per-type counts sum to %d, want %d", sum, res.Warm.Transactions)
+	if sum != res.Warm.Executed {
+		t.Fatalf("per-type counts sum to %d, want %d", sum, res.Warm.Executed)
 	}
-	if res.Warm.Global.Objects.Mean() <= 1 {
-		t.Fatalf("mean objects per tx = %v", res.Warm.Global.Objects.Mean())
+	if res.Warm.Total.Objects.Mean() <= 1 {
+		t.Fatalf("mean objects per tx = %v", res.Warm.Total.Objects.Mean())
 	}
 	if res.Warm.Duration <= 0 {
 		t.Fatal("phase duration missing")
@@ -55,12 +56,12 @@ func TestRunPhaseDeterministicStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for typ := range a.PerType {
-		if a.PerType[typ].Count != b.PerType[typ].Count {
+	for typ := range a.PerOp {
+		if a.PerOp[typ].Count != b.PerOp[typ].Count {
 			t.Fatalf("type %v count differs: %d vs %d",
-				TxType(typ), a.PerType[typ].Count, b.PerType[typ].Count)
+				TxType(typ), a.PerOp[typ].Count, b.PerOp[typ].Count)
 		}
-		if a.PerType[typ].Objects.Sum() != b.PerType[typ].Objects.Sum() {
+		if a.PerOp[typ].Objects.Sum() != b.PerOp[typ].Objects.Sum() {
 			t.Fatalf("type %v objects differ", TxType(typ))
 		}
 	}
@@ -75,10 +76,10 @@ func TestTypeMixFollowsProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PerType[HierarchyTraversal].Count != 0 || m.PerType[StochasticTraversal].Count != 0 {
+	if m.PerOp[HierarchyTraversal].Count != 0 || m.PerOp[StochasticTraversal].Count != 0 {
 		t.Fatal("zero-probability types executed")
 	}
-	frac := float64(m.PerType[SetAccess].Count) / float64(m.Transactions)
+	frac := float64(m.PerOp[SetAccess].Count) / float64(m.Executed)
 	if frac < 0.4 || frac > 0.6 {
 		t.Fatalf("set fraction = %v, want ~0.5", frac)
 	}
@@ -93,8 +94,8 @@ func TestSingleTypeWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PerType[SimpleTraversal].Count != 50 {
-		t.Fatalf("simple count = %d", m.PerType[SimpleTraversal].Count)
+	if m.PerOp[SimpleTraversal].Count != 50 {
+		t.Fatalf("simple count = %d", m.PerOp[SimpleTraversal].Count)
 	}
 }
 
@@ -109,11 +110,11 @@ func TestMultiClientRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cold.Transactions != int64(4*p.ColdN) {
-		t.Fatalf("cold transactions = %d, want %d", res.Cold.Transactions, 4*p.ColdN)
+	if res.Cold.Executed != int64(4*p.ColdN) {
+		t.Fatalf("cold transactions = %d, want %d", res.Cold.Executed, 4*p.ColdN)
 	}
-	if res.Warm.Transactions != int64(4*p.HotN) {
-		t.Fatalf("warm transactions = %d, want %d", res.Warm.Transactions, 4*p.HotN)
+	if res.Warm.Executed != int64(4*p.HotN) {
+		t.Fatalf("warm transactions = %d, want %d", res.Warm.Executed, 4*p.HotN)
 	}
 }
 
@@ -127,17 +128,17 @@ func TestMeanIOsPerTxUsesGlobalCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.MeanIOsPerTx() <= 0 {
+	if m.MeanIOsPerOp() <= 0 {
 		t.Fatal("no I/Os measured under memory pressure")
 	}
 	// Global mean from disk counters must agree with the per-tx attribution
 	// in the single-client case (up to accumulation rounding).
-	got, want := m.MeanIOsPerTx(), m.Global.IOs.Mean()
+	got, want := m.MeanIOsPerOp(), m.Total.IOs.Mean()
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("global mean %v != per-tx mean %v (single client)", got, want)
 	}
-	var empty PhaseMetrics
-	if empty.MeanIOsPerTx() != 0 {
+	var empty workload.Result
+	if empty.MeanIOsPerOp() != 0 {
 		t.Fatal("empty phase mean not 0")
 	}
 }
@@ -230,10 +231,10 @@ func TestDSTCGainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gain := before.MeanIOsPerTx() / after.MeanIOsPerTx()
+	gain := before.MeanIOsPerOp() / after.MeanIOsPerOp()
 	if gain <= 1 {
 		t.Fatalf("DSTC did not help: %.2f -> %.2f I/Os per tx (gain %.2f)",
-			before.MeanIOsPerTx(), after.MeanIOsPerTx(), gain)
+			before.MeanIOsPerOp(), after.MeanIOsPerOp(), gain)
 	}
 	// Clustering I/O overhead must have been charged to its own class.
 	if db.Store.Stats().Disk.ClusteringIOs() == 0 {

@@ -93,7 +93,7 @@ func BufferSweep(c Config) (*report.Table, error) {
 			return nil, fmt.Errorf("buffer sweep %d: %w", b, err)
 		}
 		st := db.Store.Stats()
-		t.AddRow(report.Int(b), report.F1(m.MeanIOsPerTx()),
+		t.AddRow(report.Int(b), report.F1(m.MeanIOsPerOp()),
 			report.F2(st.Pool.HitRatio()), report.Int(st.Pages))
 	}
 	return t, nil
@@ -148,9 +148,9 @@ func MultiClient(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
 		}
-		tps := float64(m.Transactions) / m.Duration.Seconds()
-		t.AddRow(report.Int(cl), report.I64(m.Transactions),
-			report.F1(m.MeanIOsPerTx()), report.Dur(m.Duration), report.F1(tps))
+		tps := float64(m.Executed) / m.Duration.Seconds()
+		t.AddRow(report.Int(cl), report.I64(m.Executed),
+			report.F1(m.MeanIOsPerOp()), report.Dur(m.Duration), report.F1(tps))
 	}
 	t.AddNote("shared store and buffer: clients pollute each other's cache")
 	return t, nil
@@ -185,7 +185,7 @@ func Reverse(c Config) (*report.Table, error) {
 		if rev {
 			name = "reversed"
 		}
-		t.AddRow(name, report.F1(m.MeanIOsPerTx()), report.F1(m.Global.Objects.Mean()))
+		t.AddRow(name, report.F1(m.MeanIOsPerOp()), report.F1(m.Total.Objects.Mean()))
 	}
 	return t, nil
 }
@@ -264,13 +264,13 @@ func TypeBreakdown(c Config) (*report.Table, error) {
 	t := report.New("Per-transaction-type metrics (default workload mix)",
 		"Type", "Count", "Mean response (µs)", "Mean objects", "Mean I/Os", "P95 response (µs)")
 	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerType[typ]
+		tm := m.PerOp[typ]
 		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
 			report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()), report.F1(tm.ResponseQ.P95()))
 	}
-	t.AddRow("all", report.I64(m.Transactions), report.F1(m.Global.Response.Mean()),
-		report.F1(m.Global.Objects.Mean()), report.F1(m.Global.IOs.Mean()),
-		report.F1(m.Global.ResponseQ.P95()))
+	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
+		report.F1(m.Total.Objects.Mean()), report.F1(m.Total.IOs.Mean()),
+		report.F1(m.Total.ResponseQ.P95()))
 	return t, nil
 }
 
@@ -343,12 +343,12 @@ func GenericWorkload(c Config) (*report.Table, error) {
 	t := report.New("A6 — fully generic workload (Section 5 extension)",
 		"Type", "Count", "Mean response (µs)", "Mean objects", "Mean I/Os")
 	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerType[typ]
+		tm := m.PerOp[typ]
 		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
 			report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()))
 	}
-	t.AddRow("all", report.I64(m.Transactions), report.F1(m.Global.Response.Mean()),
-		report.F1(m.Global.Objects.Mean()), report.F1(m.Global.IOs.Mean()))
+	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
+		report.F1(m.Total.Objects.Mean()), report.F1(m.Total.IOs.Mean()))
 	t.AddNote("live objects after churn: %d (started at %d)", db.NumLive(), p.NO)
 	return t, nil
 }

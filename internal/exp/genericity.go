@@ -133,8 +133,8 @@ func Genericity(c Config) (*report.Table, error) {
 			point, scan = report.F1(pt), report.F1(sc)
 		}
 
-		t.AddRow(rowName, report.Int(visited), report.F1(m.Global.Objects.Mean()),
-			report.F1(m.MeanIOsPerTx()), report.F1(m.Global.Response.Mean()), point, scan, gain)
+		t.AddRow(rowName, report.Int(visited), report.F1(m.Total.Objects.Mean()),
+			report.F1(m.MeanIOsPerOp()), report.F1(m.Total.Response.Mean()), point, scan, gain)
 	}
 	t.AddNote("identical workload seed per row; the visited-object signature is backend-invariant by construction")
 	t.AddNote("flatmem is the infinitely-fast-I/O control: zero I/Os isolate navigation cost from faulting cost")

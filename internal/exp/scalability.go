@@ -7,19 +7,30 @@ import (
 	"ocb/internal/backend"
 	"ocb/internal/core"
 	"ocb/internal/report"
+	"ocb/internal/workload"
 )
 
+// scalabilityClients is the CLIENTN grid of the scalability sweep: powers
+// of two through 16, the region where the paper's era-hardware arguments
+// about multi-user mode play out.
+var scalabilityClients = []int{1, 2, 4, 8, 16}
+
 // Scalability runs the multi-client scalability sweep over one shared
-// sharded store: CLIENTN in {1, 2, 4, 8, 16}, closed-loop think time, same
+// sharded store: a workload.Sweep of one OCB phase over CLIENTN in
+// {1, 2, 4, 8, 16}, closed-loop think time, cold cache and the same
 // per-client transaction streams at every point. It reports throughput,
-// speedup versus one client and response-time quantiles — the harness the
-// tentpole concurrency work is judged by. Unlike the A3 ablation (which
-// regenerates a database per row to show cache pollution), every row here
-// shares one database, so the only variable is concurrency.
+// speedup versus one client and response-time quantiles. Unlike the A3
+// ablation (which regenerates a database per row to show cache
+// pollution), every row here shares one database, so the only variable is
+// concurrency.
 func Scalability(c Config) (*report.Table, error) {
 	p := scalabilityParams(c)
+	// Generate for the grid's largest client count: the store is sharded
+	// at build time, so the multi-client points do not serialize on the
+	// single-shard store a CLIENTN = 1 database gets.
+	p.ClientN = scalabilityClients[len(scalabilityClients)-1]
+	p.Think = 2 * time.Millisecond
 	txPerClient := 200
-	think := 2 * time.Millisecond
 	if c.Quick {
 		txPerClient = 50
 	}
@@ -28,26 +39,26 @@ func Scalability(c Config) (*report.Table, error) {
 		return nil, fmt.Errorf("scalability: %w", err)
 	}
 	defer backend.Shutdown(db.Store)
-	res, err := core.RunScalability(db, core.ScalabilityOptions{
-		TxPerClient: txPerClient,
-		Think:       think,
-		Seed:        8191 + c.Seed,
-	})
+	spec := core.NewRunner(db, nil).PhaseSpec("scale", txPerClient, 8191+c.Seed)
+	spec.ColdStart = true
+	points, err := workload.Sweep(spec, workload.SweepOptions{Clients: scalabilityClients})
 	if err != nil {
 		return nil, fmt.Errorf("scalability: %w", err)
 	}
 	t := report.New("Scalability — CLIENTN sweep over one sharded store",
 		"Clients", "Transactions", "Wall time", "Tx/s", "Speedup",
 		"Mean I/Os per tx", "p50 µs", "p95 µs", "p99 µs")
-	for _, pt := range res.Points {
-		t.AddRow(report.Int(pt.Clients), report.I64(pt.Transactions),
-			report.Dur(pt.Duration), report.F1(pt.Throughput), report.F2(pt.Speedup),
-			report.F1(pt.MeanIOsPerTx),
-			report.F1(pt.P50), report.F1(pt.P95), report.F1(pt.P99))
+	base := points[0].Result.Throughput // the 1-client row
+	for _, pt := range points {
+		r := pt.Result
+		t.AddRow(report.Int(pt.Clients), report.I64(r.Executed),
+			report.Dur(r.Duration), report.F1(r.Throughput), report.F2(r.Throughput/base),
+			report.F1(r.MeanIOsPerOp()),
+			report.F1(r.P50()), report.F1(r.P95()), report.F1(r.P99()))
 	}
-	t.AddNote("shared database, %d store shards, %s closed-loop think time per tx",
-		res.Shards, think)
-	t.AddNote("identical per-client streams at every point; speedup is tx/s vs 1 client")
+	t.AddNote("shared database generated at CLIENTN = %d (store sharded at build time), %s closed-loop think time per tx",
+		p.ClientN, p.Think)
+	t.AddNote("identical per-client streams and a cold cache at every point; speedup is tx/s vs 1 client")
 	return t, nil
 }
 

@@ -1,23 +1,19 @@
 package exp
 
-import (
-	"testing"
-
-	"ocb/internal/core"
-)
+import "testing"
 
 func TestScalabilityShape(t *testing.T) {
 	tb, err := Scalability(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != len(core.DefaultScalabilityClients) {
+	if tb.NumRows() != len(scalabilityClients) {
 		t.Fatalf("scalability table has %d rows, want %d",
-			tb.NumRows(), len(core.DefaultScalabilityClients))
+			tb.NumRows(), len(scalabilityClients))
 	}
 	// Every row measures clients * txPerClient transactions.
 	for i, row := range tb.Rows() {
-		wantClients := core.DefaultScalabilityClients[i]
+		wantClients := scalabilityClients[i]
 		if got := cellFloat(t, row[0]); int(got) != wantClients {
 			t.Fatalf("row %d clients = %v, want %d", i, got, wantClients)
 		}

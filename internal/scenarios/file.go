@@ -21,7 +21,6 @@ import (
 //	  "warmup": 20,
 //	  "think": "2ms",
 //	  "think_dist": "negexp:0.5",
-//	  "open_loop": true,
 //	  "seed": 7,
 //	  "ops": [
 //	    {"name": "lookup", "weight": 3},
@@ -57,7 +56,6 @@ type FileSpec struct {
 	// ThinkDist is a lewis.ParseDistribution spec for stochastic pacing
 	// gaps ("negexp:0.5", "selfsimilar", "uniform", ...).
 	ThinkDist string `json:"think_dist,omitempty"`
-	OpenLoop  bool   `json:"open_loop,omitempty"`
 	// Rate is the open-loop arrival-rate target in ops/sec across all
 	// clients.
 	Rate float64 `json:"rate,omitempty"`
@@ -101,9 +99,6 @@ func (f *FileSpec) options(base Options) (Options, error) {
 	}
 	if f.Measured != 0 {
 		o.Measured = f.Measured
-	}
-	if f.OpenLoop {
-		o.OpenLoop = true
 	}
 	if f.Think != "" {
 		d, err := time.ParseDuration(f.Think)

@@ -186,3 +186,21 @@ func TestFileSpecRejectsUnknownSLOKeys(t *testing.T) {
 		t.Fatal("unknown slo key accepted")
 	}
 }
+
+// TestFileSpecRejectsOpenLoopKey: the retired "open_loop" key gets no
+// compatibility shim — the loader rejects it like any unknown field, and
+// the error names it so the author knows what to replace with "rate".
+func TestFileSpecRejectsOpenLoopKey(t *testing.T) {
+	_, err := Load(strings.NewReader(`{
+		"scenario": "oo1",
+		"quick": true,
+		"think": "100us",
+		"open_loop": true
+	}`), Options{})
+	if err == nil {
+		t.Fatal("open_loop key accepted")
+	}
+	if !strings.Contains(err.Error(), "open_loop") {
+		t.Fatalf("error %q does not name the open_loop key", err)
+	}
+}

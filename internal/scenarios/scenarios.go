@@ -18,7 +18,7 @@
 //     selections and zipfian hot-key lookups over the Ranger capability.
 //     On backends without an ordered index every op reports a skip.
 //
-// Every preset accepts think-time pacing (open or closed loop); all but
+// Every preset accepts think-time or arrival-rate pacing; all but
 // dstc (a single-user protocol by definition) accept CLIENTN > 1; all
 // but the fixed protocol dstc accept user-authored operation mixes
 // re-weighting the preset's op set (ocb maps weights onto its
@@ -53,9 +53,8 @@ type Options struct {
 	Seed int64
 	// Clients is CLIENTN (0 keeps the preset's default of 1).
 	Clients int
-	// Think and OpenLoop select think-time pacing for every phase.
-	Think    time.Duration
-	OpenLoop bool
+	// Think selects closed-loop think-time pacing for every phase.
+	Think time.Duration
 	// Rate selects open-loop arrival-rate pacing for every phase: Rate
 	// ops/sec across all clients, latency measured from scheduled
 	// arrival. Mutually exclusive with Think.
@@ -309,9 +308,6 @@ func applyMix(spec *workload.Spec, o Options) error {
 	if o.Think > 0 {
 		spec.Think = o.Think
 	}
-	if o.OpenLoop {
-		spec.OpenLoop = true
-	}
 	if o.Measured > 0 {
 		spec.Measured = o.Measured
 	}
@@ -376,7 +372,6 @@ func buildOCB(o Options) (*Scenario, error) {
 	p.Seed += o.Seed
 	p.ClientN = o.clients()
 	p.Think = o.Think
-	p.OpenLoop = o.OpenLoop
 	if o.Warmup > 0 {
 		p.ColdN = o.Warmup
 	}
@@ -624,9 +619,6 @@ func buildDSTC(o Options) (*Scenario, error) {
 	for _, spec := range []*workload.Spec{observe, replay} {
 		if o.Think > 0 {
 			spec.Think = o.Think
-		}
-		if o.OpenLoop {
-			spec.OpenLoop = true
 		}
 	}
 	return &Scenario{

@@ -211,7 +211,6 @@ func TestLoadFileBuildsScenario(t *testing.T) {
 		"clients": 2,
 		"measured": 40,
 		"think": "100us",
-		"open_loop": true,
 		"ops": [
 			{"name": "lookup", "weight": 3},
 			{"name": "traversal", "weight": 1}
@@ -234,7 +233,7 @@ func TestLoadFileBuildsScenario(t *testing.T) {
 	if ws.Ops[0].Weight != 3 || ws.Ops[1].Weight != 1 {
 		t.Fatalf("weights not applied: %v/%v", ws.Ops[0].Weight, ws.Ops[1].Weight)
 	}
-	if ws.Clients != 2 || ws.Measured != 40 || !ws.OpenLoop || ws.Think.Microseconds() != 100 {
+	if ws.Clients != 2 || ws.Measured != 40 || ws.Think.Microseconds() != 100 {
 		t.Fatalf("pacing overrides not applied: %+v", ws)
 	}
 	results, err := sc.Run()

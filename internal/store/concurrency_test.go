@@ -229,38 +229,6 @@ func TestShardedMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestReshard moves a populated store between sharding degrees and checks
-// nothing is lost.
-func TestReshard(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 64, Shards: 1})
-	for i := 0; i < 100; i++ {
-		if _, err := s.Create(30); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range []int{8, 2, 32, 1} {
-		if err := s.Reshard(n); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.NumObjects(); got != 100 {
-			t.Fatalf("after reshard to %d: NumObjects = %d", n, got)
-		}
-		if err := s.CheckIntegrity(); err != nil {
-			t.Fatalf("after reshard to %d: %v", n, err)
-		}
-		if err := s.Access(50); err != nil {
-			t.Fatalf("after reshard to %d: %v", n, err)
-		}
-	}
-	// Placement continues cleanly after resharding.
-	if _, err := s.Create(30); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAccessDeleteRaceErrorMapping pins the race contract: a page fault
 // that loses against a concurrent Delete surfaces as ErrNoSuchObject, as
 // if the delete had completed first, never as a raw disk error.

@@ -23,7 +23,7 @@
 //   - A structural read/write mutex. Per-object operations (Create, Access,
 //     Update, Delete, lookups, Stats) only share-lock it; stop-the-world
 //     operations — Relocate, Commit, DropCache, Image, Layout,
-//     CheckIntegrity, Reshard, ResetStats — take it exclusively, so a
+//     CheckIntegrity, ResetStats — take it exclusively, so a
 //     physical reorganization never observes a half-applied mutation.
 //   - The OID→location table is sharded by OID hash, one mutex per shard.
 //   - The buffer pool is a buffer.Sharded: page ids hash to independently
@@ -685,38 +685,6 @@ func (s *Store) ResetStats() {
 	s.disk.ResetStats()
 	s.pool.ResetStats()
 	s.objectsAccessed.Store(0)
-}
-
-// Reshard rebuilds the lock sharding to the given degree (rounded to a
-// power of two), redistributing the object table and replacing the buffer
-// pool with an equally sized sharded pool. Dirty pages are flushed first;
-// the cache restarts cold, pool counters restart from zero (disk and
-// object-access counters are untouched), and the current fill page is
-// abandoned, so the next Create starts a fresh page.
-func (s *Store) Reshard(shards int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if shards < 1 {
-		return fmt.Errorf("store: reshard to %d shards", shards)
-	}
-	if err := s.pool.FlushAll(); err != nil {
-		return err
-	}
-	pool, err := buffer.NewSharded(s.disk, s.pool.Capacity(), s.pool.Policy(), shards)
-	if err != nil {
-		return err
-	}
-	old := s.tables
-	s.initTables(shards)
-	for i := range old {
-		for oid, l := range old[i].m {
-			sh := s.tableFor(oid)
-			sh.m[oid] = l
-		}
-	}
-	s.pool = pool
-	s.fill = nil
-	return nil
 }
 
 // Relocate applies a clustering layout: each cluster's objects are placed

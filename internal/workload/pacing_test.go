@@ -7,21 +7,20 @@ import (
 	"time"
 )
 
-// TestOpenLoopLatencyIncludesQueueingDelay is the coordinated-omission
-// regression pin. An open-loop schedule issues one op per millisecond into
-// an op body that takes ~5ms, so the runner falls ~4ms further behind
+// TestRateLatencyIncludesQueueingDelay is the coordinated-omission
+// regression pin. A 1000 ops/s rate target issues one op per millisecond
+// into an op body that takes ~5ms, so the runner falls ~4ms further behind
 // schedule on every operation; honest open-loop latency runs from the
 // *scheduled* arrival and must therefore grow with queue depth. The
 // pre-fix engine timed the op body alone and reported a flat ~5ms
 // regardless of the backlog — this test fails against that code.
-func TestOpenLoopLatencyIncludesQueueingDelay(t *testing.T) {
+func TestRateLatencyIncludesQueueingDelay(t *testing.T) {
 	be := testBackend(t, 10)
 	res, err := Run(&Spec{
 		Name:     "co",
 		Backend:  be,
 		Measured: 10,
-		Think:    time.Millisecond,
-		OpenLoop: true,
+		Rate:     1000,
 		Ops: []Op{{Name: "slow", Weight: 1, Run: func(*Ctx) (int, error) {
 			time.Sleep(5 * time.Millisecond)
 			return 1, nil
@@ -182,6 +181,7 @@ func TestPacingValidationErrors(t *testing.T) {
 		{Name: "ratethink", Backend: be, Rate: 100, Think: time.Millisecond, Ops: []Op{{Name: "a", Run: run}}},
 		{Name: "baddist", Backend: be, Think: time.Millisecond, ThinkDist: "nosuchdist", Ops: []Op{{Name: "a", Run: run}}},
 		{Name: "distnomean", Backend: be, ThinkDist: "negexp", Ops: []Op{{Name: "a", Run: run}}},
+		{Name: "distsubus", Backend: be, Rate: 2e6, ThinkDist: "uniform", Ops: []Op{{Name: "a", Run: run}}},
 		{Name: "negslo", Backend: be, SLO: &SLO{SLOBound: SLOBound{P95Us: -1}}, Ops: []Op{{Name: "a", Run: run}}},
 		{Name: "badrate", Backend: be, SLO: &SLO{SLOBound: SLOBound{MaxErrorRate: &neg}}, Ops: []Op{{Name: "a", Run: run}}},
 		{Name: "peroptput", Backend: be, SLO: &SLO{PerOp: map[string]SLOBound{"a": {MinOpsPerSec: 1}}}, Ops: []Op{{Name: "a", Run: run}}},

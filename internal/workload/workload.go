@@ -113,17 +113,14 @@ type Spec struct {
 	// deterministic run to run and the op streams are bit-identical to a
 	// constant-Think run.
 	ThinkDist string
-	// OpenLoop selects open-loop pacing for Think: operations are issued
-	// on a fixed arrival schedule of one per Think instead of sleeping
-	// after each completion. Open-loop latency is measured from the
-	// operation's *scheduled* arrival, so queueing delay behind a slow
-	// predecessor counts (the coordinated-omission correction).
-	OpenLoop bool
 	// Rate, when positive, selects a true open-loop arrival-rate target:
 	// Rate operations per second across all clients (each client issues
 	// one per clients/Rate seconds, client start offsets staggered evenly
-	// across one interval). Mutually exclusive with Think; implies
-	// open-loop pacing and scheduled-arrival latency.
+	// across one interval). Mutually exclusive with Think. Operations
+	// follow the arrival schedule instead of waiting for completions, and
+	// latency is measured from the operation's *scheduled* arrival, so
+	// queueing delay behind a slow predecessor counts (the
+	// coordinated-omission correction).
 	Rate float64
 	// TolerateErrors keeps the run going when an op fails: the failure is
 	// counted in the op's Errors tally (excluded from Count, latency and
@@ -217,6 +214,25 @@ func (m *OpMetrics) Merge(o *OpMetrics) {
 }
 
 // Result is the unified measurement every scenario run produces.
+//
+// Exactness under concurrency (Clients > 1): Executed and the per-op
+// Count fields are exact and schedule-independent — each client replays
+// a deterministic stream. The Objects welfords and ObjectsTotal are
+// schedule-independent under a read-only mix; under a mutating mix
+// (OCB's Section 5 PInsert/PDelete > 0) a traversal's object count
+// depends on which insertions and deletions other clients committed
+// first, so only the totals' exactness survives, not their run-to-run
+// reproducibility.
+// DiskDelta is exact (atomic counters around the whole phase lose
+// nothing) and is additionally schedule-independent when the buffer
+// holds the phase's working set; under cache pressure the replacement
+// policy's choices depend on how clients interleave, so the delta can
+// vary slightly between runs. The per-operation IOs welfords and
+// IOsTotal are approximate: each operation's I/O delta is read from the
+// shared disk counters, so it includes faults that concurrent clients
+// interleaved into the window. Response times are wall-clock and
+// naturally vary run to run. With Clients == 1 every metric but the
+// response times is exact and reproducible.
 type Result struct {
 	// Name and Clients echo the spec.
 	Name    string
@@ -347,8 +363,10 @@ func (s *Spec) validate() error {
 		if _, err := lewis.ParseDistribution(s.ThinkDist); err != nil {
 			return fmt.Errorf("workload %q: think distribution: %w", s.Name, err)
 		}
-		if s.interval() <= 0 {
-			return fmt.Errorf("workload %q: ThinkDist needs a think time or a rate target to scale to", s.Name)
+		// Gaps are drawn in whole microseconds over [0, 2*interval]: below
+		// 1µs every draw is 0 and an arrival schedule never advances.
+		if iv := s.interval(); iv < time.Microsecond {
+			return fmt.Errorf("workload %q: ThinkDist needs a think time or a rate target with a mean gap of at least 1µs to scale to, got %v", s.Name, iv)
 		}
 	}
 	if err := s.SLO.Validate(); err != nil {
@@ -364,13 +382,6 @@ func (s *Spec) interval() time.Duration {
 		return time.Duration(float64(s.clients()) / s.Rate * float64(time.Second))
 	}
 	return s.Think
-}
-
-// openLoop reports whether pacing follows an arrival schedule: an
-// explicit OpenLoop, or any rate target (a rate is open-loop by
-// definition — arrivals do not wait for completions).
-func (s *Spec) openLoop() bool {
-	return s.OpenLoop || s.Rate > 0
 }
 
 // clients resolves the effective client count.
@@ -558,8 +569,8 @@ var zeroTime time.Time
 // c*104729): stochastic pacing must never perturb an op draw.
 const thinkSeedOffset = 32452843
 
-// pacer owns one client's inter-operation pacing. Open loop (OpenLoop,
-// or any Rate target) issues operations on an arrival schedule: beforeOp
+// pacer owns one client's inter-operation pacing. Open loop (a Rate
+// target) issues operations on an arrival schedule: beforeOp
 // waits for — and reports — the next scheduled arrival, and afterOp
 // advances the schedule by the (possibly stochastic) gap whether or not
 // the runner is on time, so a slow operation makes its successors
@@ -584,7 +595,7 @@ func (r *Runner) newPacer(c int) *pacer {
 	if mean <= 0 {
 		return &pacer{}
 	}
-	p := &pacer{open: s.openLoop(), gap: func() time.Duration { return mean }}
+	p := &pacer{open: s.Rate > 0, gap: func() time.Duration { return mean }}
 	if r.thinkDist != nil {
 		// Stochastic think times: gaps drawn in whole microseconds over
 		// [0, 2*mean] from a dedicated per-client seed-derived stream —
@@ -601,10 +612,7 @@ func (r *Runner) newPacer(c int) *pacer {
 	}
 	if p.open {
 		//ocblint:allow determinism -- harness timing, not op logic
-		p.next = time.Now()
-		if s.Rate > 0 {
-			p.next = p.next.Add(mean * time.Duration(c) / time.Duration(s.clients()))
-		}
+		p.next = time.Now().Add(mean * time.Duration(c) / time.Duration(s.clients()))
 	}
 	return p
 }

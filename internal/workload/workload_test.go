@@ -321,15 +321,14 @@ func TestWarmupExcludedFromPhaseClock(t *testing.T) {
 	}
 }
 
-func TestOpenLoopPacingCatchesUp(t *testing.T) {
+func TestRatePacingCatchesUp(t *testing.T) {
 	be := testBackend(t, 10)
 	start := time.Now()
 	res, err := Run(&Spec{
-		Name:     "openloop",
+		Name:     "rate",
 		Backend:  be,
 		Measured: 10,
-		Think:    time.Millisecond,
-		OpenLoop: true,
+		Rate:     1000,
 		Ops:      []Op{accessOp("x", be, 10, 1, 0)},
 	})
 	if err != nil {
@@ -340,7 +339,7 @@ func TestOpenLoopPacingCatchesUp(t *testing.T) {
 	}
 	// Ten 1ms arrival slots: the run takes at least ~9ms of schedule.
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("open loop finished in %v; pacing not applied", elapsed)
+		t.Fatalf("rate run finished in %v; pacing not applied", elapsed)
 	}
 }
 
