@@ -5,26 +5,14 @@
 // range scans and seeks walk the leaf chain directly instead of probing a
 // hash directory per OID.
 //
-// Layout. Nodes are sized to the configured page geometry (fanout =
-// PageSize / 24, the per-entry cost of a 16-byte composite key plus an
-// 8-byte value), so Stats.Pages counts index nodes the way a paged store
-// counts disk pages. Leaves are chained both ways for ascending and
-// descending scans. Inserts split preemptively on the way down; a split
-// of the rightmost leaf keeps the left node full rather than half —
-// sequential OID allocation (the Create contract) then packs leaves to
-// near-100% fill instead of the textbook 50%.
-//
-// Deletes remove the leaf entry but never rebalance or merge nodes:
-// benchmark workloads delete a small fraction of objects, and scans skip
-// empty leaves for free. The tradeoff is documented here so nobody
-// mistakes it for an oversight — a delete-heavy workload would fragment
-// the leaf chain.
-//
-// Concurrency is one store-wide RWMutex: lookups and scans share the read
-// side, structural writes (Create, Delete, SetKey) take the write side.
-// There is no copy-on-write — readers and the writer never overlap, so
-// nodes mutate in place and the steady-state lookup path allocates
-// nothing.
+// The trees are internal/ordindex (see there for the split and delete
+// policy); this package is the Backend shell around one: OID allocation,
+// the stored size as each entry's value, counters and locking. Nodes are
+// sized to the page geometry (fanout = PageSize / 24, a 16-byte composite
+// key plus an 8-byte value per entry), so Stats.Pages counts index nodes
+// the way a paged store counts disk pages. One store-wide RWMutex:
+// lookups and scans share the read side, Create, Delete and SetKey take
+// the write side, and the steady-state lookup path allocates nothing.
 package btree
 
 import (
@@ -35,14 +23,11 @@ import (
 
 	"ocb/internal/backend"
 	"ocb/internal/disk"
+	"ocb/internal/ordindex"
 )
 
 // Name is the driver's registered name.
 const Name = "btree"
-
-// minFanout keeps degenerate geometries (tiny test page sizes) from
-// collapsing the tree into a linked list of single-entry nodes.
-const minFanout = 4
 
 func init() {
 	backend.Register(Name, func(cfg backend.Config) (backend.Backend, error) {
@@ -56,333 +41,20 @@ func init() {
 		fanout := pageSize / 24
 		if v, ok := cfg.Options["fanout"]; ok {
 			n, err := strconv.Atoi(v)
-			if err != nil || n < minFanout {
-				return nil, fmt.Errorf("backend %q: option fanout must be an integer >= %d, got %q", Name, minFanout, v)
+			if err != nil || n < ordindex.MinFanout {
+				return nil, fmt.Errorf("backend %q: option fanout must be an integer >= %d, got %q", Name, ordindex.MinFanout, v)
 			}
 			fanout = n
-		}
-		if fanout < minFanout {
-			fanout = minFanout
 		}
 		return New(fanout), nil
 	})
 }
 
-// key is the composite (attribute, OID) sort key both trees share. The
-// object tree uses attr 0 throughout, so its order is pure OID order; the
-// attribute tree orders by (key, OID), which is exactly the ScanKey
-// contract.
-type key struct {
-	attr int64
-	oid  uint64
-}
-
-// keyLess is the total order: (attr, oid) lexicographic.
-func keyLess(a, b key) bool {
-	if a.attr != b.attr {
-		return a.attr < b.attr
-	}
-	return a.oid < b.oid
-}
-
-// node is one B+tree node, leaf or internal. A leaf holds n (key, val)
-// entries and sits in the doubly-linked leaf chain; an internal node
-// holds n separator keys and n+1 children, where keys[i] is the smallest
-// key reachable under kids[i+1]. Nodes always travel by pointer — a node
-// copied by value would detach half the leaf chain.
-type node struct {
-	leaf bool
-	n    int
-	keys []key
-	vals []uint64 // leaf only: stored object size (attribute tree: unused)
-	kids []*node  // internal only: n+1 children
-	next *node    // leaf chain, ascending
-	prev *node    // leaf chain, descending
-}
-
-// lowerBound returns the first index in keys[:n] whose key is >= k.
-// Manual binary search: sort.Search takes a closure, which the allocfree
-// gate on the callers forbids.
-//
-//ocblint:allocfree
-func (nd *node) lowerBound(k key) int {
-	lo, hi := 0, nd.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keyLess(nd.keys[mid], k) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// childIndex returns which child to descend for k: the first index whose
-// separator exceeds k (a key equal to separator i lives under kids[i+1]).
-//
-//ocblint:allocfree
-func (nd *node) childIndex(k key) int {
-	lo, hi := 0, nd.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keyLess(k, nd.keys[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// tree is one B+tree: the object tree and the attribute tree are two of
-// these sharing the node machinery.
-type tree struct {
-	root   *node
-	first  *node // leftmost leaf, head of the ascending chain
-	last   *node // rightmost leaf, append fast-path target
-	fanout int
-	nodes  int // total allocated nodes, reported as Stats.Pages
-	size   int // live entries
-}
-
-func newTree(fanout int) *tree {
-	t := &tree{fanout: fanout}
-	t.root = t.newLeaf()
-	t.first, t.last = t.root, t.root
-	return t
-}
-
-func (t *tree) newLeaf() *node {
-	t.nodes++
-	return &node{
-		leaf: true,
-		keys: make([]key, t.fanout),
-		vals: make([]uint64, t.fanout),
-	}
-}
-
-func (t *tree) newInternal() *node {
-	t.nodes++
-	return &node{
-		keys: make([]key, t.fanout),
-		kids: make([]*node, t.fanout+1),
-	}
-}
-
-// findLeaf descends to the leaf whose key range covers k.
-//
-//ocblint:allocfree
-func (t *tree) findLeaf(k key) *node {
-	nd := t.root
-	for !nd.leaf {
-		nd = nd.kids[nd.childIndex(k)]
-	}
-	return nd
-}
-
-// get returns the value stored under k.
-//
-//ocblint:allocfree
-func (t *tree) get(k key) (uint64, bool) {
-	nd := t.findLeaf(k)
-	i := nd.lowerBound(k)
-	if i < nd.n && nd.keys[i] == k {
-		return nd.vals[i], true
-	}
-	return 0, false
-}
-
-// splitChild splits parent.kids[i], which must be full, inserting the
-// promoted separator into parent at position i (parent must not be full).
-// The rightmost leaf splits at n-1 instead of the midpoint, so sequential
-// appends leave full leaves behind them.
-func (t *tree) splitChild(parent *node, i int) {
-	child := parent.kids[i]
-	var right *node
-	var sep key
-	if child.leaf {
-		mid := child.n / 2
-		if child.next == nil {
-			mid = child.n - 1
-		}
-		right = t.newLeaf()
-		right.n = child.n - mid
-		copy(right.keys[:right.n], child.keys[mid:child.n])
-		copy(right.vals[:right.n], child.vals[mid:child.n])
-		child.n = mid
-		right.next = child.next
-		right.prev = child
-		if right.next != nil {
-			right.next.prev = right
-		} else {
-			t.last = right
-		}
-		child.next = right
-		sep = right.keys[0]
-	} else {
-		mid := child.n / 2
-		if parent.kids[parent.n] == child && i == parent.n {
-			mid = child.n - 1
-		}
-		right = t.newInternal()
-		sep = child.keys[mid]
-		right.n = child.n - mid - 1
-		copy(right.keys[:right.n], child.keys[mid+1:child.n])
-		copy(right.kids[:right.n+1], child.kids[mid+1:child.n+1])
-		child.n = mid
-	}
-	copy(parent.keys[i+1:parent.n+1], parent.keys[i:parent.n])
-	copy(parent.kids[i+2:parent.n+2], parent.kids[i+1:parent.n+1])
-	parent.keys[i] = sep
-	parent.kids[i+1] = right
-	parent.n++
-}
-
-// insert adds (k, v); k must not already be present (OIDs are issued
-// sequentially and SetKey removes the old attribute entry first).
-func (t *tree) insert(k key, v uint64) {
-	t.size++
-	// Append fast path: sequential Create always lands past the end of
-	// the rightmost leaf, no descent or separator updates needed.
-	last := t.last
-	if last.n > 0 && last.n < t.fanout && keyLess(last.keys[last.n-1], k) {
-		last.keys[last.n] = k
-		last.vals[last.n] = v
-		last.n++
-		return
-	}
-	if t.root.n == t.fanout {
-		old := t.root
-		r := t.newInternal()
-		r.kids[0] = old
-		t.root = r
-		t.splitChild(r, 0)
-	}
-	nd := t.root
-	for !nd.leaf {
-		i := nd.childIndex(k)
-		if nd.kids[i].n == t.fanout {
-			t.splitChild(nd, i)
-			if !keyLess(k, nd.keys[i]) {
-				i++
-			}
-		}
-		nd = nd.kids[i]
-	}
-	i := nd.lowerBound(k)
-	copy(nd.keys[i+1:nd.n+1], nd.keys[i:nd.n])
-	copy(nd.vals[i+1:nd.n+1], nd.vals[i:nd.n])
-	nd.keys[i] = k
-	nd.vals[i] = v
-	nd.n++
-}
-
-// delete removes k if present. Nodes are never merged: an emptied leaf
-// stays in the chain and scans step over it.
-func (t *tree) delete(k key) bool {
-	nd := t.findLeaf(k)
-	i := nd.lowerBound(k)
-	if i >= nd.n || nd.keys[i] != k {
-		return false
-	}
-	copy(nd.keys[i:nd.n-1], nd.keys[i+1:nd.n])
-	copy(nd.vals[i:nd.n-1], nd.vals[i+1:nd.n])
-	nd.n--
-	t.size--
-	return true
-}
-
-// seek returns the leaf position of the first key >= k (ascending) or
-// the last key <= k (descending), skipping empty leaves.
-//
-//ocblint:allocfree
-func (t *tree) seek(k key, desc bool) (*node, int, bool) {
-	nd := t.findLeaf(k)
-	i := nd.lowerBound(k)
-	if desc {
-		if i < nd.n && nd.keys[i] == k {
-			return nd, i, true
-		}
-		i--
-		for nd != nil && i < 0 {
-			nd = nd.prev
-			if nd != nil {
-				i = nd.n - 1
-			}
-		}
-		if nd == nil {
-			return nil, 0, false
-		}
-		return nd, i, true
-	}
-	for nd != nil && i >= nd.n {
-		nd = nd.next
-		i = 0
-	}
-	if nd == nil {
-		return nil, 0, false
-	}
-	return nd, i, true
-}
-
-// scan appends to dst the OIDs of entries in [lo, hi], ascending (or
-// descending), stopping after limit results when limit > 0.
-func (t *tree) scan(lo, hi key, limit int, desc bool, dst []backend.OID) []backend.OID {
-	if keyLess(hi, lo) {
-		return dst
-	}
-	if desc {
-		nd, i, ok := t.seek(hi, true)
-		for ok && nd != nil {
-			if i < 0 {
-				nd = nd.prev
-				if nd != nil {
-					i = nd.n - 1
-				}
-				continue
-			}
-			k := nd.keys[i]
-			if keyLess(k, lo) {
-				break
-			}
-			dst = append(dst, backend.OID(k.oid))
-			if limit > 0 && len(dst) >= limit {
-				break
-			}
-			i--
-		}
-		return dst
-	}
-	nd, i, ok := t.seek(lo, false)
-	for ok && nd != nil {
-		if i >= nd.n {
-			nd = nd.next
-			i = 0
-			continue
-		}
-		k := nd.keys[i]
-		if keyLess(hi, k) {
-			break
-		}
-		dst = append(dst, backend.OID(k.oid))
-		if limit > 0 && len(dst) >= limit {
-			break
-		}
-		i++
-	}
-	return dst
-}
-
-// Store is the B+tree backend: the object tree (OID order, value = stored
-// size) plus the attribute tree ((key, OID) order) and an attribute map
-// recording each object's current key so SetKey can replace and Delete
-// can unindex.
+// Store is the B+tree backend: an ordered index whose OID tree carries
+// each object's stored size.
 type Store struct {
-	mu   sync.RWMutex
-	objs *tree
-	keys *tree
-	attr map[uint64]int64
+	mu  sync.RWMutex
+	idx *ordindex.Index
 
 	next            uint64 // last issued OID, under mu
 	objectsAccessed atomic.Uint64
@@ -394,21 +66,10 @@ var (
 	_ backend.Checker = (*Store)(nil)
 )
 
-// New returns an empty B+tree store with the given node fanout.
+// New returns an empty B+tree store; ordindex.MinFanout is the least fanout.
 func New(fanout int) *Store {
-	if fanout < minFanout {
-		fanout = minFanout
-	}
-	return &Store{
-		objs: newTree(fanout),
-		keys: newTree(fanout),
-		attr: make(map[uint64]int64),
-	}
+	return &Store{idx: ordindex.New(fanout, true)}
 }
-
-// objKey places an OID in the object tree's keyspace (attr 0 throughout,
-// so the order is pure OID order).
-func objKey(oid backend.OID) key { return key{attr: 0, oid: uint64(oid)} }
 
 // Create implements backend.Backend: sequential OIDs from 1, creation
 // order; the append fast path makes this O(1) amortized.
@@ -419,7 +80,7 @@ func (s *Store) Create(payloadSize int) (backend.OID, error) {
 	s.mu.Lock()
 	s.next++
 	oid := backend.OID(s.next)
-	s.objs.insert(objKey(oid), uint64(payloadSize+backend.ObjectHeaderSize))
+	s.idx.Insert(oid, uint64(payloadSize+backend.ObjectHeaderSize))
 	s.mu.Unlock()
 	return oid, nil
 }
@@ -428,10 +89,7 @@ func (s *Store) Create(payloadSize int) (backend.OID, error) {
 //
 //ocblint:allocfree
 func (s *Store) Access(oid backend.OID) error {
-	s.mu.RLock()
-	_, ok := s.objs.get(objKey(oid))
-	s.mu.RUnlock()
-	if !ok {
+	if !s.Exists(oid) {
 		return fmt.Errorf("%w: %d", backend.ErrNoSuchObject, oid)
 	}
 	s.objectsAccessed.Add(1)
@@ -449,7 +107,7 @@ func (s *Store) AccessBatch(oids []backend.OID) (int, error) {
 	}
 	s.mu.RLock()
 	for i, oid := range oids {
-		if _, ok := s.objs.get(objKey(oid)); !ok {
+		if _, ok := s.idx.Get(oid); !ok {
 			s.mu.RUnlock()
 			s.objectsAccessed.Add(uint64(i))
 			return i, fmt.Errorf("%w: %d", backend.ErrNoSuchObject, oid)
@@ -473,12 +131,8 @@ func (s *Store) Update(oid backend.OID) error {
 func (s *Store) Delete(oid backend.OID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.objs.delete(objKey(oid)) {
+	if !s.idx.Delete(oid) {
 		return fmt.Errorf("%w: %d", backend.ErrNoSuchObject, oid)
-	}
-	if k, ok := s.attr[uint64(oid)]; ok {
-		s.keys.delete(key{attr: k, oid: uint64(oid)})
-		delete(s.attr, uint64(oid))
 	}
 	return nil
 }
@@ -487,9 +141,7 @@ func (s *Store) Delete(oid backend.OID) error {
 //
 //ocblint:allocfree
 func (s *Store) Exists(oid backend.OID) bool {
-	s.mu.RLock()
-	_, ok := s.objs.get(objKey(oid))
-	s.mu.RUnlock()
+	_, ok := s.SizeOf(oid)
 	return ok
 }
 
@@ -498,7 +150,7 @@ func (s *Store) Exists(oid backend.OID) bool {
 //ocblint:allocfree
 func (s *Store) SizeOf(oid backend.OID) (int, bool) {
 	s.mu.RLock()
-	sz, ok := s.objs.get(objKey(oid))
+	sz, ok := s.idx.Get(oid)
 	s.mu.RUnlock()
 	return int(sz), ok
 }
@@ -517,8 +169,8 @@ func (s *Store) Stats() backend.Stats {
 	defer s.mu.RUnlock()
 	return backend.Stats{
 		ObjectsAccessed: s.objectsAccessed.Load(),
-		Objects:         s.objs.size,
-		Pages:           s.objs.nodes + s.keys.nodes,
+		Objects:         s.idx.Len(),
+		Pages:           s.idx.Nodes(),
 	}
 }
 
@@ -533,14 +185,8 @@ func (s *Store) ResetStats() {
 // Scan implements backend.Ranger: live OIDs in [lo, hi] in OID order,
 // walking the object tree's leaf chain.
 func (s *Store) Scan(lo, hi backend.OID, limit int, desc bool, dst []backend.OID) ([]backend.OID, error) {
-	if hi == backend.NilOID {
-		hi = backend.OID(^uint64(0))
-	}
-	if lo > hi {
-		return dst, nil
-	}
 	s.mu.RLock()
-	dst = s.objs.scan(objKey(lo), objKey(hi), limit, desc, dst)
+	dst = s.idx.Scan(lo, hi, limit, desc, dst)
 	s.mu.RUnlock()
 	return dst, nil
 }
@@ -550,14 +196,9 @@ func (s *Store) Scan(lo, hi backend.OID, limit int, desc bool, dst []backend.OID
 //ocblint:allocfree
 func (s *Store) Seek(oid backend.OID, desc bool) (backend.OID, bool) {
 	s.mu.RLock()
-	nd, i, ok := s.objs.seek(objKey(oid), desc)
-	if !ok {
-		s.mu.RUnlock()
-		return backend.NilOID, false
-	}
-	found := backend.OID(nd.keys[i].oid)
+	found, ok := s.idx.Seek(oid, desc)
 	s.mu.RUnlock()
-	return found, true
+	return found, ok
 }
 
 // SetKey implements backend.Ranger: (re)index the object under an integer
@@ -565,76 +206,24 @@ func (s *Store) Seek(oid backend.OID, desc bool) (backend.OID, bool) {
 func (s *Store) SetKey(oid backend.OID, k int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.objs.get(objKey(oid)); !ok {
+	if !s.idx.SetKey(oid, k) {
 		return fmt.Errorf("%w: %d", backend.ErrNoSuchObject, oid)
 	}
-	if old, ok := s.attr[uint64(oid)]; ok {
-		if old == k {
-			return nil
-		}
-		s.keys.delete(key{attr: old, oid: uint64(oid)})
-	}
-	s.attr[uint64(oid)] = k
-	s.keys.insert(key{attr: k, oid: uint64(oid)}, 0)
 	return nil
 }
 
 // ScanKey implements backend.Ranger: keyed OIDs in attribute range
 // [lo, hi], ordered by (key, OID).
 func (s *Store) ScanKey(lo, hi int64, limit int, dst []backend.OID) ([]backend.OID, error) {
-	if lo > hi {
-		return dst, nil
-	}
 	s.mu.RLock()
-	dst = s.keys.scan(key{attr: lo, oid: 0}, key{attr: hi, oid: ^uint64(0)}, limit, false, dst)
+	dst = s.idx.ScanKey(lo, hi, limit, dst)
 	s.mu.RUnlock()
 	return dst, nil
 }
 
-// CheckIntegrity implements backend.Checker: audits both trees' leaf
-// chains against their node counts and the attribute map against the
-// attribute tree — far too slow for the hot path, invaluable after a
-// structural bug.
+// CheckIntegrity implements backend.Checker.
 func (s *Store) CheckIntegrity() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, t := range []*tree{s.objs, s.keys} {
-		entries := 0
-		var prev key
-		havePrev := false
-		for nd := t.first; nd != nil; nd = nd.next {
-			if !nd.leaf {
-				return fmt.Errorf("btree: non-leaf node in the leaf chain")
-			}
-			if nd.n < 0 || nd.n > t.fanout {
-				return fmt.Errorf("btree: leaf holds %d entries, fanout is %d", nd.n, t.fanout)
-			}
-			if nd.next != nil && nd.next.prev != nd {
-				return fmt.Errorf("btree: leaf chain prev/next mismatch")
-			}
-			for i := 0; i < nd.n; i++ {
-				if havePrev && !keyLess(prev, nd.keys[i]) {
-					return fmt.Errorf("btree: leaf chain out of order at (%d, %d)", nd.keys[i].attr, nd.keys[i].oid)
-				}
-				prev = nd.keys[i]
-				havePrev = true
-				entries++
-			}
-		}
-		if entries != t.size {
-			return fmt.Errorf("btree: leaf chain holds %d entries, size says %d", entries, t.size)
-		}
-	}
-	if s.keys.size != len(s.attr) {
-		return fmt.Errorf("btree: attribute tree holds %d entries, attribute map %d", s.keys.size, len(s.attr))
-	}
-	for oid, k := range s.attr {
-		if _, ok := s.keys.get(key{attr: k, oid: oid}); !ok {
-			return fmt.Errorf("btree: attribute map entry (%d, %d) missing from the attribute tree", oid, k)
-		}
-		if _, ok := s.objs.get(objKey(backend.OID(oid))); !ok {
-			return fmt.Errorf("btree: attribute map names dead object %d", oid)
-		}
-	}
-	return nil
+	return s.idx.Check()
 }

@@ -102,15 +102,15 @@
 //     key range in (key, OID) order with the same bound semantics.
 //   - Index reads charge no I/O. The index answers "which objects";
 //     callers price the objects themselves by faulting the result
-//     (Access/AccessBatch), exactly like the query workload does. An
-//     index that rebuilds lazily (paged keeps an ordered snapshot over
-//     its directory, invalidated by create/delete) must still return
-//     bit-identical results on repeated calls — never expose map order.
+//     (Access/AccessBatch), exactly like the query workload does.
+//     Repeated calls must return bit-identical results: an index fed
+//     from a hash directory sorts what it reads — never expose map order.
 //
-// Two in-tree models: btree, where the structure itself is the index (a
-// B+tree with chained leaves), and paged/internal/store, where a
-// maintained snapshot bolts the capability onto a hash-sharded
-// directory. The wire protocol forwards the whole interface (one op code
+// One in-tree model, two users: internal/ordindex, a B+tree with chained
+// leaves that takes no lock of its own. btree is that index behind a
+// Backend shell; paged/internal/store builds one beside its hash-sharded
+// directory on the first ordered call and updates it on every Create,
+// Delete and SetKey. The wire protocol forwards the whole interface (one op code
 // per method, scans one round trip) when the Hello handshake advertises
 // CapRanger, so remote-over-btree serves scans; the remote driver's
 // client only asserts Ranger when the hosted store has it, which is why

@@ -76,9 +76,9 @@ func run(t *testing.T, backendName string, clients, measured int) queryRun {
 
 // TestCrossBackendDeterministic is the golden the tentpole promises: the
 // same seed produces the identical op stream — names, order and exact
-// object counts — whether the ordered index is a B+tree or paged's
-// maintained snapshot. The index implementation must be invisible to the
-// workload's logical behavior.
+// object counts — whether the ordered index is the whole store (btree)
+// or sits beside paged's hash directory. The index's host must be
+// invisible to the workload's logical behavior.
 func TestCrossBackendDeterministic(t *testing.T) {
 	onPaged := run(t, "paged", 1, 0)
 	onBtree := run(t, "btree", 1, 0)

@@ -9,9 +9,10 @@ import (
 // CheckIntegrity verifies that the object table and the page directory
 // tell the same story: every table entry's pages exist and hold the
 // object, every slot on every page belongs to a live object, page byte
-// accounting matches slot sums, and no object appears twice. It charges
-// no I/O and excludes every concurrent access while it runs. Intended for
-// tests and offline verification (ocbgen).
+// accounting matches slot sums, no object appears twice, and the ordered
+// index, once built, lists exactly the table's objects. It charges no I/O
+// and excludes every concurrent access while it runs. Intended for tests
+// and offline verification (ocbgen).
 func (s *Store) CheckIntegrity() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,6 +82,21 @@ func (s *Store) CheckIntegrity() error {
 		}
 		if pg.Used > s.disk.PageSize() && len(pg.Slots) != 1 {
 			return fmt.Errorf("store: overfull shared page %d", pid)
+		}
+	}
+
+	// Table <-> ordered index (s.mu, exclusive, excludes idx.mu's holders).
+	if ix := s.idx.tree; ix != nil {
+		if err := ix.Check(); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if ix.Len() != len(table) {
+			return fmt.Errorf("store: ordered index lists %d objects, the table %d", ix.Len(), len(table))
+		}
+		for oid := range table {
+			if _, ok := ix.Get(oid); !ok {
+				return fmt.Errorf("store: object %d missing from the ordered index", oid)
+			}
 		}
 	}
 

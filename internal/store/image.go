@@ -61,6 +61,7 @@ func (s *Store) Restore(img *Image) error {
 	defer s.mu.Unlock()
 	s.disk.Import(img.Disk)
 	s.next.Store(uint64(img.NextOID))
+	s.idx.tree = nil // the next ordered call rebuilds it from this directory
 	for _, o := range img.Objects {
 		if len(o.Pages) == 0 {
 			return fmt.Errorf("store: image object %d has no pages", o.OID)

@@ -2,166 +2,113 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ocb/internal/backend"
+	"ocb/internal/ordindex"
 )
 
 // This file implements the backend.Ranger capability on the paged store.
-// The store's directory is a sharded hash table with no inherent order,
-// so the ordered view is a maintained snapshot: an ascending live-OID
-// slice kept valid across the common mutation (sequential Create appends
-// in OID order) and invalidated by anything else — out-of-order appends
-// from concurrent creators, any delete — to be rebuilt lazily on the next
-// ordered read. The attribute-key index is the same idea over the
-// (key, OID) pairs SetKey records.
+// The directory is a sharded hash table with no inherent order, so the
+// ordered view is an ordindex.Index — the B+tree the btree driver is made
+// of — beside it: built once, from the directory, on the first ordered
+// call (Scan, Seek, SetKey, ScanKey) and updated in place by Create,
+// Delete and SetKey from then on. A store that never receives an ordered
+// call never allocates it.
 //
-// Lock order: s.mu (shared) → idx.mu → table-shard locks. The rebuild
-// walks the directory under idx.mu, which is safe because no code path
-// acquires idx.mu while holding a shard lock.
+// Lock order: s.mu (shared) → idx.mu → table-shard locks; no code path
+// acquires idx.mu while holding a shard lock, so the build may walk the
+// directory under it.
 
-// keyEnt is one attribute-index entry.
-type keyEnt struct {
-	key int64
-	oid OID
-}
+// indexFanout is the index's node width: 128 sixteen-byte entries fill a
+// 2 KB allocation size class exactly.
+const indexFanout = 128
 
-// rangerIndex is the ordered-index state embedded in Store.
+// rangerIndex is the ordered-index state embedded in Store. Ordered reads
+// share mu; index updates and the build exclude them.
 type rangerIndex struct {
-	mu sync.Mutex
-	// snap is the ascending live-OID snapshot; valid while snapOK.
-	snap   []OID
-	snapOK bool
-	// attrs records each keyed object's current attribute key; keyIdx is
-	// its (key, OID)-sorted materialization, valid while keyOK.
-	attrs  map[OID]int64
-	keyIdx []keyEnt
-	keyOK  bool
+	mu   sync.RWMutex
+	tree *ordindex.Index // nil until the first ordered call
 }
 
-// noteCreate extends the snapshot when the new OID continues the
-// ascending order (the sequential-create common case) and otherwise
-// invalidates it.
+// noteCreate indexes an object. The insert is insert-if-absent: the
+// build may already have seen the object's directory entry.
 func (ix *rangerIndex) noteCreate(oid OID) {
 	ix.mu.Lock()
-	if ix.snapOK {
-		if n := len(ix.snap); n == 0 || ix.snap[n-1] < oid {
-			ix.snap = append(ix.snap, oid)
-		} else {
-			ix.snapOK = false
-		}
+	if ix.tree != nil {
+		ix.tree.Insert(oid, 0)
 	}
 	ix.mu.Unlock()
 }
 
-// noteDelete invalidates the snapshot and unindexes the object's
-// attribute key.
+// noteDelete unindexes an object and its attribute key.
 func (ix *rangerIndex) noteDelete(oid OID) {
 	ix.mu.Lock()
-	ix.snapOK = false
-	if _, ok := ix.attrs[oid]; ok {
-		delete(ix.attrs, oid)
-		ix.keyOK = false
+	if ix.tree != nil {
+		ix.tree.Delete(oid)
 	}
 	ix.mu.Unlock()
 }
 
-// ensureSnap rebuilds the live-OID snapshot from the directory when it is
-// stale. Caller holds s.mu (shared) and ix.mu.
-func (s *Store) ensureSnap() {
-	ix := &s.idx
-	if ix.snapOK {
-		return
-	}
-	ix.snap = ix.snap[:0]
-	s.forEachLoc(func(oid OID, _ *loc) error {
-		ix.snap = append(ix.snap, oid)
-		return nil
-	})
-	sort.Slice(ix.snap, func(i, j int) bool { return ix.snap[i] < ix.snap[j] })
-	ix.snapOK = true
-}
-
-// ensureKeyIdx rebuilds the (key, OID)-sorted attribute index when it is
-// stale. Caller holds s.mu (shared) and ix.mu.
-func (s *Store) ensureKeyIdx() {
-	ix := &s.idx
-	if ix.keyOK {
-		return
-	}
-	ix.keyIdx = ix.keyIdx[:0]
-	for oid, k := range ix.attrs {
-		ix.keyIdx = append(ix.keyIdx, keyEnt{key: k, oid: oid})
-	}
-	sort.Slice(ix.keyIdx, func(i, j int) bool {
-		if ix.keyIdx[i].key != ix.keyIdx[j].key {
-			return ix.keyIdx[i].key < ix.keyIdx[j].key
-		}
-		return ix.keyIdx[i].oid < ix.keyIdx[j].oid
-	})
-	ix.keyOK = true
-}
-
-// Scan implements backend.Ranger: live OIDs in [lo, hi] in OID order,
-// served from the maintained snapshot. Index reads charge no I/O; callers
-// fault the results through Access/AccessBatch.
-func (s *Store) Scan(lo, hi OID, limit int, desc bool, dst []OID) ([]OID, error) {
-	if hi == NilOID {
-		hi = OID(^uint64(0))
-	}
-	if lo > hi {
-		return dst, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// lockIndex returns the index with idx.mu held exclusively, building it
+// if this is the first ordered call — in OID order, so the build takes
+// the append path and packs the leaves. Caller holds s.mu (shared).
+func (s *Store) lockIndex() *ordindex.Index {
 	ix := &s.idx
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s.ensureSnap()
-	from := sort.Search(len(ix.snap), func(i int) bool { return ix.snap[i] >= lo })
-	to := sort.Search(len(ix.snap), func(i int) bool { return ix.snap[i] > hi })
-	if desc {
-		for i := to - 1; i >= from; i-- {
-			dst = append(dst, ix.snap[i])
-			if limit > 0 && len(dst) >= limit {
-				break
-			}
-		}
-		return dst, nil
-	}
-	for i := from; i < to; i++ {
-		dst = append(dst, ix.snap[i])
-		if limit > 0 && len(dst) >= limit {
-			break
+	if ix.tree == nil {
+		var oids []OID
+		_ = s.forEachLoc(func(oid OID, _ *loc) error {
+			oids = append(oids, oid)
+			return nil
+		})
+		slices.Sort(oids)
+		ix.tree = ordindex.New(indexFanout, false)
+		for _, oid := range oids {
+			ix.tree.Insert(oid, 0)
 		}
 	}
+	return ix.tree
+}
+
+// rlockIndex returns the built index with idx.mu held shared. Caller
+// holds s.mu (shared), so Restore cannot drop the index in between.
+func (s *Store) rlockIndex() *ordindex.Index {
+	ix := &s.idx
+	ix.mu.RLock()
+	for ix.tree == nil {
+		ix.mu.RUnlock()
+		s.lockIndex()
+		ix.mu.Unlock()
+		ix.mu.RLock()
+	}
+	return ix.tree
+}
+
+// Scan implements backend.Ranger: live OIDs in [lo, hi] in OID order.
+// Index reads charge no I/O; callers fault the results through
+// Access/AccessBatch.
+//
+//ocblint:allocfree
+func (s *Store) Scan(lo, hi OID, limit int, desc bool, dst []OID) ([]OID, error) {
+	s.mu.RLock()
+	dst = s.rlockIndex().Scan(lo, hi, limit, desc, dst)
+	s.idx.mu.RUnlock()
+	s.mu.RUnlock()
 	return dst, nil
 }
 
 // Seek implements backend.Ranger: the first live OID >= oid (<= when
 // desc), or NilOID, false when none.
+//
+//ocblint:allocfree
 func (s *Store) Seek(oid OID, desc bool) (OID, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ix := &s.idx
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s.ensureSnap()
-	i := sort.Search(len(ix.snap), func(i int) bool { return ix.snap[i] >= oid })
-	if desc {
-		if i < len(ix.snap) && ix.snap[i] == oid {
-			return oid, true
-		}
-		if i == 0 {
-			return NilOID, false
-		}
-		return ix.snap[i-1], true
-	}
-	if i == len(ix.snap) {
-		return NilOID, false
-	}
-	return ix.snap[i], true
+	found, ok := s.rlockIndex().Seek(oid, desc)
+	s.idx.mu.RUnlock()
+	s.mu.RUnlock()
+	return found, ok
 }
 
 // SetKey implements backend.Ranger: (re)index the object under an integer
@@ -169,49 +116,23 @@ func (s *Store) Seek(oid OID, desc bool) (OID, bool) {
 func (s *Store) SetKey(oid OID, key int64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ix := &s.idx
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := s.lookup(oid); !ok {
+	tree := s.lockIndex()
+	defer s.idx.mu.Unlock()
+	if _, ok := s.lookup(oid); !ok || !tree.SetKey(oid, key) {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, oid)
 	}
-	if ix.attrs == nil {
-		ix.attrs = make(map[OID]int64)
-	}
-	if old, ok := ix.attrs[oid]; ok && old == key {
-		return nil
-	}
-	ix.attrs[oid] = key
-	ix.keyOK = false
 	return nil
 }
 
 // ScanKey implements backend.Ranger: keyed live OIDs with attribute key
 // in [lo, hi], ordered by (key, OID).
+//
+//ocblint:allocfree
 func (s *Store) ScanKey(lo, hi int64, limit int, dst []OID) ([]OID, error) {
-	if lo > hi {
-		return dst, nil
-	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ix := &s.idx
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s.ensureKeyIdx()
-	from := sort.Search(len(ix.keyIdx), func(i int) bool {
-		e := ix.keyIdx[i]
-		return e.key >= lo
-	})
-	for i := from; i < len(ix.keyIdx); i++ {
-		e := ix.keyIdx[i]
-		if e.key > hi {
-			break
-		}
-		dst = append(dst, e.oid)
-		if limit > 0 && len(dst) >= limit {
-			break
-		}
-	}
+	dst = s.rlockIndex().ScanKey(lo, hi, limit, dst)
+	s.idx.mu.RUnlock()
+	s.mu.RUnlock()
 	return dst, nil
 }
 

@@ -141,10 +141,10 @@ type Store struct {
 	next            atomic.Uint64 // next OID to issue
 	objectsAccessed atomic.Uint64
 
-	// idx is the ordered-index state backing the Ranger capability: a
-	// lazily (re)built ascending live-OID snapshot and attribute-key
-	// index, maintained in ranger.go. idx.mu nests inside s.mu and
-	// outside the table-shard locks.
+	// idx is the ordered-index state backing the Ranger capability: the
+	// OID and attribute-key trees, built on the first ordered call and
+	// maintained in ranger.go. idx.mu nests inside s.mu (shared) and
+	// outside the table-shard locks; the build takes them in that order.
 	idx rangerIndex
 
 	// scratch pools AccessBatch's per-call working buffers so the batched
@@ -526,7 +526,8 @@ func (s *Store) Update(oid OID) error {
 // first, so a concurrent Access of the same OID either completes before
 // the delete or observes ErrNoSuchObject — an OID never resurrects. If
 // the first page fault fails (fault injection), the table entry is
-// reinstated and the object stays fully intact and retriable; a failure
+// reinstated and the object stays fully intact, indexed and retriable (the
+// ordered index drops it only once that fault succeeded); a failure
 // partway through a large object's page run leaves the object deleted
 // with its remaining pages unreclaimed (the same torn state a mid-delete
 // crash leaves on a real device).
@@ -537,10 +538,6 @@ func (s *Store) Delete(oid OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, oid)
 	}
-	// Invalidate the ordered index now, while the table entry is gone; the
-	// first-page rollback below reinstates the object, which merely makes
-	// the invalidation conservative.
-	s.idx.noteDelete(oid)
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
 	for i, pid := range l.pages {
@@ -553,10 +550,16 @@ func (s *Store) Delete(oid OID) error {
 		})
 		if err != nil {
 			if i == 0 {
-				// Nothing was mutated yet: roll the delete back.
+				// Nothing was mutated yet: roll the delete back. The index
+				// still holds the object and its key, unless its first-call
+				// build ran while the table entry was out.
 				s.setLoc(oid, l)
+				s.idx.noteCreate(oid)
 			}
 			return err
+		}
+		if i == 0 {
+			s.idx.noteDelete(oid) // past the rollback point: unindex
 		}
 		if fate == buffer.Drop {
 			if s.fill != nil && s.fill.ID == pid {

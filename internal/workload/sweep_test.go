@@ -85,11 +85,14 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	}
 }
 
-// kneeSpec builds a spec whose single op sleeps `service` per call on one
+// kneeSpec builds a spec whose single op takes `service` per call on one
 // client: a synthetic system with a programmable latency knee at
 // 1/service ops/sec. Below the knee open-loop latency is ~service; above
 // it arrivals queue faster than they drain, latency grows without bound
-// and achieved throughput caps at the knee.
+// and achieved throughput caps at the knee. The op spins to its deadline
+// rather than sleeping: where the timer rounds time.Sleep(100µs) up to a
+// millisecond, a sleeping op would put the knee ten times lower than the
+// cases assume.
 func kneeSpec(t *testing.T, service time.Duration, measured int) *Spec {
 	t.Helper()
 	be := testBackend(t, 5)
@@ -99,7 +102,8 @@ func kneeSpec(t *testing.T, service time.Duration, measured int) *Spec {
 		Measured: measured,
 		Seed:     8,
 		Ops: []Op{{Name: "serve", Weight: 1, Run: func(*Ctx) (int, error) {
-			time.Sleep(service)
+			for start := time.Now(); time.Since(start) < service; {
+			}
 			return 1, nil
 		}}},
 	}
