@@ -176,9 +176,12 @@ func BenchmarkOO1Traversal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := lewis.New(p.Seed)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Traversal(nil, false); err != nil {
+		// A fresh uniformly drawn root per run, as the suite's traversal op.
+		root := db.ByID[src.IntRange(1, db.NumParts())]
+		if _, err := db.TraverseFrom(nil, root, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,9 @@
 //	hypermodel oo7 all
 //
 // `compare` is the cross-backend genericity table: the same workload seed
-// aimed at every registered backend driver, one row per backend.
+// aimed at every registered backend driver, one row per backend. `oo1`,
+// `hypermodel` and `oo7` are the scenario presets of those names, run once
+// and shown in the per-op result table `ocb run -scenario <name>` prints.
 package main
 
 import (
@@ -62,9 +64,9 @@ var experiments = []struct {
 	{"generic", "A6: fully generic workload (Section 5 extension)", exp.GenericWorkload},
 	{"rootskew", "A7: transaction-root distribution skew", exp.RootSkew},
 	{"sim", "A8: simulated 1992 testbed (queueing model)", exp.SimulatedTestbed},
-	{"oo1", "OO1 benchmark suite", exp.OO1Suite},
-	{"hypermodel", "HyperModel benchmark suite", exp.HyperModelSuite},
-	{"oo7", "OO7 benchmark suite", exp.OO7Suite},
+	{"oo1", "OO1 benchmark suite (the oo1 scenario preset)", exp.OO1Suite},
+	{"hypermodel", "HyperModel benchmark suite (the hypermodel scenario preset)", exp.HyperModelSuite},
+	{"oo7", "OO7 benchmark suite (the oo7 scenario preset)", exp.OO7Suite},
 }
 
 func main() {

@@ -135,36 +135,7 @@ func runScenario(args []string) error {
 	return nil
 }
 
-// printResult renders one engine result as the unified scenario table.
+// printResult renders one engine result as the unified per-op table.
 func printResult(r *workload.Result) {
-	t := report.New(fmt.Sprintf("%s — %d clients, %d ops in %s (%.1f ops/s, mean %.1f I/Os per op)",
-		r.Name, r.Clients, r.Executed, report.Dur(r.Duration), r.Throughput, r.MeanIOsPerOp()),
-		"Op", "Count", "Mean µs", "P50 µs", "P95 µs", "P99 µs", "Mean objects", "Mean I/Os")
-	for i := range r.PerOp {
-		om := &r.PerOp[i]
-		if om.Count == 0 && om.Skipped == 0 {
-			continue
-		}
-		count := report.I64(om.Count)
-		if om.Skipped > 0 {
-			count += fmt.Sprintf(" (%d skipped)", om.Skipped)
-		}
-		t.AddRow(om.Name, count, report.F1(om.Response.Mean()),
-			report.F1(om.ResponseQ.Median()), report.F1(om.ResponseQ.P95()), report.F1(om.ResponseQ.P99()),
-			report.F1(om.Objects.Mean()), report.F1(om.IOs.Mean()))
-	}
-	t.AddRow("all", report.I64(r.Executed), report.F1(r.Total.Response.Mean()),
-		report.F1(r.P50()), report.F1(r.P95()), report.F1(r.P99()),
-		report.F1(r.Total.Objects.Mean()), report.F1(r.Total.IOs.Mean()))
-	for _, sk := range r.Skips {
-		t.AddNote("skip: %s", sk)
-	}
-	st := r.Backend
-	if st.Pages > 0 {
-		t.AddNote("backend: %d objects on %d pages, pool hit ratio %.2f, phase disk delta %d reads / %d writes",
-			st.Objects, st.Pages, st.Pool.HitRatio(), r.DiskDelta.TotalReads(), r.DiskDelta.TotalWrites())
-	} else {
-		t.AddNote("backend: %d objects (no page abstraction)", st.Objects)
-	}
-	_ = t.Render(os.Stdout)
+	_ = report.ResultTable(r.Name, r).Render(os.Stdout)
 }

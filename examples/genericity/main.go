@@ -62,11 +62,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	otr, err := odb.Traversal(nil, false)
+	oo1Parts, err := odb.TraverseFrom(nil, odb.ByID[1], false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("OO1 traversal:                    %4d parts visited (depth 7, fan-out 3)\n\n", otr.Objects)
+	fmt.Printf("OO1 traversal:                    %4d parts visited (depth 7, fan-out 3)\n\n", oo1Parts)
 
 	// OCB parameterized per Table 3, aimed at every local backend: same
 	// generation seed, same traversal, per-backend I/O profile. (The
@@ -93,7 +93,7 @@ func main() {
 		} else if objects != first {
 			log.Fatalf("genericity violated: %d objects on %s, %d elsewhere", objects, name, first)
 		}
-		if objects == otr.Objects {
+		if objects == oo1Parts {
 			fmt.Printf("  -> reproduces OO1's traversal shape exactly (paper §4.3)\n")
 		}
 		// The locality analysis below reads only the in-memory graph, so

@@ -119,11 +119,16 @@ func Phases(db *oo1.Database, p Params, policy cluster.Policy) (observe, replay 
 		return func(*workload.Ctx) (int, error) {
 			n := 0
 			for _, root := range roots {
-				res, err := db.TraversalFrom(obs, root, false)
+				m, err := db.TraverseFrom(obs, root, false)
 				if err != nil {
 					return n, err
 				}
-				n += res.Objects
+				// Each root is one transaction to the policy: DSTC's
+				// observation periods count these boundaries.
+				if obs != nil {
+					obs.EndTransaction()
+				}
+				n += m
 			}
 			return n, nil
 		}

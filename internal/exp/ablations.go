@@ -7,10 +7,7 @@ import (
 	"ocb/internal/cluster"
 	"ocb/internal/core"
 	"ocb/internal/dstc"
-	"ocb/internal/hypermodel"
 	"ocb/internal/lewis"
-	"ocb/internal/oo1"
-	"ocb/internal/oo7"
 	"ocb/internal/report"
 )
 
@@ -32,7 +29,6 @@ func Policies(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("policies %s: %w", name, err)
 		}
-		defer backend.Shutdown(db.Store)
 		var policy cluster.Policy
 		switch name {
 		case "none":
@@ -51,6 +47,10 @@ func Policies(c Config) (*report.Table, error) {
 			policy = clubDSTC()
 		}
 		res, err := replay(db, policy, n, reps, 771+c.Seed)
+		// Each row's database goes before the next is generated, not when
+		// the experiment returns; a failed release of a scratch store does
+		// not change the row. The loops below release theirs the same way.
+		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("policies %s: %w", name, err)
 		}
@@ -80,19 +80,20 @@ func BufferSweep(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("buffer sweep %d: %w", b, err)
 		}
-		defer backend.Shutdown(db.Store)
 		if i == 0 && db.Store.Stats().Pages == 0 {
 			// A backend without a page cache ignores the frame budget;
 			// every row would measure the same nothing.
+			_ = backend.Shutdown(db.Store)
 			return nil, fmt.Errorf("%w: buffer-pool sizing (backend has no page cache)", backend.ErrNotSupported)
 		}
 		db.Store.DropCache()
 		r := core.NewRunner(db, nil)
 		m, err := r.RunPhase("sweep", n, 4242+c.Seed)
+		st := db.Store.Stats()
+		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("buffer sweep %d: %w", b, err)
 		}
-		st := db.Store.Stats()
 		t.AddRow(report.Int(b), report.F1(m.MeanIOsPerOp()),
 			report.F2(st.Pool.HitRatio()), report.Int(st.Pages))
 	}
@@ -141,10 +142,10 @@ func MultiClient(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
 		}
-		defer backend.Shutdown(db.Store)
 		db.Store.DropCache()
 		r := core.NewRunner(db, nil)
 		m, err := r.RunPhase("clients", perClient, 31337+c.Seed)
+		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
 		}
@@ -174,10 +175,10 @@ func Reverse(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reverse: %w", err)
 		}
-		defer backend.Shutdown(db.Store)
 		db.Store.DropCache()
 		r := core.NewRunner(db, nil)
 		m, err := r.RunPhase("dir", n, 555+c.Seed)
+		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("reverse: %w", err)
 		}
@@ -216,7 +217,6 @@ func DSTCSensitivity(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dstc sensitivity: %w", err)
 		}
-		defer backend.Shutdown(db.Store)
 		d := dstc.New(dstc.Params{
 			ObservationPeriod: cl.period,
 			Tfa:               cl.tfa,
@@ -224,6 +224,7 @@ func DSTCSensitivity(c Config) (*report.Table, error) {
 			MaxUnitBytes:      1 << 16,
 		})
 		res, err := heldOut(db, d, obsN, measN, 3, 999331+c.Seed)
+		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("dstc sensitivity: %w", err)
 		}
@@ -261,17 +262,7 @@ func TypeBreakdown(c Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.New("Per-transaction-type metrics (default workload mix)",
-		"Type", "Count", "Mean response (µs)", "Mean objects", "Mean I/Os", "P95 response (µs)")
-	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerOp[typ]
-		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
-			report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()), report.F1(tm.ResponseQ.P95()))
-	}
-	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
-		report.F1(m.Total.Objects.Mean()), report.F1(m.Total.IOs.Mean()),
-		report.F1(m.Total.ResponseQ.P95()))
-	return t, nil
+	return report.ResultTable("Per-transaction-type metrics (default workload mix)", m), nil
 }
 
 // RootSkew reproduces ablation A7: the transaction-root distribution
@@ -297,8 +288,8 @@ func RootSkew(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("root skew %s: %w", spec, err)
 		}
-		defer backend.Shutdown(db.Store)
 		res, err := heldOut(db, clubDSTC(), obsN, measN, 3, 999331+c.Seed)
+		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("root skew %s: %w", spec, err)
 		}
@@ -340,121 +331,8 @@ func GenericWorkload(c Config) (*report.Table, error) {
 	if err := core.CheckDatabase(db); err != nil {
 		return nil, fmt.Errorf("generic workload corrupted the database: %w", err)
 	}
-	t := report.New("A6 — fully generic workload (Section 5 extension)",
-		"Type", "Count", "Mean response (µs)", "Mean objects", "Mean I/Os")
-	for typ := core.TxType(0); typ < core.NumTxTypes; typ++ {
-		tm := m.PerOp[typ]
-		t.AddRow(typ.String(), report.I64(tm.Count), report.F1(tm.Response.Mean()),
-			report.F1(tm.Objects.Mean()), report.F1(tm.IOs.Mean()))
-	}
-	t.AddRow("all", report.I64(m.Executed), report.F1(m.Total.Response.Mean()),
-		report.F1(m.Total.Objects.Mean()), report.F1(m.Total.IOs.Mean()))
+	t := report.ResultTable("A6 — fully generic workload (Section 5 extension)", m)
 	t.AddNote("live objects after churn: %d (started at %d)", db.NumLive(), p.NO)
-	return t, nil
-}
-
-// OO1Suite runs the full OO1 benchmark (Section 2.1) and reports each
-// operation's mean response time and I/Os over its NRuns runs.
-func OO1Suite(c Config) (*report.Table, error) {
-	p := oo1.DefaultParams()
-	p.BufferPages = 512
-	if c.Quick {
-		p.NumParts = 4000
-		p.RefZone = 40
-		p.TraversalDepth = 5
-		p.NRuns = 3
-		p.BufferPages = 64
-	}
-	p.Backend = c.Backend
-	p.BackendOptions = c.BackendOptions
-	db, err := oo1.Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	defer backend.Shutdown(db.Store)
-	results, err := db.RunAll(nil)
-	if err != nil {
-		return nil, err
-	}
-	t := report.New("OO1 (Cattell) benchmark",
-		"Operation", "Runs", "Mean I/Os", "Mean time", "Objects (total)")
-	for _, r := range results {
-		t.AddRow(r.Name, report.Int(r.Runs), report.F1(r.MeanIOs),
-			report.Dur(r.MeanTime), report.Int(r.Objects))
-	}
-	t.AddNote("database: %d parts, generated in %s", p.NumParts, report.Dur(db.GenTime))
-	return t, nil
-}
-
-// HyperModelSuite runs the 20 HyperModel operations under the
-// setup/cold/warm protocol (Section 2.2).
-func HyperModelSuite(c Config) (*report.Table, error) {
-	p := hypermodel.DefaultParams()
-	if c.Quick {
-		p.Levels = 4
-		p.Inputs = 10
-		p.BufferPages = 32
-	}
-	p.Backend = c.Backend
-	p.BackendOptions = c.BackendOptions
-	db, err := hypermodel.Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	defer backend.Shutdown(db.Store)
-	results, err := db.RunAll(nil)
-	if err != nil {
-		return nil, err
-	}
-	t := report.New("HyperModel (Tektronix) benchmark",
-		"Operation", "Cold I/Os", "Warm I/Os", "Cold time", "Warm time", "Objects")
-	for _, r := range results {
-		t.AddRow(string(r.Name), report.U64(r.ColdIOs), report.U64(r.WarmIOs),
-			report.Dur(r.ColdTime), report.Dur(r.WarmTime), report.Int(r.Objects))
-	}
-	t.AddNote("%d nodes, %d inputs per operation, generated in %s",
-		db.NumNodes(), p.Inputs, report.Dur(db.GenTime))
-	return t, nil
-}
-
-// OO7Suite runs the OO7 traversals and queries (Section 2.3).
-func OO7Suite(c Config) (*report.Table, error) {
-	p := oo7.DefaultParams()
-	if c.Quick {
-		p.NumComp = 50
-		p.NumAtomic = 10
-		p.AssmLevels = 4
-		p.BufferPages = 64
-	}
-	p.Backend = c.Backend
-	p.BackendOptions = c.BackendOptions
-	db, err := oo7.Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	defer backend.Shutdown(db.Store)
-	results, err := db.RunAll(nil)
-	if err != nil {
-		return nil, err
-	}
-	t := report.New("OO7 benchmark (small configuration)",
-		"Operation", "I/Os", "Time", "Objects")
-	for _, r := range results {
-		t.AddRow(r.Name, report.U64(r.IOs), report.Dur(r.Duration), report.Int(r.Objects))
-	}
-	// Structural modifications round-trip.
-	ids, ins, err := db.Insert(2, nil)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("Insert", report.U64(ins.IOs), report.Dur(ins.Duration), report.Int(ins.Objects))
-	del, err := db.Delete(ids, nil)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("Delete", report.U64(del.IOs), report.Dur(del.Duration), report.Int(del.Objects))
-	t.AddNote("%d composite parts, %d atomic parts, generated in %s",
-		p.NumComp, db.NumAtomics(), report.Dur(db.GenTime))
 	return t, nil
 }
 

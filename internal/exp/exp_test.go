@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ocb/internal/core"
+	"ocb/internal/report"
+	"ocb/internal/scenarios"
 )
 
 var quick = Config{Quick: true}
@@ -236,27 +239,68 @@ func TestDSTCSensitivityShape(t *testing.T) {
 	}
 }
 
+// TestRelatedWorkSuites pins each suite experiment to its scenario
+// preset: the table's op rows are exactly the preset's op names, then
+// "all".
 func TestRelatedWorkSuites(t *testing.T) {
-	oo1t, err := OO1Suite(quick)
+	for _, tc := range []struct {
+		name string
+		run  func(Config) (*report.Table, error)
+		ops  int
+	}{
+		{"oo1", OO1Suite, 4},
+		{"hypermodel", HyperModelSuite, 40}, // 20 operations, cold and warm
+		{"oo7", OO7Suite, 15},
+	} {
+		sc, err := scenarios.Build(tc.name, scenarios.Options{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, op := range sc.Phases[0].Spec.Ops {
+			want = append(want, op.Name)
+		}
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != tc.ops {
+			t.Fatalf("%s: preset has %d ops, want %d", tc.name, len(want), tc.ops)
+		}
+		want = append(want, "all")
+
+		tb, err := tc.run(quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range tb.Rows() {
+			got = append(got, row[0])
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("%s: op rows %v, want the preset's %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestScenarioExperimentsReleaseTheirBackends is the leak regression: an
+// ephemeral waldisk store keeps a scratch directory under TMPDIR until
+// it is shut down, so the directory is empty again only if every
+// scenario the experiments build is closed.
+func TestScenarioExperimentsReleaseTheirBackends(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	c := Config{Quick: true, Backend: "waldisk"}
+	for _, run := range []func(Config) (*report.Table, error){Scenarios, OO1Suite} {
+		if _, err := run(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left, err := os.ReadDir(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oo1t.NumRows() != 4 {
-		t.Fatalf("oo1 rows = %d", oo1t.NumRows())
-	}
-	hmt, err := HyperModelSuite(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hmt.NumRows() != 20 {
-		t.Fatalf("hypermodel rows = %d", hmt.NumRows())
-	}
-	oo7t, err := OO7Suite(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oo7t.NumRows() != 16 { // 14 read ops + insert + delete
-		t.Fatalf("oo7 rows = %d", oo7t.NumRows())
+	for _, e := range left {
+		t.Errorf("left behind in TMPDIR: %s", e.Name())
 	}
 }
 
@@ -265,23 +309,23 @@ func TestTypeBreakdownCoversAllTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nTypes := int(core.NumTxTypes)
-	if tb.NumRows() != nTypes+1 { // every type + "all"
+	// The default workload mix samples the four clustering-oriented types
+	// only; the shared table omits ops that never ran, so the generic
+	// operations have no row.
+	const nTypes = 4
+	if tb.NumRows() != nTypes+1 { // the sampled types + "all"
 		t.Fatalf("rows = %d, want %d", tb.NumRows(), nTypes+1)
 	}
 	total := cellFloat(t, tb.Cell(nTypes, 1))
 	var sum float64
 	for i := 0; i < nTypes; i++ {
+		if got, want := tb.Cell(i, 0), core.TxType(i).String(); got != want {
+			t.Fatalf("row %d is %q, want %q", i, got, want)
+		}
 		sum += cellFloat(t, tb.Cell(i, 1))
 	}
 	if sum != total {
 		t.Fatalf("per-type counts %v != total %v", sum, total)
-	}
-	// The default workload mix never samples the generic operations.
-	for i := 4; i < nTypes; i++ {
-		if cellFloat(t, tb.Cell(i, 1)) != 0 {
-			t.Fatalf("generic type row %d sampled under default mix", i)
-		}
 	}
 }
 

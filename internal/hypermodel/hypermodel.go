@@ -17,7 +17,9 @@
 // traversal, editing), each executed under HyperModel's setup/cold/warm
 // protocol: 50 precomputed inputs, a timed cold run over all 50 (with a
 // commit when the operation updates), then a warm run repeating the same
-// inputs to expose caching effects.
+// inputs to expose caching effects. The package holds the op bodies and
+// the Scenario that names them; timing and I/O accounting are the
+// workload engine's.
 package hypermodel
 
 import (
@@ -284,15 +286,6 @@ func AllOperations() []OpName {
 	}
 }
 
-// OpResult reports one operation under the setup/cold/warm protocol.
-type OpResult struct {
-	Name               OpName
-	Inputs             int
-	ColdIOs, WarmIOs   uint64
-	ColdTime, WarmTime time.Duration
-	Objects            int // objects accessed during the cold run
-}
-
 // hmClient is the engine's per-client state: the precomputed inputs of
 // each operation, drawn untimed by the cold pass and replayed by the warm
 // one (the protocol's "setup" step).
@@ -381,13 +374,16 @@ func (db *Database) opPair(name OpName, policy cluster.Policy) []workload.Op {
 	}
 }
 
-// scenario builds the engine spec covering the given operations.
-func (db *Database) scenario(names []OpName, policy cluster.Policy, clients int) *workload.Spec {
+// Scenario expresses the HyperModel benchmark as a unified
+// workload-engine spec: each of the 20 operations contributes a cold and
+// a warm op. Client 0 continues the database's own generation stream, so
+// CLIENTN=1 runs replay the pre-engine benchmark exactly.
+func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec {
 	if clients > 1 && policy != nil {
 		policy = cluster.Synchronize(policy)
 	}
 	var ops []workload.Op
-	for _, name := range names {
+	for _, name := range AllOperations() {
 		ops = append(ops, db.opPair(name, policy)...)
 	}
 	return &workload.Spec{
@@ -412,55 +408,6 @@ func (db *Database) scenario(names []OpName, policy cluster.Policy, clients int)
 			return &hmClient{inputs: make(map[OpName][]int)}
 		},
 	}
-}
-
-// Scenario expresses the HyperModel benchmark as a unified
-// workload-engine spec: each of the 20 operations contributes a cold and
-// a warm op. Client 0 continues the database's own generation stream, so
-// CLIENTN=1 runs replay the pre-engine benchmark exactly.
-func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec {
-	return db.scenario(AllOperations(), policy, clients)
-}
-
-// pairResult folds one operation's cold and warm engine aggregates into
-// the suite's OpResult.
-func pairResult(name OpName, inputs int, cold, warm *workload.OpMetrics) OpResult {
-	return OpResult{
-		Name:     name,
-		Inputs:   inputs,
-		ColdIOs:  cold.IOsTotal,
-		WarmIOs:  warm.IOsTotal,
-		ColdTime: time.Duration(cold.Response.Sum() * 1e3),
-		WarmTime: time.Duration(warm.Response.Sum() * 1e3),
-		Objects:  int(cold.ObjectsTotal),
-	}
-}
-
-// RunOp executes one operation under the HyperModel protocol — setup
-// (untimed input precomputation), cold run over the Inputs inputs, then a
-// warm run repeating the same inputs — through the unified workload
-// engine.
-func (db *Database) RunOp(name OpName, policy cluster.Policy) (OpResult, error) {
-	res, err := workload.Run(db.scenario([]OpName{name}, policy, 1))
-	if err != nil {
-		return OpResult{}, fmt.Errorf("hypermodel: %s: %w", name, err)
-	}
-	return pairResult(name, db.P.Inputs, &res.PerOp[0], &res.PerOp[1]), nil
-}
-
-// RunAll executes every operation through the engine and returns the
-// results in protocol order.
-func (db *Database) RunAll(policy cluster.Policy) ([]OpResult, error) {
-	names := AllOperations()
-	res, err := workload.Run(db.scenario(names, policy, 1))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]OpResult, 0, len(names))
-	for i, name := range names {
-		out = append(out, pairResult(name, db.P.Inputs, &res.PerOp[2*i], &res.PerOp[2*i+1]))
-	}
-	return out, nil
 }
 
 // execute runs one operation instance from input node id, returning the

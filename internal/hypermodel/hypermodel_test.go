@@ -4,7 +4,29 @@ import (
 	"testing"
 
 	"ocb/internal/backend"
+	"ocb/internal/workload"
 )
+
+// runOp runs one operation's cold/warm pair of the CLIENTN=1 scenario
+// through the workload engine — the only thing that times a suite op —
+// and returns the two aggregates.
+func runOp(t *testing.T, db *Database, name OpName) (cold, warm workload.OpMetrics) {
+	t.Helper()
+	spec := db.Scenario(nil, 1)
+	for i, n := range AllOperations() {
+		if n == name {
+			spec.Ops = spec.Ops[2*i : 2*i+2]
+		}
+	}
+	if len(spec.Ops) != 2 || spec.Ops[0].Name != string(name)+"/cold" {
+		t.Fatalf("scenario has no cold/warm pair for %s", name)
+	}
+	res, err := workload.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.PerOp[0], res.PerOp[1]
+}
 
 func smallParams() Params {
 	p := DefaultParams()
@@ -66,22 +88,19 @@ func TestAllOperationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.RunAll(nil)
+	res, err := workload.Run(db.Scenario(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 20 {
-		t.Fatalf("got %d operations, want the 20 of the benchmark", len(results))
+	if len(res.PerOp) != 40 {
+		t.Fatalf("got %d ops, want a cold and a warm pass for each of the benchmark's 20", len(res.PerOp))
 	}
-	for _, r := range results {
-		if r.Inputs != db.P.Inputs {
-			t.Fatalf("%s ran %d inputs", r.Name, r.Inputs)
+	for _, om := range res.PerOp {
+		if om.Count != 1 {
+			t.Fatalf("%s ran %d passes", om.Name, om.Count)
 		}
-		if r.Objects < 1 {
-			t.Fatalf("%s accessed nothing", r.Name)
-		}
-		if r.ColdTime <= 0 || r.WarmTime <= 0 {
-			t.Fatalf("%s times not measured", r.Name)
+		if om.ObjectsTotal < 1 {
+			t.Fatalf("%s accessed nothing", om.Name)
 		}
 	}
 }
@@ -94,14 +113,11 @@ func TestWarmRunBenefitsFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Store.DropCache()
-	res, err := db.RunOp(NameLookup, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, warm := runOp(t, db, NameLookup)
 	// The warm run repeats the exact same 5 lookups: all cache hits
 	// (5 nodes fit any buffer).
-	if res.WarmIOs >= res.ColdIOs && res.ColdIOs > 0 {
-		t.Fatalf("warm run not cheaper: cold=%d warm=%d", res.ColdIOs, res.WarmIOs)
+	if warm.IOsTotal >= cold.IOsTotal && cold.IOsTotal > 0 {
+		t.Fatalf("warm run not cheaper: cold=%d warm=%d", cold.IOsTotal, warm.IOsTotal)
 	}
 }
 
@@ -110,12 +126,9 @@ func TestSeqScanTouchesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.RunOp(SeqScan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Objects != db.NumNodes()*db.P.Inputs {
-		t.Fatalf("seqScan accessed %d, want %d", res.Objects, db.NumNodes()*db.P.Inputs)
+	cold, _ := runOp(t, db, SeqScan)
+	if want := int64(db.NumNodes() * db.P.Inputs); cold.ObjectsTotal != want {
+		t.Fatalf("seqScan accessed %d, want %d", cold.ObjectsTotal, want)
 	}
 }
 
@@ -174,12 +187,9 @@ func TestEditingCommits(t *testing.T) {
 	}
 	db.Store.DropCache()
 	db.Store.ResetStats()
-	res, err := db.RunOp(EditNode, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, _ := runOp(t, db, EditNode)
 	// Updates must commit: writes charged during the cold run.
-	if res.ColdIOs == 0 {
+	if cold.IOsTotal == 0 {
 		t.Fatal("edit committed nothing")
 	}
 	if w := db.Store.Stats().Disk.TotalWrites(); w == 0 {

@@ -15,14 +15,14 @@ func TestEngineGoldenCLIENTN1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.RunAll(nil)
+	res, err := workload.Run(db.Scenario(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gold := []struct {
 		name       OpName
 		cold, warm uint64
-		objects    int
+		objects    int64
 	}{
 		{NameLookup, 4, 0, 5}, {NameOIDLookup, 4, 0, 5},
 		{RangeLookupHundred, 3, 0, 7}, {RangeLookupMillion, 5, 0, 18},
@@ -33,14 +33,15 @@ func TestEngineGoldenCLIENTN1(t *testing.T) {
 		{ClosureChildrenDpth, 5, 0, 35}, {ClosurePartsDpth, 5, 0, 15}, {ClosureRefToDpth, 5, 0, 30},
 		{EditNode, 8, 4, 5}, {EditText, 10, 5, 10}, {EditMillion, 4, 2, 5},
 	}
-	if len(results) != len(gold) {
-		t.Fatalf("got %d results", len(results))
+	if len(res.PerOp) != 2*len(gold) {
+		t.Fatalf("got %d results", len(res.PerOp))
 	}
 	for i, g := range gold {
-		r := results[i]
-		if r.Name != g.name || r.ColdIOs != g.cold || r.WarmIOs != g.warm || r.Objects != g.objects {
+		cold, warm := res.PerOp[2*i], res.PerOp[2*i+1]
+		if cold.Name != string(g.name)+"/cold" || warm.Name != string(g.name)+"/warm" ||
+			cold.IOsTotal != g.cold || warm.IOsTotal != g.warm || cold.ObjectsTotal != g.objects {
 			t.Errorf("%s: got cold=%d warm=%d objects=%d, want %d/%d/%d (pre-engine golden)",
-				r.Name, r.ColdIOs, r.WarmIOs, r.Objects, g.cold, g.warm, g.objects)
+				g.name, cold.IOsTotal, warm.IOsTotal, cold.ObjectsTotal, g.cold, g.warm, g.objects)
 		}
 	}
 }

@@ -13,7 +13,9 @@
 // time measured per run: Lookup (1000 random parts), Traversal (depth-first
 // from a random root through the Connect and To references, 7 hops, 3280
 // parts with possible duplicates — reversible through From), and Insert
-// (100 parts plus their connections, then commit).
+// (100 parts plus their connections, then commit). The package holds the
+// op bodies and the Scenario that names them; timing and I/O accounting
+// are the workload engine's.
 //
 // OO1 is both a baseline in its own right and the ancestor of DSTC-CluB
 // (package club), whose Table 4 comparison OCB reproduces.
@@ -256,13 +258,6 @@ func (db *Database) drawTarget(id int) int {
 // NumParts returns the current part count.
 func (db *Database) NumParts() int { return len(db.ByID) - 1 }
 
-// OpResult is the measurement of one operation run.
-type OpResult struct {
-	Objects  int
-	IOs      uint64
-	Duration time.Duration
-}
-
 // lookupOnce is the lookup op body: access p.Lookups parts selected at
 // random over the first bound dictionary ids, drawn from src (the
 // executing client's source).
@@ -281,27 +276,13 @@ func (db *Database) lookupOnce(src *lewis.Source, bound int, policy cluster.Poli
 	return n, nil
 }
 
-// Lookup performs one OO1 lookup run: access p.Lookups randomly selected
-// parts. (Single-client convenience over the op body; the benchmark
-// proper runs through the workload engine via Scenario/RunAll.)
-func (db *Database) Lookup(policy cluster.Policy) (OpResult, error) {
-	return db.measure(policy, func() (int, error) {
-		return db.lookupOnce(db.src, db.NumParts(), policy)
-	})
-}
-
-// Traversal performs one OO1 traversal run: from a random root part,
-// depth-first through the Connect and To references up to TraversalDepth
-// hops (3280 parts at the default depth, duplicates possible). reverse
-// swaps the To and From directions.
-func (db *Database) Traversal(policy cluster.Policy, reverse bool) (OpResult, error) {
-	root := db.ByID[db.src.IntRange(1, db.NumParts())]
-	return db.TraversalFrom(policy, root, reverse)
-}
-
-// traverseFrom is the traversal op body: depth-first from root through
-// the Connect and To references (or In/From reversed), unmeasured.
-func (db *Database) traverseFrom(policy cluster.Policy, root backend.OID, reverse bool) (int, error) {
+// TraverseFrom is the traversal op body: depth-first from root through
+// the Connect and To references (or In/From reversed when reverse is
+// set) up to TraversalDepth hops — 3280 parts at the default depth,
+// duplicates possible. It returns the parts visited; ending the policy's
+// transaction is the caller's step. Exported for the before/after
+// clustering protocol (DSTC-CluB), which replays explicit roots.
+func (db *Database) TraverseFrom(policy cluster.Policy, root backend.OID, reverse bool) (int, error) {
 	if _, ok := db.Parts[root]; !ok {
 		return 0, fmt.Errorf("oo1: root %d is not a part", root)
 	}
@@ -347,17 +328,6 @@ func (db *Database) traverseFrom(policy cluster.Policy, root backend.OID, revers
 	return n, err
 }
 
-// TraversalFrom is Traversal with an explicit root — the replay hook the
-// before/after clustering protocol (DSTC-CluB) needs.
-func (db *Database) TraversalFrom(policy cluster.Policy, root backend.OID, reverse bool) (OpResult, error) {
-	if _, ok := db.Parts[root]; !ok {
-		return OpResult{}, fmt.Errorf("oo1: root %d is not a part", root)
-	}
-	return db.measure(policy, func() (int, error) {
-		return db.traverseFrom(policy, root, reverse)
-	})
-}
-
 // insertOnce is the insert op body: add p.Inserts parts and their
 // connections, then commit the changes. src is the inserting client's
 // stream. n0 > 0 freezes the target universe to the first n0 parts (the
@@ -388,44 +358,6 @@ func (db *Database) insertOnce(src *lewis.Source, n0 int) (int, error) {
 		}
 	}
 	return n, db.Store.Commit()
-}
-
-// Insert performs one OO1 insert run: add p.Inserts parts and their
-// connections, then commit the changes.
-func (db *Database) Insert(policy cluster.Policy) (OpResult, error) {
-	return db.measure(policy, func() (int, error) {
-		return db.insertOnce(db.src, 0)
-	})
-}
-
-// measure wraps an operation with I/O and wall-clock accounting, then
-// signals the end of the transaction to the policy.
-func (db *Database) measure(policy cluster.Policy, op func() (int, error)) (OpResult, error) {
-	before := db.Store.Stats().Disk.TransactionIOs()
-	//ocblint:allow determinism -- harness timing, not op logic
-	start := time.Now()
-	n, err := op()
-	if err != nil {
-		return OpResult{}, err
-	}
-	if policy != nil {
-		policy.EndTransaction()
-	}
-	return OpResult{
-		Objects: n,
-		IOs:     db.Store.Stats().Disk.TransactionIOs() - before,
-		//ocblint:allow determinism -- harness timing, not op logic
-		Duration: time.Since(start),
-	}, nil
-}
-
-// BenchResult aggregates the NRuns of one operation.
-type BenchResult struct {
-	Name     string
-	Runs     int
-	MeanIOs  float64
-	MeanTime time.Duration
-	Objects  int
 }
 
 // Scenario expresses the OO1 benchmark as a unified workload-engine spec:
@@ -486,11 +418,11 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		}},
 		{Name: "traversal", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
 			root := db.ByID[ctx.Src.IntRange(1, span())]
-			return end(db.traverseFrom(policy, root, false))
+			return end(db.TraverseFrom(policy, root, false))
 		}},
 		{Name: "reverse-traversal", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
 			root := db.ByID[ctx.Src.IntRange(1, span())]
-			return end(db.traverseFrom(policy, root, true))
+			return end(db.TraverseFrom(policy, root, true))
 		}},
 		{Name: "insert", Weight: 1, Count: nruns, Mutating: true, Run: func(ctx *workload.Ctx) (int, error) {
 			return end(db.insertOnce(ins[ctx.Client], n0))
@@ -517,28 +449,6 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 			return lewis.New(db.P.Seed + int64(c)*104729)
 		},
 	}
-}
-
-// RunAll executes the full OO1 benchmark — Lookup, Traversal, Reverse
-// Traversal and Insert, each NRuns times with response time measured per
-// run — through the unified workload engine.
-func (db *Database) RunAll(policy cluster.Policy) ([]BenchResult, error) {
-	res, err := workload.Run(db.Scenario(policy, 1))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BenchResult, 0, len(res.PerOp))
-	for _, om := range res.PerOp {
-		br := BenchResult{Name: om.Name, Runs: int(om.Count), Objects: int(om.ObjectsTotal)}
-		if om.Count > 0 {
-			br.MeanIOs = float64(om.IOsTotal) / float64(om.Count)
-			// Response is in fractional µs; convert at nanosecond
-			// precision so sub-µs means survive.
-			br.MeanTime = time.Duration(om.Response.Sum() / float64(om.Count) * 1e3)
-		}
-		out = append(out, br)
-	}
-	return out, nil
 }
 
 // AllOIDs enumerates parts then connections, the order whole-database

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ocb/internal/backend"
+	"ocb/internal/workload"
 )
 
 func smallParams() Params {
@@ -15,6 +16,27 @@ func smallParams() Params {
 	p.NRuns = 2
 	p.BufferPages = 16
 	return p
+}
+
+// runOp runs one named op of the CLIENTN=1 scenario through the workload
+// engine — the only thing that times a suite op — and returns its
+// aggregate.
+func runOp(t *testing.T, db *Database, name string) workload.OpMetrics {
+	t.Helper()
+	spec := db.Scenario(nil, 1)
+	for _, op := range spec.Ops {
+		if op.Name == name {
+			spec.Ops = []workload.Op{op}
+		}
+	}
+	if len(spec.Ops) != 1 {
+		t.Fatalf("scenario has no op %q", name)
+	}
+	res, err := workload.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.PerOp[0]
 }
 
 func TestGenerateShape(t *testing.T) {
@@ -77,13 +99,13 @@ func TestTraversalVisitCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.TraversalFrom(nil, db.ByID[1], false)
+	n, err := db.TraverseFrom(nil, db.ByID[1], false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Parts visited: 1 + 3 + 9 + 27 = 40 at depth 3, duplicates allowed.
-	if res.Objects != 40 {
-		t.Fatalf("traversal visited %d parts, want 40", res.Objects)
+	if n != 40 {
+		t.Fatalf("traversal visited %d parts, want 40", n)
 	}
 }
 
@@ -93,13 +115,14 @@ func TestTraversalOO1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Traversal(nil, false)
+	root := db.ByID[db.src.IntRange(1, db.NumParts())]
+	n, err := db.TraverseFrom(nil, root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The canonical OO1 figure: depth 7, fan-out 3 -> 3280 parts.
-	if res.Objects != 3280 {
-		t.Fatalf("traversal visited %d parts, want 3280", res.Objects)
+	if n != 3280 {
+		t.Fatalf("traversal visited %d parts, want 3280", n)
 	}
 }
 
@@ -110,11 +133,12 @@ func TestReverseTraversalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Traversal(nil, true)
+	root := db.ByID[db.src.IntRange(1, db.NumParts())]
+	n, err := db.TraverseFrom(nil, root, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Objects < 1 {
+	if n < 1 {
 		t.Fatal("reverse traversal accessed nothing")
 	}
 }
@@ -124,7 +148,7 @@ func TestTraversalBadRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.TraversalFrom(nil, 999999, false); err == nil {
+	if _, err := db.TraverseFrom(nil, 999999, false); err == nil {
 		t.Fatal("bad root accepted")
 	}
 }
@@ -135,12 +159,12 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Lookup(nil)
+	n, err := db.lookupOnce(db.src, db.NumParts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Objects != p.Lookups {
-		t.Fatalf("lookup accessed %d, want %d", res.Objects, p.Lookups)
+	if n != p.Lookups {
+		t.Fatalf("lookup accessed %d, want %d", n, p.Lookups)
 	}
 }
 
@@ -151,18 +175,19 @@ func TestInsertGrowsDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.NumParts()
-	res, err := db.Insert(nil)
-	if err != nil {
-		t.Fatal(err)
+	// The scenario runs the insert op NRuns times.
+	ins := runOp(t, db, "insert")
+	if ins.Count != int64(p.NRuns) {
+		t.Fatalf("insert ran %d times, want %d", ins.Count, p.NRuns)
 	}
-	if db.NumParts() != before+p.Inserts {
-		t.Fatalf("parts after insert = %d, want %d", db.NumParts(), before+p.Inserts)
+	if want := before + p.NRuns*p.Inserts; db.NumParts() != want {
+		t.Fatalf("parts after insert = %d, want %d", db.NumParts(), want)
 	}
-	if res.Objects != p.Inserts*(1+p.ConnsPerPart) {
-		t.Fatalf("insert created %d objects, want %d", res.Objects, p.Inserts*(1+p.ConnsPerPart))
+	if want := int64(p.NRuns * p.Inserts * (1 + p.ConnsPerPart)); ins.ObjectsTotal != want {
+		t.Fatalf("insert created %d objects, want %d", ins.ObjectsTotal, want)
 	}
 	// Insert commits: some writes must have been charged.
-	if res.IOs == 0 {
+	if ins.IOsTotal == 0 {
 		t.Fatal("insert with commit performed no I/O")
 	}
 	if err := Check(db); err != nil {
@@ -177,18 +202,18 @@ func TestRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.RunAll(nil)
+	res, err := workload.Run(db.Scenario(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("got %d operations", len(results))
+	if len(res.PerOp) != 4 {
+		t.Fatalf("got %d operations", len(res.PerOp))
 	}
 	names := map[string]bool{}
-	for _, r := range results {
-		names[r.Name] = true
-		if r.Runs != p.NRuns {
-			t.Fatalf("%s ran %d times", r.Name, r.Runs)
+	for _, om := range res.PerOp {
+		names[om.Name] = true
+		if om.Count != int64(p.NRuns) {
+			t.Fatalf("%s ran %d times", om.Name, om.Count)
 		}
 	}
 	for _, want := range []string{"lookup", "traversal", "reverse-traversal", "insert"} {

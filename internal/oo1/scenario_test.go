@@ -15,28 +15,29 @@ func TestEngineGoldenCLIENTN1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.RunAll(nil)
+	res, err := workload.Run(db.Scenario(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gold := []struct {
 		name    string
 		meanIOs float64
-		objects int
+		objects int64
 	}{
 		{"lookup", 4.5, 100},
 		{"traversal", 18.5, 6560},
 		{"reverse-traversal", 668, 22741},
 		{"insert", 1.5, 80},
 	}
-	if len(results) != len(gold) {
-		t.Fatalf("got %d results", len(results))
+	if len(res.PerOp) != len(gold) {
+		t.Fatalf("got %d results", len(res.PerOp))
 	}
 	for i, g := range gold {
-		r := results[i]
-		if r.Name != g.name || r.MeanIOs != g.meanIOs || r.Objects != g.objects {
+		om := res.PerOp[i]
+		meanIOs := float64(om.IOsTotal) / float64(om.Count)
+		if om.Name != g.name || meanIOs != g.meanIOs || om.ObjectsTotal != g.objects {
 			t.Errorf("%s: got meanIOs=%v objects=%d, want %v/%d (pre-engine golden)",
-				r.Name, r.MeanIOs, r.Objects, g.meanIOs, g.objects)
+				om.Name, meanIOs, om.ObjectsTotal, g.meanIOs, g.objects)
 		}
 	}
 }

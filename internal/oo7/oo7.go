@@ -15,13 +15,18 @@
 //
 //   - Traversals: T1 (raw full traversal), T2a/T2b (traversal with update
 //     of one/all atomic parts per composite), T3a (traversal updating the
-//     build date), T6 (sparse traversal touching only root atomic parts).
+//     build date), T6 (sparse traversal touching only root atomic parts),
+//     T8/T9 (scan one document / check every document's title).
 //   - Queries: Q1 (exact-match lookup of 10 random atomic parts), Q2/Q3
 //     (1% and 10% build-date range scans), Q4 (documents by title plus
 //     owning composite root), Q5 (base assemblies whose composite parts
-//     are newer than the assembly), Q7 (full atomic-part scan).
-//   - Structural modifications: Insert (new composite parts wired to
-//     random base assemblies) and Delete (remove them again).
+//     are newer than the assembly), Q7 (full atomic-part scan), Q8
+//     (documents joined with their composite's atomic parts).
+//   - Structural modifications: insert-delete, one round trip (a new
+//     composite part wired to random base assemblies, then removed).
+//
+// The package holds the op bodies and the Scenario that names them;
+// timing and I/O accounting are the workload engine's.
 package oo7
 
 import (
@@ -317,35 +322,6 @@ func (db *Database) buildAssembly(level int, parent backend.OID) (backend.OID, e
 // NumAtomics returns the atomic-part count.
 func (db *Database) NumAtomics() int { return len(db.AtomicID) }
 
-// OpResult is one operation's measurement.
-type OpResult struct {
-	Name     string
-	Objects  int
-	IOs      uint64
-	Duration time.Duration
-}
-
-// measure wraps an operation with I/O and time accounting.
-func (db *Database) measure(name string, policy cluster.Policy, op func() (int, error)) (OpResult, error) {
-	before := db.Store.Stats().Disk.TransactionIOs()
-	//ocblint:allow determinism -- harness timing, not op logic
-	start := time.Now()
-	n, err := op()
-	if err != nil {
-		return OpResult{}, fmt.Errorf("oo7: %s: %w", name, err)
-	}
-	if policy != nil {
-		policy.EndTransaction()
-	}
-	return OpResult{
-		Name:    name,
-		Objects: n,
-		IOs:     db.Store.Stats().Disk.TransactionIOs() - before,
-		//ocblint:allow determinism -- harness timing, not op logic
-		Duration: time.Since(start),
-	}, nil
-}
-
 // access faults an object and feeds the policy.
 func (db *Database) access(from, to backend.OID, policy cluster.Policy) error {
 	if err := db.Store.Access(to); err != nil {
@@ -449,46 +425,12 @@ func (db *Database) traversalBody(update int, sparse bool, policy cluster.Policy
 	return n, nil
 }
 
-// traversal measures one traversal run (single-client convenience).
-func (db *Database) traversal(name string, update int, sparse bool, policy cluster.Policy) (OpResult, error) {
-	return db.measure(name, policy, func() (int, error) {
-		return db.traversalBody(update, sparse, policy)
-	})
-}
-
 // compByOID maps a composite OID back to its index.
 func (db *Database) compByOID(oid backend.OID) int {
 	if i, ok := db.compIdx[oid]; ok {
 		return i
 	}
 	return -1
-}
-
-// T1 is the raw full traversal.
-func (db *Database) T1(policy cluster.Policy) (OpResult, error) {
-	return db.traversal("T1", 0, false, policy)
-}
-
-// T2a is T1 updating one atomic part per visited composite.
-func (db *Database) T2a(policy cluster.Policy) (OpResult, error) {
-	return db.traversal("T2a", 1, false, policy)
-}
-
-// T2b is T1 updating every visited atomic part.
-func (db *Database) T2b(policy cluster.Policy) (OpResult, error) {
-	return db.traversal("T2b", -1, false, policy)
-}
-
-// T3a is T1 updating the build date of one atomic part per composite
-// (mechanically T2a over the date attribute).
-func (db *Database) T3a(policy cluster.Policy) (OpResult, error) {
-	return db.traversal("T3a", 1, false, policy)
-}
-
-// T6 is the sparse traversal: assemblies, composites and root atomic
-// parts only.
-func (db *Database) T6(policy cluster.Policy) (OpResult, error) {
-	return db.traversal("T6", 0, true, policy)
 }
 
 // q1Body looks up 10 random atomic parts by id, drawn over the first
@@ -507,13 +449,6 @@ func (db *Database) q1Body(src *lewis.Source, nAtomic int, policy cluster.Policy
 		n++
 	}
 	return n, nil
-}
-
-// Q1 looks up 10 random atomic parts by id.
-func (db *Database) Q1(policy cluster.Policy) (OpResult, error) {
-	return db.measure("Q1", policy, func() (int, error) {
-		return db.q1Body(db.src, len(db.AtomicID), policy)
-	})
 }
 
 // rangeBody scans atomic parts whose build date falls in a window
@@ -536,23 +471,6 @@ func (db *Database) rangeBody(frac float64, src *lewis.Source, policy cluster.Po
 	return n, nil
 }
 
-// rangeQuery measures one build-date range scan.
-func (db *Database) rangeQuery(name string, frac float64, policy cluster.Policy) (OpResult, error) {
-	return db.measure(name, policy, func() (int, error) {
-		return db.rangeBody(frac, db.src, policy)
-	})
-}
-
-// Q2 is the 1% build-date range query.
-func (db *Database) Q2(policy cluster.Policy) (OpResult, error) {
-	return db.rangeQuery("Q2", 0.01, policy)
-}
-
-// Q3 is the 10% build-date range query.
-func (db *Database) Q3(policy cluster.Policy) (OpResult, error) {
-	return db.rangeQuery("Q3", 0.10, policy)
-}
-
 // q4Body fetches 10 random documents by title and the root atomic part
 // of each owning composite, drawn over the first nComp library ids.
 func (db *Database) q4Body(src *lewis.Source, nComp int, policy cluster.Policy) (int, error) {
@@ -571,14 +489,6 @@ func (db *Database) q4Body(src *lewis.Source, nComp int, policy cluster.Policy) 
 		n += 2
 	}
 	return n, nil
-}
-
-// Q4 fetches 10 random documents by title and the root atomic part of
-// each owning composite.
-func (db *Database) Q4(policy cluster.Policy) (OpResult, error) {
-	return db.measure("Q4", policy, func() (int, error) {
-		return db.q4Body(db.src, len(db.Comps), policy)
-	})
 }
 
 // q5Body finds base assemblies using a composite part with a build date
@@ -603,14 +513,6 @@ func (db *Database) q5Body(policy cluster.Policy) (int, error) {
 	return n, nil
 }
 
-// Q5 finds base assemblies using a composite part with a build date later
-// than the assembly's.
-func (db *Database) Q5(policy cluster.Policy) (OpResult, error) {
-	return db.measure("Q5", policy, func() (int, error) {
-		return db.q5Body(policy)
-	})
-}
-
 // q7Body scans every live atomic part.
 func (db *Database) q7Body(policy cluster.Policy) (int, error) {
 	n := 0
@@ -626,11 +528,61 @@ func (db *Database) q7Body(policy cluster.Policy) (int, error) {
 	return n, nil
 }
 
-// Q7 scans every atomic part.
-func (db *Database) Q7(policy cluster.Policy) (OpResult, error) {
-	return db.measure("Q7", policy, func() (int, error) {
-		return db.q7Body(policy)
-	})
+// The document-centric operations: the traversal group's T8/T9 touch the
+// documentation objects hanging off composite parts, and Q8 is the join
+// between documents and atomic parts.
+
+// t8Body scans the documentation of one random composite part (the
+// document object is up to DocSize bytes, typically spanning pages),
+// drawn over the first nComp library ids.
+func (db *Database) t8Body(src *lewis.Source, nComp int, policy cluster.Policy) (int, error) {
+	comp := db.Comps[src.Intn(nComp)]
+	if comp == nil {
+		return 0, nil
+	}
+	if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// t9Body checks the title of every document (a metadata-only pass over
+// the documentation set, in id order for determinism).
+func (db *Database) t9Body(policy cluster.Policy) (int, error) {
+	n := 0
+	for _, comp := range db.Comps {
+		if comp == nil {
+			continue
+		}
+		if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// q8Body joins documents with the atomic parts of their composite: for
+// every document, access the document then every atomic part whose id
+// matches the composite (the benchmark's id-equality join).
+func (db *Database) q8Body(policy cluster.Policy) (int, error) {
+	n := 0
+	for _, comp := range db.Comps {
+		if comp == nil {
+			continue
+		}
+		if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
+			return n, err
+		}
+		n++
+		for _, aoid := range comp.Atomics {
+			if err := db.access(comp.Doc, aoid, policy); err != nil {
+				return n, err
+			}
+			n++
+		}
+	}
+	return n, nil
 }
 
 // insertBody creates count new composite parts and wires each into ten
@@ -656,19 +608,6 @@ func (db *Database) insertBody(src *lewis.Source, count int) (ids []int, n int, 
 		}
 	}
 	return ids, n, db.Store.Commit()
-}
-
-// Insert creates count new composite parts and wires each into ten random
-// base assemblies, then commits. It returns the new composites' ids.
-func (db *Database) Insert(count int, policy cluster.Policy) ([]int, OpResult, error) {
-	var ids []int
-	res, err := db.measure("Insert", policy, func() (int, error) {
-		var n int
-		var err error
-		ids, n, err = db.insertBody(db.src, count)
-		return n, err
-	})
-	return ids, res, err
 }
 
 // deleteBody removes the given composite parts (their atomics,
@@ -726,14 +665,6 @@ func (db *Database) deleteBody(ids []int) (int, error) {
 	return n, db.Store.Commit()
 }
 
-// Delete removes the given composite parts (their atomics, connections
-// and documents) and unwires them from assemblies, then commits.
-func (db *Database) Delete(ids []int, policy cluster.Policy) (OpResult, error) {
-	return db.measure("Delete", policy, func() (int, error) {
-		return db.deleteBody(ids)
-	})
-}
-
 // oo7OpDef is one benchmark operation as an engine-ready op body; the
 // update traversals (T2a/T2b/T3a write atomic parts and commit) are
 // marked mutating so multi-client runs serialize them against readers.
@@ -747,7 +678,9 @@ type oo7OpDef struct {
 // in benchmark order. atomicSpan and compSpan bound the random-id draws
 // of Q1 and T8/Q4: the live dictionary lengths for a single client, the
 // scenario-build snapshot when several clients run (so a client's draws
-// do not depend on how the others' inserts interleave).
+// do not depend on how the others' inserts interleave). T3a updates the
+// build date of one atomic part per composite — mechanically T2a over
+// the date attribute, hence the same body.
 func (db *Database) readOpDefs(policy cluster.Policy, atomicSpan, compSpan func() int) []oo7OpDef {
 	return []oo7OpDef{
 		{"T1", false, func(*lewis.Source) (int, error) { return db.traversalBody(0, false, policy) }},
@@ -767,10 +700,17 @@ func (db *Database) readOpDefs(policy cluster.Policy, atomicSpan, compSpan func(
 	}
 }
 
-// scenario builds the engine spec; includeStructural adds the
-// insert+delete round-trip op (excluded from the classic read-only
-// RunAll sweep).
-func (db *Database) scenario(policy cluster.Policy, clients int, includeStructural bool) *workload.Spec {
+// Scenario expresses the OO7 benchmark as a unified workload-engine spec:
+// the fourteen read operations plus an insert+delete structural round
+// trip, once each in fixed-program mode or as a weighted mix when the
+// caller sets Measured. A single client continues the database's own
+// generation stream, so CLIENTN=1 runs replay the pre-engine benchmark
+// exactly; a multi-client run gives every client seed-derived private
+// streams (op sampling and inserts) and freezes the Q1/T8/Q4 draw
+// universes at the scenario-build dictionary sizes, so each client's
+// operation stream is a pure function of its seed regardless of
+// scheduling.
+func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec {
 	if clients > 1 && policy != nil {
 		policy = cluster.Synchronize(policy)
 	}
@@ -815,25 +755,23 @@ func (db *Database) scenario(policy cluster.Policy, clients int, includeStructur
 			},
 		})
 	}
-	if includeStructural {
-		ops = append(ops, workload.Op{
-			Name:     "insert-delete",
-			Weight:   1,
-			Mutating: true,
-			Run: func(ctx *workload.Ctx) (int, error) {
-				// A self-contained structural round trip: one new
-				// composite wired into the hierarchy, then removed —
-				// safe to interleave with other clients' traversals
-				// under the spec's exclusive lock.
-				ids, n, err := db.insertBody(ins[ctx.Client], 1)
-				if err != nil {
-					return n, err
-				}
-				m, err := db.deleteBody(ids)
-				return end(n+m, err)
-			},
-		})
-	}
+	ops = append(ops, workload.Op{
+		Name:     "insert-delete",
+		Weight:   1,
+		Mutating: true,
+		Run: func(ctx *workload.Ctx) (int, error) {
+			// A self-contained structural round trip: one new
+			// composite wired into the hierarchy, then removed —
+			// safe to interleave with other clients' traversals
+			// under the spec's exclusive lock.
+			ids, n, err := db.insertBody(ins[ctx.Client], 1)
+			if err != nil {
+				return n, err
+			}
+			m, err := db.deleteBody(ids)
+			return end(n+m, err)
+		},
+	})
 	return &workload.Spec{
 		Name:        "oo7",
 		Description: "OO7 (small): assembly/composite traversals, queries and structural modifications",
@@ -853,41 +791,6 @@ func (db *Database) scenario(policy cluster.Policy, clients int, includeStructur
 			return lewis.New(db.P.Seed + int64(c)*104729)
 		},
 	}
-}
-
-// Scenario expresses the OO7 benchmark as a unified workload-engine spec:
-// the fourteen read operations plus an insert+delete structural round
-// trip, once each in fixed-program mode or as a weighted mix when the
-// caller sets Measured. A single client continues the database's own
-// generation stream, so CLIENTN=1 runs replay the pre-engine benchmark
-// exactly; a multi-client run gives every client seed-derived private
-// streams (op sampling and inserts) and freezes the Q1/T8/Q4 draw
-// universes at the scenario-build dictionary sizes, so each client's
-// operation stream is a pure function of its seed regardless of
-// scheduling.
-func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec {
-	return db.scenario(policy, clients, true)
-}
-
-// RunAll executes the read-only suite (traversals and queries) once each
-// through the unified workload engine.
-func (db *Database) RunAll(policy cluster.Policy) ([]OpResult, error) {
-	res, err := workload.Run(db.scenario(policy, 1, false))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]OpResult, 0, len(res.PerOp))
-	for _, om := range res.PerOp {
-		out = append(out, OpResult{
-			Name:    om.Name,
-			Objects: int(om.ObjectsTotal),
-			IOs:     om.IOsTotal,
-			// Response is in fractional µs; convert at nanosecond
-			// precision so sub-µs totals survive.
-			Duration: time.Duration(om.Response.Sum() * 1e3),
-		})
-	}
-	return out, nil
 }
 
 // Check verifies structural invariants of the generated database.

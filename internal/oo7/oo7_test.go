@@ -2,6 +2,8 @@ package oo7
 
 import (
 	"testing"
+
+	"ocb/internal/workload"
 )
 
 func smallParams() Params {
@@ -42,17 +44,14 @@ func TestT1VisitsEveryReferencedAtomicOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.T1(nil)
+	n, err := db.traversalBody(0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Minimum: all 13 assemblies + for each of the 9 base assemblies,
 	// 3 composites with 5 atomics each (plus connection objects).
-	if res.Objects < 13+9*3*(1+5) {
-		t.Fatalf("T1 accessed only %d objects", res.Objects)
-	}
-	if res.Duration <= 0 {
-		t.Fatal("duration missing")
+	if n < 13+9*3*(1+5) {
+		t.Fatalf("T1 accessed only %d objects", n)
 	}
 }
 
@@ -61,16 +60,16 @@ func TestT6SparserThanT1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := db.T1(nil)
+	t1, err := db.traversalBody(0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t6, err := db.T6(nil)
+	t6, err := db.traversalBody(0, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t6.Objects >= t1.Objects {
-		t.Fatalf("T6 (%d) not sparser than T1 (%d)", t6.Objects, t1.Objects)
+	if t6 >= t1 {
+		t.Fatalf("T6 (%d) not sparser than T1 (%d)", t6, t1)
 	}
 }
 
@@ -80,22 +79,19 @@ func TestT2UpdatesCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Store.ResetStats()
-	if _, err := db.T2a(nil); err != nil {
+	if _, err := db.traversalBody(1, false, nil); err != nil { // T2a
 		t.Fatal(err)
 	}
 	w1 := db.Store.Stats().Disk.TotalWrites()
 	if w1 == 0 {
 		t.Fatal("T2a committed nothing")
 	}
-	if _, err := db.T2b(nil); err != nil {
+	if _, err := db.traversalBody(-1, false, nil); err != nil { // T2b
 		t.Fatal(err)
 	}
 	w2 := db.Store.Stats().Disk.TotalWrites()
 	if w2 <= w1 {
 		t.Fatal("T2b (update all) wrote no more than T2a (update one)")
-	}
-	if _, err := db.T3a(nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -104,46 +100,46 @@ func TestQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := db.Q1(nil)
+	q1, err := db.q1Body(db.src, len(db.AtomicID), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q1.Objects != 10 {
-		t.Fatalf("Q1 accessed %d, want 10", q1.Objects)
+	if q1 != 10 {
+		t.Fatalf("Q1 accessed %d, want 10", q1)
 	}
-	q2, err := db.Q2(nil)
+	q2, err := db.rangeBody(0.01, db.src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q3, err := db.Q3(nil)
+	q3, err := db.rangeBody(0.10, db.src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Q3 (10% selectivity) must select roughly 10x Q2 (1%); with a 100
 	// atomic-part database sampling noise is large, so just require more.
-	if q3.Objects <= q2.Objects {
-		t.Fatalf("Q3 (%d) not broader than Q2 (%d)", q3.Objects, q2.Objects)
+	if q3 <= q2 {
+		t.Fatalf("Q3 (%d) not broader than Q2 (%d)", q3, q2)
 	}
-	q4, err := db.Q4(nil)
+	q4, err := db.q4Body(db.src, len(db.Comps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q4.Objects != 20 {
-		t.Fatalf("Q4 accessed %d, want 20 (10 docs + 10 roots)", q4.Objects)
+	if q4 != 20 {
+		t.Fatalf("Q4 accessed %d, want 20 (10 docs + 10 roots)", q4)
 	}
-	q5, err := db.Q5(nil)
+	q5, err := db.q5Body(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q5.Objects < len(db.BaseAssm) {
-		t.Fatalf("Q5 accessed %d", q5.Objects)
+	if q5 < len(db.BaseAssm) {
+		t.Fatalf("Q5 accessed %d", q5)
 	}
-	q7, err := db.Q7(nil)
+	q7, err := db.q7Body(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q7.Objects != db.NumAtomics() {
-		t.Fatalf("Q7 accessed %d, want %d", q7.Objects, db.NumAtomics())
+	if q7 != db.NumAtomics() {
+		t.Fatalf("Q7 accessed %d, want %d", q7, db.NumAtomics())
 	}
 }
 
@@ -155,14 +151,15 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	objectsBefore := db.Store.Stats().Objects
 	atomicsBefore := db.NumAtomics()
 
-	ids, res, err := db.Insert(2, nil)
+	iosBefore := db.Store.Stats().Disk.TransactionIOs()
+	ids, _, err := db.insertBody(db.src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 2 {
 		t.Fatalf("inserted %d composites", len(ids))
 	}
-	if res.IOs == 0 {
+	if db.Store.Stats().Disk.TransactionIOs() == iosBefore {
 		t.Fatal("insert committed no I/O")
 	}
 	if db.Store.Stats().Objects <= objectsBefore {
@@ -172,7 +169,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := db.Delete(ids, nil); err != nil {
+	if _, err := db.deleteBody(ids); err != nil {
 		t.Fatal(err)
 	}
 	if db.Store.Stats().Objects != objectsBefore {
@@ -183,7 +180,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatalf("live atomics = %d, want %d", len(db.Atomics), atomicsBefore)
 	}
 	// Deleting again must fail cleanly.
-	if _, err := db.Delete(ids, nil); err == nil {
+	if _, err := db.deleteBody(ids); err == nil {
 		t.Fatal("double delete accepted")
 	}
 }
@@ -193,22 +190,22 @@ func TestRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := db.RunAll(nil)
+	res, err := workload.Run(db.Scenario(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 14 {
-		t.Fatalf("got %d operations", len(results))
+	if len(res.PerOp) != 15 { // 14 reads + the insert-delete round trip
+		t.Fatalf("got %d operations", len(res.PerOp))
 	}
-	for _, r := range results {
-		if r.Name == "" {
-			t.Fatalf("bad result %+v", r)
+	for _, om := range res.PerOp {
+		if om.Name == "" || om.Count != 1 {
+			t.Fatalf("bad result %+v", om)
 		}
 		// Selective range queries (Q2 at 1%) may legitimately match zero
 		// atomics on a 100-atomic test database; everything else touches
 		// at least one object.
-		if r.Objects < 1 && r.Name != "Q2" && r.Name != "Q3" {
-			t.Fatalf("%s accessed nothing", r.Name)
+		if om.ObjectsTotal < 1 && om.Name != "Q2" && om.Name != "Q3" {
+			t.Fatalf("%s accessed nothing", om.Name)
 		}
 	}
 }
@@ -258,38 +255,42 @@ func TestDocumentOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := db.T8(nil)
+	t8, err := db.t8Body(db.src, len(db.Comps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t8.Objects != 1 {
-		t.Fatalf("T8 accessed %d, want 1 document", t8.Objects)
+	if t8 != 1 {
+		t.Fatalf("T8 accessed %d, want 1 document", t8)
 	}
-	t9, err := db.T9(nil)
+	t9, err := db.t9Body(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t9.Objects != len(db.Docs) {
-		t.Fatalf("T9 accessed %d, want %d documents", t9.Objects, len(db.Docs))
+	if t9 != len(db.Docs) {
+		t.Fatalf("T9 accessed %d, want %d documents", t9, len(db.Docs))
 	}
-	q8, err := db.Q8(nil)
+	q8, err := db.q8Body(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := len(db.Docs) * (1 + db.P.NumAtomic)
-	if q8.Objects != want {
-		t.Fatalf("Q8 accessed %d, want %d (docs joined with atomics)", q8.Objects, want)
+	if q8 != want {
+		t.Fatalf("Q8 accessed %d, want %d (docs joined with atomics)", q8, want)
 	}
 	// Documents are 2000 bytes: T9 over 20 composites touches 20 distinct
-	// documents, each on its own page region.
-	if t9.IOs == 0 {
-		db.Store.DropCache()
-		t9b, err := db.T9(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if t9b.IOs == 0 {
-			t.Fatal("document scan performed no I/O even from cold cache")
-		}
+	// documents, each on its own page region — from a cold cache the
+	// engine must charge the scan I/O.
+	db.Store.DropCache()
+	spec := db.Scenario(nil, 1)
+	spec.Ops = spec.Ops[6:7]
+	if spec.Ops[0].Name != "T9" {
+		t.Fatalf("op 6 is %s, want T9", spec.Ops[0].Name)
+	}
+	res, err := workload.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PerOp[0].IOsTotal == 0 {
+		t.Fatal("document scan performed no I/O even from cold cache")
 	}
 }

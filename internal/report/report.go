@@ -1,5 +1,6 @@
 // Package report renders the benchmark's result tables as aligned text
-// (the paper-style tables the experiment harness prints) or CSV.
+// (the paper-style tables the experiment harness prints) or CSV, and
+// builds the one per-op table every workload-engine result is shown in.
 package report
 
 import (
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ocb/internal/workload"
 )
 
 // Table is a titled grid of cells.
@@ -54,6 +57,45 @@ func (t *Table) Cell(row, col int) string {
 		return ""
 	}
 	return t.rows[row][col]
+}
+
+// ResultTable builds the per-op table of one engine result — the only
+// shape a workload.Result is shown in, whichever command ran it: one row
+// per op that executed or was skipped (an op the run never reached is
+// omitted), an "all" row over the whole run, the capability skips and a
+// backend summary as notes. The title is label followed by the run's
+// headline figures.
+func ResultTable(label string, r *workload.Result) *Table {
+	t := New(fmt.Sprintf("%s — %d clients, %d ops in %s (%.1f ops/s, mean %.1f I/Os per op)",
+		label, r.Clients, r.Executed, Dur(r.Duration), r.Throughput, r.MeanIOsPerOp()),
+		"Op", "Count", "Mean µs", "P50 µs", "P95 µs", "P99 µs", "Mean objects", "Mean I/Os")
+	for i := range r.PerOp {
+		om := &r.PerOp[i]
+		if om.Count == 0 && om.Skipped == 0 {
+			continue
+		}
+		count := I64(om.Count)
+		if om.Skipped > 0 {
+			count += fmt.Sprintf(" (%d skipped)", om.Skipped)
+		}
+		t.AddRow(om.Name, count, F1(om.Response.Mean()),
+			F1(om.ResponseQ.Median()), F1(om.ResponseQ.P95()), F1(om.ResponseQ.P99()),
+			F1(om.Objects.Mean()), F1(om.IOs.Mean()))
+	}
+	t.AddRow("all", I64(r.Executed), F1(r.Total.Response.Mean()),
+		F1(r.P50()), F1(r.P95()), F1(r.P99()),
+		F1(r.Total.Objects.Mean()), F1(r.Total.IOs.Mean()))
+	for _, sk := range r.Skips {
+		t.AddNote("skip: %s", sk)
+	}
+	st := r.Backend
+	if st.Pages > 0 {
+		t.AddNote("backend: %d objects on %d pages, pool hit ratio %.2f, phase disk delta %d reads / %d writes",
+			st.Objects, st.Pages, st.Pool.HitRatio(), r.DiskDelta.TotalReads(), r.DiskDelta.TotalWrites())
+	} else {
+		t.AddNote("backend: %d objects (no page abstraction)", st.Objects)
+	}
+	return t
 }
 
 // Render writes the table as aligned text.

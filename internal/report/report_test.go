@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ocb/internal/backend"
+	"ocb/internal/workload"
 )
 
 func TestRenderAlignment(t *testing.T) {
@@ -97,5 +100,57 @@ func TestFormatters(t *testing.T) {
 	}
 	if Dur(1500*time.Millisecond) == "" || Dur(5*time.Microsecond) == "" || Dur(30*time.Nanosecond) == "" {
 		t.Fatal("Dur empty")
+	}
+}
+
+// TestResultTable renders a hand-built engine result: an op that ran, one
+// that ran and was also skipped, one that only skipped, and one the run
+// never reached.
+func TestResultTable(t *testing.T) {
+	r := &workload.Result{
+		Name:     "demo",
+		Clients:  2,
+		Executed: 5,
+		PerOp: []workload.OpMetrics{
+			{Name: "read", Count: 3},
+			{Name: "scan", Count: 2, Skipped: 1},
+			{Name: "seek", Skipped: 4},
+			{Name: "never"},
+		},
+		Skips:   []string{"seek: no ordered index"},
+		Backend: backend.Stats{Objects: 10, Pages: 4},
+	}
+	tb := ResultTable("Demo run", r)
+	if !strings.HasPrefix(tb.Title, "Demo run — 2 clients, 5 ops in ") {
+		t.Fatalf("title = %q", tb.Title)
+	}
+	want := [][2]string{{"read", "3"}, {"scan", "2 (1 skipped)"}, {"seek", "0 (4 skipped)"}, {"all", "5"}}
+	if tb.NumRows() != len(want) {
+		t.Fatalf("rows = %v, want %v (a never-run op has no row)", tb.Rows(), want)
+	}
+	for i, w := range want {
+		if tb.Cell(i, 0) != w[0] || tb.Cell(i, 1) != w[1] {
+			t.Fatalf("row %d = %q %q, want %q %q", i, tb.Cell(i, 0), tb.Cell(i, 1), w[0], w[1])
+		}
+	}
+	var sum int64
+	for _, om := range r.PerOp {
+		sum += om.Count
+	}
+	if all := tb.Cell(len(want)-1, 1); all != I64(sum) {
+		t.Fatalf("all row counts %s, per-op counts sum to %d", all, sum)
+	}
+	notes := strings.Join(tb.Notes, "\n")
+	if !strings.Contains(notes, "skip: seek: no ordered index") {
+		t.Fatalf("skip note missing: %q", notes)
+	}
+	if !strings.Contains(notes, "10 objects on 4 pages") {
+		t.Fatalf("paged backend note missing: %q", notes)
+	}
+
+	r.Backend.Pages = 0
+	notes = strings.Join(ResultTable("Demo run", r).Notes, "\n")
+	if !strings.Contains(notes, "10 objects (no page abstraction)") {
+		t.Fatalf("page-less backend note missing: %q", notes)
 	}
 }

@@ -23,8 +23,11 @@ package workload
 //   - Draw ALL randomness from ctx.Src, never from state shared across
 //     clients. Each client owns its Source; sharing one races.
 //   - Return the number of objects the op accessed. The engine times the
-//     call and samples the backend's disk counters around it — do not
-//     measure inside the op.
+//     call and samples the backend's disk counters around it. The rule,
+//     stated once: a suite never reads a clock or a disk counter; it
+//     returns an object count. workload.Run is the only thing that times
+//     a suite op, workload.Result the only schema it is reported in, and
+//     report.ResultTable the only table that shows it.
 //   - Use the Ctx scratch (ctx.Seen, ctx.Frontier/Queue/Batch) instead
 //     of allocating per-op maps and slices; the measured loop is guarded
 //     allocation-free and your op is inside it.
