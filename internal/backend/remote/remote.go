@@ -21,7 +21,7 @@
 // IOClassifier and Checker (vacuous when the hosted store lacks them) and
 // Ranger (present on the client exactly when the handshake advertises it,
 // via a wrapper type).
-// Placement, relocation, resharding and snapshotting are not forwarded —
+// Placement, relocation and snapshotting are not forwarded —
 // capability-gated experiments see the capability absent and report their
 // usual skip. Close/Reopen (backend.Durable) act on the client: Close
 // releases the pool idempotently, Reopen redials — the server's store

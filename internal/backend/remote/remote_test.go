@@ -25,11 +25,18 @@ func startServer(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serve(t, hosted, "paged")
+}
+
+// serve hosts a backend, announced as driver name, on a loopback listener
+// until the test ends, then drains the server and releases the backend.
+func serve(t *testing.T, hosted backend.Backend, name string) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.NewServer(hosted, "paged", nil)
+	srv := wire.NewServer(hosted, name, nil)
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() {
 		srv.Shutdown()

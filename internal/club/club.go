@@ -90,12 +90,14 @@ type Result struct {
 }
 
 // Run executes the CluB protocol with the given clustering policy
-// (classically DSTC) over a freshly generated OO1 database.
+// (classically DSTC) over a freshly generated OO1 database, which it
+// releases before returning (a durable store holds files).
 func Run(p Params, policy cluster.Policy) (*Result, error) {
 	db, err := oo1.Generate(p.OO1)
 	if err != nil {
 		return nil, err
 	}
+	defer backend.Shutdown(db.Store)
 	return RunOn(db, p, policy)
 }
 

@@ -13,10 +13,12 @@ import (
 // fast-path rewrite: once an executor's scratch is warm and the database
 // resident, no transaction type may allocate — per visited object or per
 // transaction — so the harness's own overhead stays out of the measured
-// response times. Every call now dispatches through the backend.Backend
-// interface, so the gate runs against each registered backend: interface
-// dispatch on the hot Access/AccessBatch path must not reintroduce
-// per-transaction allocations on any driver.
+// response times. That includes the access stream's queue: the cases
+// longer than scanBatch flush it mid-transaction and refill it. Every call
+// now dispatches through the backend.Backend interface, so the gate runs
+// against each registered backend: interface dispatch on the hot
+// Access/AccessBatch path must not reintroduce per-transaction allocations
+// on any driver.
 func TestTraversalFastPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector; allocation counts are not meaningful")
@@ -48,8 +50,10 @@ func TestTraversalFastPathAllocFree(t *testing.T) {
 			}{
 				{"set", Transaction{Type: SetAccess, Root: 1, Depth: 3}},
 				{"simple", Transaction{Type: SimpleTraversal, Root: 1, Depth: 3}},
+				{"simple/7 chunks", Transaction{Type: SimpleTraversal, Root: 1, Depth: 7}},
 				{"hierarchy", Transaction{Type: HierarchyTraversal, Root: 1, Depth: 5, RefType: 1}},
 				{"stochastic", Transaction{Type: StochasticTraversal, Root: 1, Depth: 50}},
+				{"stochastic/2 chunks", Transaction{Type: StochasticTraversal, Root: 1, Depth: 600}},
 				{"scan", Transaction{Type: ScanOp}},
 				{"range", Transaction{Type: RangeOp, Root: 1}},
 			} {

@@ -18,6 +18,11 @@ type TxType int
 // traversals on all references, hierarchy traversals always following the
 // same reference type, stochastic traversals choosing the next reference at
 // random with p(N) = 1/2^N (Markov-chain-like, after Tsangaris & Naughton).
+//
+// The object graph is client-resident (Database.Objects) and the store
+// only charges the fault, so no type's visit order depends on a store
+// reply: all four, and RangeOp, fault through the executor's one access
+// stream (see Executor) in visit order, duplicates included.
 const (
 	SetAccess TxType = iota
 	SimpleTraversal
@@ -85,11 +90,22 @@ type TxResult struct {
 // Executor runs transactions against a database on behalf of one client,
 // feeding the clustering policy's observation phase along the way.
 //
-// The executor owns reusable per-client scratch state — a
-// generation-stamped seen-set and pooled BFS frontier buffers — so the
-// transaction fast path allocates nothing per visited object: the harness's
-// own overhead stays out of the measured response times, as the benchmark
-// design demands.
+// The executor has one way to fault an object: visit queues it on the
+// access stream and flush ships the queue through Store.AccessBatch, at
+// scanBatch entries and at the end of the transaction. A traversal
+// therefore waits for the store once per scanBatch objects instead of once
+// per object, which is exact because (a) AccessBatch charges what the same
+// sequence of Access calls would, in the same order; (b) the graph lock is
+// held from the first visit to the last flush, so no queued OID can be
+// deleted underneath it; (c) policy observers only count, so replaying
+// ObserveRoot/ObserveLink for the completed prefix after the batch, in
+// visit order, leaves the policy in the state per-object calls would have.
+//
+// The executor owns reusable per-client scratch state — the stream's
+// buffers, a generation-stamped seen-set and pooled BFS frontier buffers —
+// so the transaction fast path allocates nothing per visited object: the
+// harness's own overhead stays out of the measured response times, as the
+// benchmark design demands.
 type Executor struct {
 	DB *Database
 	// Policy receives ObserveLink/ObserveRoot/EndTransaction callbacks;
@@ -98,15 +114,24 @@ type Executor struct {
 	// Src drives the stochastic traversal's random choices.
 	Src *lewis.Source
 
+	// pending is the access stream: the OIDs queued since the last flush,
+	// in visit order, with pendingFrom[i] the object pending[i] was reached
+	// from (NilOID for a root, unobserved for a fault the policy is not
+	// told about). Both hold at most scanBatch entries.
+	pending     []backend.OID
+	pendingFrom []backend.OID
+	// accessed counts the objects the current transaction's flushes
+	// completed.
+	accessed int
+
 	// seen deduplicates set-access visits; reset is O(1) via generation
 	// stamping instead of reallocating a map per transaction (the scratch
 	// now lives in the workload engine, shared by every suite).
 	seen workload.SeenSet
-	// frontier/next are the BFS level buffers, swapped each level;
-	// nextFrom records each discovery's parent for policy observation.
+	// frontier/next are the BFS level buffers, swapped each level. They
+	// order the breadth-first walk, not its faults.
 	frontier []backend.OID
 	next     []backend.OID
-	nextFrom []backend.OID
 }
 
 // NewExecutor returns an executor for db feeding policy (may be nil).
@@ -197,29 +222,32 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 		}
 	}
 
-	var accessed int
+	e.accessed = 0
 	var err error
 	switch tx.Type {
 	case SetAccess:
-		accessed, err = e.setAccess(tx.Root, tx.Depth, tx.Reverse)
+		err = e.setAccess(tx.Root, tx.Depth, tx.Reverse)
 	case SimpleTraversal:
-		accessed, err = e.simple(tx.Root, tx.Depth, tx.Reverse)
+		err = e.simple(tx.Root, tx.Depth, tx.Reverse)
 	case HierarchyTraversal:
-		accessed, err = e.hierarchy(tx.Root, tx.Depth, tx.RefType, tx.Reverse)
+		err = e.hierarchy(tx.Root, tx.Depth, tx.RefType, tx.Reverse)
 	case StochasticTraversal:
-		accessed, err = e.stochastic(tx.Root, tx.Depth, tx.Reverse)
+		err = e.stochastic(tx.Root, tx.Depth, tx.Reverse)
 	case UpdateOp:
-		accessed, err = e.update(tx.Root)
+		e.accessed, err = e.update(tx.Root)
 	case InsertOp:
-		accessed, err = e.insert()
+		e.accessed, err = e.insert()
 	case DeleteOp:
-		accessed, err = e.delete(tx.Root)
+		e.accessed, err = e.delete(tx.Root)
 	case ScanOp:
-		accessed, err = e.scan()
+		e.accessed, err = e.scan()
 	case RangeOp:
-		accessed, err = e.rangeLookup(tx.Root)
+		err = e.rangeLookup(tx.Root)
 	default:
 		return 0, fmt.Errorf("ocb: unknown transaction type %v", tx.Type)
+	}
+	if err == nil {
+		err = e.flush()
 	}
 	if err != nil {
 		return 0, err
@@ -227,161 +255,173 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 	if e.Policy != nil {
 		e.Policy.EndTransaction()
 	}
-	return accessed, nil
+	return e.accessed, nil
 }
 
-// visit faults the object and notifies the policy of the crossing from
-// src (NilOID for roots).
+// unobserved in the parent slot of a queued fault keeps flush from
+// reporting it to the policy. No object has this OID: identifiers are
+// dense from 1.
+const unobserved = ^backend.OID(0)
+
+// visit queues the fault of object to, reached from object from (NilOID
+// for a root), on the access stream, flushing it when it holds scanBatch
+// entries.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) visit(from, to backend.OID) error {
-	if err := e.DB.Store.Access(to); err != nil {
-		return err
+	e.pending = append(e.pending, to)
+	e.pendingFrom = append(e.pendingFrom, from)
+	if len(e.pending) < scanBatch {
+		return nil
 	}
-	if e.Policy != nil {
-		if from == backend.NilOID {
-			e.Policy.ObserveRoot(to)
-		} else {
-			e.Policy.ObserveLink(from, to)
-		}
-	}
-	return nil
+	return e.flush()
 }
 
-// discover marks a successor as seen and queues it for the level's batched
-// access, remembering the parent link for policy observation.
+// flush faults the queued objects through one Store.AccessBatch call, in
+// visit order, replays the policy observations of the prefix that
+// completed, adds that prefix to the transaction's object count and
+// empties the queue. On error the rest of the queue is dropped: the
+// transaction is over.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) discover(from, to backend.OID) {
+func (e *Executor) flush() error {
+	if len(e.pending) == 0 {
+		return nil
+	}
+	n, err := e.DB.Store.AccessBatch(e.pending)
+	if e.Policy != nil {
+		for i, to := range e.pending[:n] {
+			switch from := e.pendingFrom[i]; from {
+			case unobserved:
+			case backend.NilOID:
+				e.Policy.ObserveRoot(to)
+			default:
+				e.Policy.ObserveLink(from, to)
+			}
+		}
+	}
+	e.accessed += n
+	e.pending = e.pending[:0]
+	e.pendingFrom = e.pendingFrom[:0]
+	return err
+}
+
+// discover marks a successor as seen, queues its fault and adds it to the
+// next breadth-first level.
+//
+//ocblint:allocfree -- steady-state hot path
+func (e *Executor) discover(from, to backend.OID) error {
 	if !e.seen.Add(to) {
-		return
+		return nil
 	}
 	e.next = append(e.next, to)
-	e.nextFrom = append(e.nextFrom, from)
+	return e.visit(from, to)
 }
 
 // setAccess is the set-oriented access: breadth-first on all the
 // references, up to depth hops, with set semantics (each object accessed
-// once — the breadth-first result is a set of qualifying objects). Each
-// level's discoveries are faulted through Store.AccessBatch — the page
-// faults land in exactly the discovery order sequential Access calls would
-// have used, so single-client measurements are unchanged — and the frontier
-// buffers and seen-set are the executor's reusable scratch.
+// once — the breadth-first result is a set of qualifying objects). The
+// faults are queued in discovery order; the frontier buffers and seen-set
+// are the executor's reusable scratch.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) (int, error) {
+func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) error {
 	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+		return fmt.Errorf("ocb: bad root %d", root)
 	}
 	e.seen.Reset(len(e.DB.Objects))
 	e.seen.Add(root)
 	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
+		return err
 	}
-	accessed := 1
 	e.frontier = append(e.frontier[:0], root)
 	for level := 0; level < depth && len(e.frontier) > 0; level++ {
 		e.next = e.next[:0]
-		e.nextFrom = e.nextFrom[:0]
 		for _, oid := range e.frontier {
 			obj := e.DB.Object(oid)
 			if reverse {
 				for _, succ := range obj.BackRef {
-					e.discover(oid, succ)
-				}
-			} else {
-				for _, succ := range obj.ORef {
-					if succ != backend.NilOID {
-						e.discover(oid, succ)
+					if err := e.discover(oid, succ); err != nil {
+						return err
 					}
 				}
+				continue
 			}
-		}
-		n, err := e.DB.Store.AccessBatch(e.next)
-		if e.Policy != nil {
-			for i := 0; i < n; i++ {
-				e.Policy.ObserveLink(e.nextFrom[i], e.next[i])
+			for _, succ := range obj.ORef {
+				if succ == backend.NilOID {
+					continue
+				}
+				if err := e.discover(oid, succ); err != nil {
+					return err
+				}
 			}
-		}
-		accessed += n
-		if err != nil {
-			return accessed, err
 		}
 		e.frontier, e.next = e.next, e.frontier
 	}
-	return accessed, nil
+	return nil
 }
 
 // simple is the simple traversal: depth-first on all the references up to
 // depth hops, duplicates allowed (as in OO1's part tree exploration).
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) simple(root backend.OID, depth int, reverse bool) (int, error) {
+func (e *Executor) simple(root backend.OID, depth int, reverse bool) error {
 	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+		return fmt.Errorf("ocb: bad root %d", root)
 	}
 	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
+		return err
 	}
-	n, err := e.simpleDFS(root, depth, reverse)
-	return 1 + n, err
+	return e.simpleDFS(root, depth, reverse)
 }
 
 // simpleDFS walks all references of oid depth-first for remaining more
 // hops, iterating reference slots in place (no successor slice is
-// materialized) and returning how many objects it accessed.
+// materialized).
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) (int, error) {
+func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error {
 	if remaining == 0 {
-		return 0, nil
+		return nil
 	}
 	obj := e.DB.Object(oid)
-	n := 0
 	if reverse {
 		for _, succ := range obj.BackRef {
 			if err := e.visit(oid, succ); err != nil {
-				return n, err
+				return err
 			}
-			n++
-			c, err := e.simpleDFS(succ, remaining-1, reverse)
-			n += c
-			if err != nil {
-				return n, err
+			if err := e.simpleDFS(succ, remaining-1, reverse); err != nil {
+				return err
 			}
 		}
-		return n, nil
+		return nil
 	}
 	for _, succ := range obj.ORef {
 		if succ == backend.NilOID {
 			continue
 		}
 		if err := e.visit(oid, succ); err != nil {
-			return n, err
+			return err
 		}
-		n++
-		c, err := e.simpleDFS(succ, remaining-1, reverse)
-		n += c
-		if err != nil {
-			return n, err
+		if err := e.simpleDFS(succ, remaining-1, reverse); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // hierarchy is the hierarchy traversal: depth-first always following the
 // same type of reference.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) hierarchy(root backend.OID, depth, refType int, reverse bool) (int, error) {
+func (e *Executor) hierarchy(root backend.OID, depth, refType int, reverse bool) error {
 	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+		return fmt.Errorf("ocb: bad root %d", root)
 	}
 	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
+		return err
 	}
-	n, err := e.hierarchyDFS(root, depth, refType, reverse)
-	return 1 + n, err
+	return e.hierarchyDFS(root, depth, refType, reverse)
 }
 
 // hierarchyDFS walks the references of oid whose declared type is refType,
@@ -391,12 +431,11 @@ func (e *Executor) hierarchy(root backend.OID, depth, refType int, reverse bool)
 // successor slice is materialized.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse bool) (int, error) {
+func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse bool) error {
 	if remaining == 0 {
-		return 0, nil
+		return nil
 	}
 	obj := e.DB.Object(oid)
-	n := 0
 	if reverse {
 		for _, from := range obj.BackRef {
 			fobj := e.DB.Object(from)
@@ -412,16 +451,13 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 				continue
 			}
 			if err := e.visit(oid, from); err != nil {
-				return n, err
+				return err
 			}
-			n++
-			c, err := e.hierarchyDFS(from, remaining-1, refType, reverse)
-			n += c
-			if err != nil {
-				return n, err
+			if err := e.hierarchyDFS(from, remaining-1, refType, reverse); err != nil {
+				return err
 			}
 		}
-		return n, nil
+		return nil
 	}
 	class := e.DB.Schema.Class(obj.Class)
 	for k, succ := range obj.ORef {
@@ -429,16 +465,13 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 			continue
 		}
 		if err := e.visit(oid, succ); err != nil {
-			return n, err
+			return err
 		}
-		n++
-		c, err := e.hierarchyDFS(succ, remaining-1, refType, reverse)
-		n += c
-		if err != nil {
-			return n, err
+		if err := e.hierarchyDFS(succ, remaining-1, refType, reverse); err != nil {
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // stochastic is the stochastic traversal: a random walk of depth steps
@@ -449,14 +482,13 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 // stops early at objects without references.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) (int, error) {
+func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) error {
 	if e.DB.Object(root) == nil {
-		return 0, fmt.Errorf("ocb: bad root %d", root)
+		return fmt.Errorf("ocb: bad root %d", root)
 	}
 	if err := e.visit(backend.NilOID, root); err != nil {
-		return 0, err
+		return err
 	}
-	accessed := 1
 	cur := root
 	for step := 0; step < depth; step++ {
 		obj := e.DB.Object(cur)
@@ -497,12 +529,11 @@ func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) (int, e
 			}
 		}
 		if err := e.visit(cur, next); err != nil {
-			return accessed, err
+			return err
 		}
-		accessed++
 		cur = next
 	}
-	return accessed, nil
+	return nil
 }
 
 // update modifies one object in place and commits — the update operation
@@ -551,9 +582,9 @@ func (e *Executor) delete(root backend.OID) (int, error) {
 	return touched, nil
 }
 
-// scanBatch bounds how many objects one AccessBatch call covers during a
-// scan, so a whole-database scan does not pin store locks for its full
-// duration.
+// scanBatch bounds how many objects one AccessBatch call covers, on the
+// access stream and during a scan, so neither pins store locks for a whole
+// traversal nor grows a request frame with the database.
 const scanBatch = 512
 
 // scan visits every live object in OID order — HyperModel's Sequential
@@ -584,27 +615,29 @@ func (e *Executor) scan() (int, error) {
 
 // rangeLookup visits the live objects whose OID falls within a 1%-of-NO
 // window starting at the root — HyperModel's Range Lookup analogue over
-// the object identifier attribute.
+// the object identifier attribute. The policy is told of the root alone,
+// once the window's faults completed — hence the flush of its own.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) rangeLookup(root backend.OID) (int, error) {
+func (e *Executor) rangeLookup(root backend.OID) error {
 	width := e.DB.P.NO / 100
 	if width < 1 {
 		width = 1
 	}
-	n := 0
 	for i := 0; i < width; i++ {
 		oid := root + backend.OID(i)
 		if e.DB.Object(oid) == nil {
 			continue
 		}
-		if err := e.DB.Store.Access(oid); err != nil {
-			return n, err
+		if err := e.visit(unobserved, oid); err != nil {
+			return err
 		}
-		n++
+	}
+	if err := e.flush(); err != nil {
+		return err
 	}
 	if e.Policy != nil {
 		e.Policy.ObserveRoot(root)
 	}
-	return n, nil
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ocb/internal/club"
 	"ocb/internal/core"
 	"ocb/internal/report"
 	"ocb/internal/scenarios"
@@ -285,15 +286,20 @@ func TestRelatedWorkSuites(t *testing.T) {
 // TestScenarioExperimentsReleaseTheirBackends is the leak regression: an
 // ephemeral waldisk store keeps a scratch directory under TMPDIR until
 // it is shut down, so the directory is empty again only if every
-// scenario the experiments build is closed.
+// scenario the experiments build is closed — and club.Run's generated
+// database with them (a nil policy: waldisk cannot relocate, which is
+// how table4 used to leak on it).
 func TestScenarioExperimentsReleaseTheirBackends(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	c := Config{Quick: true, Backend: "waldisk"}
-	for _, run := range []func(Config) (*report.Table, error){Scenarios, OO1Suite} {
+	for _, run := range []func(Config) (*report.Table, error){Scenarios, OO1Suite, Genericity} {
 		if _, err := run(c); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := club.Run(club.Params{OO1: c.clubOO1Params(), Roots: 3, Repeats: 1}, nil); err != nil {
+		t.Fatal(err)
 	}
 	left, err := os.ReadDir(tmp)
 	if err != nil {

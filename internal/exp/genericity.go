@@ -59,40 +59,9 @@ func Genericity(c Config) (*report.Table, error) {
 	}
 	signature := -1
 	for _, name := range names {
-		p := c.mimicParams()
-		p.Backend = name
-		if name != c.backendName() {
-			// -backend-opt settings belong to the selected driver; other
-			// rows open their driver with its defaults.
-			p.BackendOptions = nil
-		}
-		rowName := name
-		if backend.InfoOf(name).Remote {
-			// A remote driver has no store of its own: spin up a loopback
-			// server hosting the default backend (same geometry as the
-			// in-process rows) and aim the row at it. The row then prices
-			// the wire — serialization and round trips on top of the
-			// hosted store's own faulting cost.
-			addr, stop, err := serveLoopback(p)
-			if err != nil {
-				return nil, fmt.Errorf("genericity %s: %w", name, err)
-			}
-			defer stop()
-			p.BackendOptions = map[string]string{"addr": addr}
-			rowName = fmt.Sprintf("%s(%s)", name, backend.DefaultName)
-		}
-		db, err := core.Generate(p)
+		row, visited, err := genericityRow(c, name, n, reps)
 		if err != nil {
 			return nil, fmt.Errorf("genericity %s: %w", name, err)
-		}
-		// Durable backends own files (an ephemeral waldisk holds a
-		// scratch directory); release every row's store — the error
-		// paths included — when the experiment returns.
-		defer db.Close()
-
-		visited, err := oo1Signature(p, db)
-		if err != nil {
-			return nil, fmt.Errorf("genericity %s: signature traversal: %w", name, err)
 		}
 		if signature == -1 {
 			signature = visited
@@ -100,46 +69,88 @@ func Genericity(c Config) (*report.Table, error) {
 			return nil, fmt.Errorf("genericity violated: backend %s visits %d objects, others visit %d",
 				name, visited, signature)
 		}
-
-		// One measured phase of the recurring workload, then the CluB
-		// replay protocol with DSTC — or a clearly reported skip when the
-		// backend cannot relocate.
-		db.Store.DropCache()
-		db.Store.ResetStats()
-		m, err := core.NewRunner(db, nil).RunPhase("measure", n, 771+c.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("genericity %s: %w", name, err)
-		}
-		// Check the capability up front: the replay protocol's observation
-		// phases are wasted work when the backend cannot relocate anyway.
-		gain := "skipped (no Relocator)"
-		if _, err := backend.AsRelocator(db.Store); err == nil {
-			res, err := replay(db, clubDSTC(), n, reps, 771+c.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("genericity %s: clustering: %w", name, err)
-			}
-			gain = report.F2(res.Gain)
-		}
-
-		// The ordered-index columns: zipfian point lookups and OID range
-		// scans through the Ranger capability, or a clearly reported skip
-		// when the backend keeps no index.
-		point, scan := "skipped (no Ranger)", "skipped (no Ranger)"
-		if rg, err := backend.AsRanger(db.Store); err == nil {
-			pt, sc, err := queryProfile(rg, db.Store, p.NO, n, 771+c.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("genericity %s: query profile: %w", name, err)
-			}
-			point, scan = report.F1(pt), report.F1(sc)
-		}
-
-		t.AddRow(rowName, report.Int(visited), report.F1(m.Total.Objects.Mean()),
-			report.F1(m.MeanIOsPerOp()), report.F1(m.Total.Response.Mean()), point, scan, gain)
+		t.AddRow(row...)
 	}
 	t.AddNote("identical workload seed per row; the visited-object signature is backend-invariant by construction")
 	t.AddNote("flatmem is the infinitely-fast-I/O control: zero I/Os isolate navigation cost from faulting cost")
 	t.AddNote("the remote row runs the hosted backend behind a loopback TCP server: its I/O and response columns include real serialization and round-trip cost")
 	return t, nil
+}
+
+// genericityRow measures one backend for Genericity and returns its table
+// row and visited-object signature. The row's store — and, for a remote
+// driver, the loopback server it is aimed at — live exactly as long as the
+// row: durable backends own files (an ephemeral waldisk holds a scratch
+// directory), so each is released here, error paths included, not when
+// the whole experiment returns.
+func genericityRow(c Config, name string, n, reps int) (row []string, visited int, err error) {
+	p := c.mimicParams()
+	p.Backend = name
+	if name != c.backendName() {
+		// -backend-opt settings belong to the selected driver; other
+		// rows open their driver with its defaults.
+		p.BackendOptions = nil
+	}
+	rowName := name
+	if backend.InfoOf(name).Remote {
+		// A remote driver has no store of its own: spin up a loopback
+		// server hosting the default backend (same geometry as the
+		// in-process rows) and aim the row at it. The row then prices
+		// the wire — serialization and round trips on top of the
+		// hosted store's own faulting cost.
+		addr, stop, err := serveLoopback(p)
+		if err != nil {
+			return nil, 0, err
+		}
+		defer stop()
+		p.BackendOptions = map[string]string{"addr": addr}
+		rowName = fmt.Sprintf("%s(%s)", name, backend.DefaultName)
+	}
+	db, err := core.Generate(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer db.Close()
+
+	visited, err = oo1Signature(p, db)
+	if err != nil {
+		return nil, 0, fmt.Errorf("signature traversal: %w", err)
+	}
+
+	// One measured phase of the recurring workload, then the CluB
+	// replay protocol with DSTC — or a clearly reported skip when the
+	// backend cannot relocate.
+	db.Store.DropCache()
+	db.Store.ResetStats()
+	m, err := core.NewRunner(db, nil).RunPhase("measure", n, 771+c.Seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Check the capability up front: the replay protocol's observation
+	// phases are wasted work when the backend cannot relocate anyway.
+	gain := "skipped (no Relocator)"
+	if _, err := backend.AsRelocator(db.Store); err == nil {
+		res, err := replay(db, clubDSTC(), n, reps, 771+c.Seed)
+		if err != nil {
+			return nil, 0, fmt.Errorf("clustering: %w", err)
+		}
+		gain = report.F2(res.Gain)
+	}
+
+	// The ordered-index columns: zipfian point lookups and OID range
+	// scans through the Ranger capability, or a clearly reported skip
+	// when the backend keeps no index.
+	point, scan := "skipped (no Ranger)", "skipped (no Ranger)"
+	if rg, err := backend.AsRanger(db.Store); err == nil {
+		pt, sc, err := queryProfile(rg, db.Store, p.NO, n, 771+c.Seed)
+		if err != nil {
+			return nil, 0, fmt.Errorf("query profile: %w", err)
+		}
+		point, scan = report.F1(pt), report.F1(sc)
+	}
+
+	return []string{rowName, report.Int(visited), report.F1(m.Total.Objects.Mean()),
+		report.F1(m.MeanIOsPerOp()), report.F1(m.Total.Response.Mean()), point, scan, gain}, visited, nil
 }
 
 // queryProfile measures the ordered-index face of a backend: the mean

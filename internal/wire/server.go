@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"log"
@@ -133,6 +134,11 @@ func (s *Server) Shutdown() {
 // protocol violation occurs, or the server drains.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	// One read syscall fetches a request's length prefix and payload
+	// together. The buffer is small on purpose: requests are tens of
+	// bytes, a batch larger than it is read straight into rbuf, and every
+	// connection carries one.
+	br := bufio.NewReaderSize(conn, 4<<10)
 	var (
 		rbuf  []byte // frame read buffer, reused
 		out   Buf    // response frame, reused
@@ -140,7 +146,7 @@ func (s *Server) handle(conn net.Conn) {
 		opTag uint8
 	)
 	for {
-		tag, payload, grown, err := ReadFrame(conn, rbuf)
+		tag, payload, grown, err := ReadFrame(br, rbuf)
 		rbuf = grown
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
