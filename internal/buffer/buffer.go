@@ -92,18 +92,34 @@ var ErrZeroCapacity = errors.New("buffer: pool capacity must be >= 1")
 
 // Pool is a bounded page cache. It is not safe for concurrent use; the
 // store serializes access (matching the single disk arm of the testbed).
+//
+// The frame table is a slice indexed by page id (the disk issues ids
+// densely from 1 and never reuses them), so the residency check is a bounds
+// check and a load — the software stand-in for the MMU lookup of a
+// memory-mapped store. It costs 8 bytes per page id the pool has ever
+// admitted, resident or not. Only a page the disk handed over grows it: an
+// id from outside is bounds-checked and reported absent.
 type Pool struct {
 	d        *disk.Disk
 	capacity int
 	policy   Policy
-	frames   map[disk.PageID]*frame
-	sentinel *frame // circular list anchor
-	hand     *frame // clock hand; nil when list empty
+	shift    uint     // frames index = id >> shift (log2 of the Sharded shard count)
+	frames   []*frame // nil = not resident
+	resident int      // non-nil entries of frames
+	sentinel *frame   // circular list anchor
+	hand     *frame   // clock hand; nil when list empty
+	spare    *frame   // the last victim, reused by the next admit
 	stats    Stats
 }
 
 // New returns a pool over d holding at most capacity pages.
 func New(d *disk.Disk, capacity int, policy Policy) (*Pool, error) {
+	return newPool(d, capacity, policy, 0)
+}
+
+// newPool is New for one of 1<<shift sub-pools of a Sharded: the ids it is
+// handed agree in their low shift bits, so id >> shift indexes them densely.
+func newPool(d *disk.Disk, capacity int, policy Policy, shift uint) (*Pool, error) {
 	if capacity < 1 {
 		return nil, ErrZeroCapacity
 	}
@@ -113,31 +129,38 @@ func New(d *disk.Disk, capacity int, policy Policy) (*Pool, error) {
 		d:        d,
 		capacity: capacity,
 		policy:   policy,
-		frames:   make(map[disk.PageID]*frame),
+		shift:    shift,
 		sentinel: s,
 	}, nil
+}
+
+// lookup returns id's frame, nil when the page is not resident.
+func (p *Pool) lookup(id disk.PageID) *frame {
+	if i := uint64(id >> p.shift); i < uint64(len(p.frames)) {
+		return p.frames[i]
+	}
+	return nil
 }
 
 // Capacity returns the maximum number of resident pages.
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the current number of resident pages.
-func (p *Pool) Len() int { return len(p.frames) }
+func (p *Pool) Len() int { return p.resident }
 
 // Policy returns the replacement policy.
 func (p *Pool) Policy() Policy { return p.policy }
 
 // Contains reports residency without touching replacement state.
 func (p *Pool) Contains(id disk.PageID) bool {
-	_, ok := p.frames[id]
-	return ok
+	return p.lookup(id) != nil
 }
 
 // Get returns the page, faulting it in from disk on a miss. A miss charges
 // one disk read; if the pool is full, a victim is evicted first (one disk
 // write if it was dirty).
 func (p *Pool) Get(id disk.PageID) (*disk.Page, error) {
-	if f, ok := p.frames[id]; ok {
+	if f := p.lookup(id); f != nil {
 		p.stats.Hits++
 		p.touch(f)
 		return f.page, nil
@@ -156,8 +179,8 @@ func (p *Pool) Get(id disk.PageID) (*disk.Page, error) {
 // GetIfResident returns the page only if it is already resident,
 // counting neither a hit nor a miss.
 func (p *Pool) GetIfResident(id disk.PageID) (*disk.Page, bool) {
-	f, ok := p.frames[id]
-	if !ok {
+	f := p.lookup(id)
+	if f == nil {
 		return nil, false
 	}
 	return f.page, true
@@ -167,7 +190,7 @@ func (p *Pool) GetIfResident(id disk.PageID) (*disk.Page, bool) {
 // read (there is nothing to read yet); it is immediately dirty. Used for
 // creation-order placement of new objects.
 func (p *Pool) Install(pg *disk.Page) error {
-	if f, ok := p.frames[pg.ID]; ok {
+	if f := p.lookup(pg.ID); f != nil {
 		f.dirty = true
 		p.touch(f)
 		return nil
@@ -178,14 +201,15 @@ func (p *Pool) Install(pg *disk.Page) error {
 // MarkDirty flags a resident page as modified. It is a no-op for
 // non-resident pages.
 func (p *Pool) MarkDirty(id disk.PageID) {
-	if f, ok := p.frames[id]; ok {
+	if f := p.lookup(id); f != nil {
 		f.dirty = true
 	}
 }
 
-// FlushAll writes every dirty resident page to disk (commit).
+// FlushAll writes every dirty resident page to disk (commit), in ring order
+// from the front, so which pages a failed flush left dirty is repeatable.
 func (p *Pool) FlushAll() error {
-	for _, f := range p.frames {
+	for f := p.sentinel.next; f != p.sentinel; f = f.next {
 		if !f.dirty {
 			continue
 		}
@@ -202,16 +226,18 @@ func (p *Pool) FlushAll() error {
 // not. Used when a page has been rewritten or freed behind the pool's back
 // (physical reorganization).
 func (p *Pool) Discard(id disk.PageID) {
-	if f, ok := p.frames[id]; ok {
-		p.unlink(f)
-		delete(p.frames, id)
+	if f := p.lookup(id); f != nil {
+		p.remove(f)
 	}
 }
 
 // DropAll empties the pool without any write-back. It simulates a cache
 // cold start (e.g. system restart between benchmark phases).
 func (p *Pool) DropAll() {
-	p.frames = make(map[disk.PageID]*frame)
+	for f := p.sentinel.next; f != p.sentinel; f = f.next {
+		p.frames[f.page.ID>>p.shift] = nil
+	}
+	p.resident = 0
 	p.sentinel.prev, p.sentinel.next = p.sentinel, p.sentinel
 	p.hand = nil
 }
@@ -222,7 +248,7 @@ func (p *Pool) Resize(capacity int) error {
 		return ErrZeroCapacity
 	}
 	p.capacity = capacity
-	for len(p.frames) > p.capacity {
+	for p.resident > p.capacity {
 		if err := p.evictOne(); err != nil {
 			return err
 		}
@@ -236,11 +262,12 @@ func (p *Pool) Stats() Stats { return p.stats }
 // ResetStats zeroes the pool counters.
 func (p *Pool) ResetStats() { p.stats = Stats{} }
 
-// ResidentPages returns ids of all resident pages (order unspecified).
+// ResidentPages returns ids of all resident pages in ring order from the
+// front (for LRU, most recently used first).
 func (p *Pool) ResidentPages() []disk.PageID {
-	ids := make([]disk.PageID, 0, len(p.frames))
-	for id := range p.frames {
-		ids = append(ids, id)
+	ids := make([]disk.PageID, 0, p.resident)
+	for f := p.sentinel.next; f != p.sentinel; f = f.next {
+		ids = append(ids, f.page.ID)
 	}
 	return ids
 }
@@ -258,16 +285,27 @@ func (p *Pool) touch(f *frame) {
 	}
 }
 
-// admit inserts pg, evicting if full.
+// admit inserts pg, evicting if full. The evicted victim's frame is the one
+// the page moves into, so a fault on a full pool allocates nothing.
 func (p *Pool) admit(pg *disk.Page, dirty bool) error {
-	for len(p.frames) >= p.capacity {
+	for p.resident >= p.capacity {
 		if err := p.evictOne(); err != nil {
 			return err
 		}
 	}
-	f := &frame{page: pg, dirty: dirty, ref: true}
+	f := p.spare
+	if f == nil {
+		f = &frame{}
+	}
+	p.spare = nil
+	*f = frame{page: pg, dirty: dirty, ref: true}
 	p.pushFront(f)
-	p.frames[pg.ID] = f
+	i := int(pg.ID >> p.shift)
+	if n := i + 1 - len(p.frames); n > 0 {
+		p.frames = append(p.frames, make([]*frame, n)...)
+	}
+	p.frames[i] = f
+	p.resident++
 	if p.hand == nil {
 		p.hand = f
 	}
@@ -301,9 +339,17 @@ func (p *Pool) evictOne() error {
 		p.stats.DirtyEvictions++
 	}
 	p.stats.Evictions++
-	p.unlink(victim)
-	delete(p.frames, victim.page.ID)
+	p.remove(victim)
+	victim.page = nil // let go of the page; the frame itself is kept
+	p.spare = victim
 	return nil
+}
+
+// remove takes a resident frame off the ring and out of the frame table.
+func (p *Pool) remove(f *frame) {
+	p.unlink(f)
+	p.frames[f.page.ID>>p.shift] = nil
+	p.resident--
 }
 
 // pushFront inserts f right after the sentinel.

@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +311,124 @@ func mustGet(t *testing.T, p *Pool, id disk.PageID) {
 	t.Helper()
 	if _, err := p.Get(id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOutsideIDsNeverGrowFrameTable: only a page the disk handed over sizes
+// the frame table; an id from outside is absent, whatever its value.
+func TestOutsideIDsNeverGrowFrameTable(t *testing.T) {
+	d, ids := newDisk(t, 4)
+	p, _ := New(d, 2, LRU)
+	for _, id := range ids {
+		mustGet(t, p, id)
+	}
+	want := len(p.frames)
+	for _, id := range []disk.PageID{0, 1 << 20, 1 << 31, ^disk.PageID(0)} {
+		if p.Contains(id) {
+			t.Fatalf("Contains(%d) = true", id)
+		}
+		if _, ok := p.GetIfResident(id); ok {
+			t.Fatalf("GetIfResident(%d) found a page", id)
+		}
+		if _, err := p.Get(id); !errors.Is(err, disk.ErrNoSuchPage) {
+			t.Fatalf("Get(%d) = %v, want ErrNoSuchPage", id, err)
+		}
+		p.MarkDirty(id)
+		p.Discard(id)
+		if len(p.frames) != want {
+			t.Fatalf("id %d grew the frame table to %d entries, want %d", id, len(p.frames), want)
+		}
+	}
+	if p.Len() != 2 {
+		t.Fatalf("len = %d after absent lookups, want 2", p.Len())
+	}
+}
+
+// TestFlushAllFailureIsRepeatable injects a write failure on the k-th page
+// FlushAll writes and checks that the same pages were cleaned on two
+// identically prepared pools, for every k: the flush walks the ring.
+func TestFlushAllFailureIsRepeatable(t *testing.T) {
+	boom := errors.New("boom")
+	run := func(k int) []disk.PageID {
+		d, ids := newDisk(t, 12)
+		p, _ := New(d, 12, LRU)
+		for _, id := range ids {
+			mustGet(t, p, id)
+			p.MarkDirty(id)
+		}
+		mustGet(t, p, ids[5]) // any ring order but the order of ids
+		var written []disk.PageID
+		d.FailureHook = func(op disk.Op, id disk.PageID) error {
+			if op == disk.OpWrite && len(written) == k {
+				return boom
+			}
+			written = append(written, id)
+			return nil
+		}
+		if err := p.FlushAll(); !errors.Is(err, boom) {
+			t.Fatalf("k=%d: FlushAll = %v, want the injected failure", k, err)
+		}
+		for _, id := range ids {
+			if clean := !p.lookup(id).dirty; clean != slices.Contains(written, id) {
+				t.Fatalf("k=%d: page %d clean = %v, written = %v", k, id, clean, written)
+			}
+		}
+		return written
+	}
+	for k := 0; k < 12; k++ {
+		a, b := run(k), run(k)
+		if len(a) != k || !slices.Equal(a, b) {
+			t.Fatalf("k=%d: first run cleaned %v, second %v", k, a, b)
+		}
+	}
+}
+
+// fullPool returns a full pool and twice its capacity in page ids, so that
+// cycling through them misses and evicts on every Get.
+func fullPool(tb testing.TB, capacity int) (*Pool, []disk.PageID) {
+	d := disk.New(0)
+	ids := make([]disk.PageID, 2*capacity)
+	for i := range ids {
+		ids[i] = d.Allocate().ID
+	}
+	p, err := New(d, capacity, LRU)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, err := p.Get(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p, ids
+}
+
+// TestGetMissAllocFree: a fault on a full pool moves the page into the
+// frame its victim left.
+func TestGetMissAllocFree(t *testing.T) {
+	p, ids := fullPool(t, 64)
+	i := 0
+	avg := testing.AllocsPerRun(10*len(ids), func() {
+		if _, err := p.Get(ids[i%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("Get on a full pool allocates %.2f per miss, want 0", avg)
+	}
+	if st := p.Stats(); st.Hits != 0 || st.Evictions != st.Misses-64 {
+		t.Fatalf("the cycle did not miss and evict every time: %+v", st)
+	}
+}
+
+func BenchmarkPoolGetMiss(b *testing.B) {
+	p, ids := fullPool(b, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Get(ids[i%len(ids)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

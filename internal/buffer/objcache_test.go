@@ -19,7 +19,7 @@ func TestObjectCacheConstruction(t *testing.T) {
 	for _, tc := range []struct {
 		shards, want int
 	}{{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 2}, {7, 4}, {8, 8}} {
-		c, err := NewObjectCache(1 << 20, tc.shards)
+		c, err := NewObjectCache(1<<20, tc.shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"ocb/internal/disk"
@@ -22,7 +23,8 @@ const (
 )
 
 // Sharded is a page cache partitioned into independently locked sub-pools.
-// Page ids map to shards by hash, so concurrent benchmark clients faulting
+// The low bits of a page id select its shard (the remaining bits index that
+// sub-pool's frame table), so concurrent benchmark clients faulting
 // disjoint pages proceed in parallel instead of serializing on one pool
 // lock; two clients faulting the same page still serialize on its shard,
 // which is what keeps every page read at most once per residency.
@@ -59,8 +61,9 @@ func NewSharded(d *disk.Disk, capacity int, policy Policy, shards int) (*Sharded
 		mask:   uint32(n - 1),
 		policy: policy,
 	}
+	shift := uint(bits.TrailingZeros(uint(n)))
 	for i := range s.shards {
-		p, err := New(d, shardCapacity(capacity, n, i), policy)
+		p, err := newPool(d, shardCapacity(capacity, n, i), policy, shift)
 		if err != nil {
 			return nil, err
 		}

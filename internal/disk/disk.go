@@ -23,7 +23,6 @@ package disk
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -156,10 +155,15 @@ var (
 // Disk is a simulated paged storage device. It is safe for concurrent use;
 // page lookups take a shared lock and counters are atomic, so concurrent
 // readers proceed in parallel.
+//
+// Page ids are issued densely from 1 and never reused, so the catalogue is
+// a slice indexed by id (slot 0 unused, nil = freed): 8 bytes per id ever
+// issued, and a lookup is a bounds check, not a hash probe.
 type Disk struct {
-	mu       sync.RWMutex // guards pages and next
+	mu       sync.RWMutex // guards pages, live and next
 	pageSize int
-	pages    map[PageID]*Page
+	pages    []*Page // indexed by PageID; len(pages) == next
+	live     int     // non-nil entries of pages
 	next     PageID
 
 	reads  [numClasses]atomic.Uint64
@@ -181,7 +185,7 @@ func New(pageSize int) *Disk {
 	}
 	return &Disk{
 		pageSize: pageSize,
-		pages:    make(map[PageID]*Page),
+		pages:    make([]*Page, 1),
 		next:     1,
 	}
 }
@@ -196,22 +200,33 @@ func (d *Disk) Allocate() *Page {
 	defer d.mu.Unlock()
 	p := &Page{ID: d.next}
 	d.next++
-	d.pages[p.ID] = p
+	d.pages = append(d.pages, p)
+	d.live++
 	return p
+}
+
+// pageLocked returns the catalogue entry for id, nil when id was never
+// issued or has been freed; caller holds d.mu. Only Allocate and Import
+// size the catalogue, so an id from outside can never grow it.
+func (d *Disk) pageLocked(id PageID) *Page {
+	if uint64(id) >= uint64(len(d.pages)) {
+		return nil
+	}
+	return d.pages[id]
 }
 
 // Read fetches a page, charging one read I/O to the current class.
 func (d *Disk) Read(id PageID) (*Page, error) {
 	d.mu.RLock()
 	hook := d.FailureHook
-	p, ok := d.pages[id]
+	p := d.pageLocked(id)
 	d.mu.RUnlock()
 	if hook != nil {
 		if err := hook(OpRead, id); err != nil {
 			return nil, err
 		}
 	}
-	if !ok {
+	if p == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchPage, id)
 	}
 	d.reads[d.class.Load()].Add(1)
@@ -223,21 +238,21 @@ func (d *Disk) Read(id PageID) (*Page, error) {
 func (d *Disk) Write(p *Page) error {
 	d.mu.RLock()
 	hook := d.FailureHook
-	cur, ok := d.pages[p.ID]
+	cur := d.pageLocked(p.ID)
 	d.mu.RUnlock()
 	if hook != nil {
 		if err := hook(OpWrite, p.ID); err != nil {
 			return err
 		}
 	}
-	if !ok {
+	if cur == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchPage, p.ID)
 	}
 	if cur != p {
 		// The caller holds a detached copy (physical reorganization paths);
 		// install it as the canonical page.
 		d.mu.Lock()
-		if _, still := d.pages[p.ID]; still {
+		if d.pageLocked(p.ID) != nil {
 			d.pages[p.ID] = p
 		}
 		d.mu.Unlock()
@@ -251,34 +266,38 @@ func (d *Disk) Write(p *Page) error {
 func (d *Disk) Peek(id PageID) (*Page, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	p, ok := d.pages[id]
-	return p, ok
+	p := d.pageLocked(id)
+	return p, p != nil
 }
 
 // Free removes a page from the disk (no I/O charge; deallocation is a
-// catalog operation).
+// catalog operation). Freeing an unknown or already freed id is a no-op.
 func (d *Disk) Free(id PageID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.pages, id)
+	if d.pageLocked(id) != nil {
+		d.pages[id] = nil
+		d.live--
+	}
 }
 
 // NumPages returns the number of allocated pages.
 func (d *Disk) NumPages() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.pages)
+	return d.live
 }
 
 // PageIDs returns all allocated page ids in ascending order.
 func (d *Disk) PageIDs() []PageID {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	ids := make([]PageID, 0, len(d.pages))
-	for id := range d.pages {
-		ids = append(ids, id)
+	ids := make([]PageID, 0, d.live)
+	for _, p := range d.pages {
+		if p != nil {
+			ids = append(ids, p.ID)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -218,5 +219,82 @@ func TestIOClassString(t *testing.T) {
 	}
 	if IOClass(9).String() == "" {
 		t.Fatal("unknown class has empty name")
+	}
+}
+
+// TestFreeUnknownLeavesCount: freeing an id that was never issued, or twice,
+// must not move the live-page count.
+func TestFreeUnknownLeavesCount(t *testing.T) {
+	d := New(0)
+	p1 := d.Allocate()
+	p2 := d.Allocate()
+	d.Free(p1.ID)
+	for _, id := range []PageID{0, p1.ID, 3, 1 << 31, ^PageID(0)} {
+		d.Free(id)
+		if d.NumPages() != 1 {
+			t.Fatalf("Free(%d) of an absent page moved NumPages to %d, want 1", id, d.NumPages())
+		}
+	}
+	if ids := d.PageIDs(); len(ids) != 1 || ids[0] != p2.ID {
+		t.Fatalf("PageIDs = %v, want [%d]", ids, p2.ID)
+	}
+	if p3 := d.Allocate(); p3.ID != 3 || d.NumPages() != 2 {
+		t.Fatalf("after the frees Allocate issued page %d with %d live, want 3 and 2", p3.ID, d.NumPages())
+	}
+}
+
+// TestOutsideIDsNeverGrowCatalogue: only Allocate (and Import) size the page
+// catalogue; every lookup of an id from outside reports it absent.
+func TestOutsideIDsNeverGrowCatalogue(t *testing.T) {
+	d := New(0)
+	d.Allocate()
+	want := len(d.pages)
+	for _, id := range []PageID{0, 2, 1 << 31, ^PageID(0)} {
+		if _, err := d.Read(id); !errors.Is(err, ErrNoSuchPage) {
+			t.Fatalf("Read(%d) = %v, want ErrNoSuchPage", id, err)
+		}
+		if err := d.Write(&Page{ID: id}); !errors.Is(err, ErrNoSuchPage) {
+			t.Fatalf("Write(%d) = %v, want ErrNoSuchPage", id, err)
+		}
+		if _, ok := d.Peek(id); ok {
+			t.Fatalf("Peek(%d) found a page", id)
+		}
+		d.Free(id)
+		if len(d.pages) != want {
+			t.Fatalf("id %d grew the catalogue to %d entries, want %d", id, len(d.pages), want)
+		}
+	}
+	if st := d.Stats(); st.Total() != 0 {
+		t.Fatalf("absent pages were charged: %+v", st)
+	}
+}
+
+// TestExportImportKeepsGapsAndOrder: a snapshot lists the live pages in
+// ascending id order and a restored disk has the same holes.
+func TestExportImportKeepsGapsAndOrder(t *testing.T) {
+	d := New(0)
+	for i := 0; i < 6; i++ {
+		d.Allocate().Add(uint64(i), 10, d.PageSize())
+	}
+	d.Free(2)
+	d.Free(6)
+	snap := d.Export()
+	var ids []PageID
+	for _, p := range snap.Pages {
+		ids = append(ids, p.ID)
+	}
+	if want := []PageID{1, 3, 4, 5}; !slices.Equal(ids, want) || snap.Next != 7 {
+		t.Fatalf("snapshot pages %v next %d, want %v next 7", ids, snap.Next, want)
+	}
+	r := New(0)
+	r.Import(snap)
+	if !slices.Equal(r.PageIDs(), d.PageIDs()) || r.NumPages() != 4 {
+		t.Fatalf("restored pages %v (%d live), want %v", r.PageIDs(), r.NumPages(), d.PageIDs())
+	}
+	if _, ok := r.Peek(6); ok {
+		t.Fatal("freed page 6 came back")
+	}
+	if p := r.Allocate(); p.ID != 7 {
+		t.Fatalf("restored disk issued page %d next, want 7", p.ID)
 	}
 }

@@ -15,8 +15,10 @@ func (d *Disk) Export() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := &Snapshot{PageSize: d.pageSize, Next: d.next}
-	for _, id := range d.pageIDsLocked() {
-		p := d.pages[id]
+	for _, p := range d.pages { // ascending id order
+		if p == nil {
+			continue
+		}
 		cp := Page{ID: p.ID, Used: p.Used, Slots: append([]Slot(nil), p.Slots...)}
 		s.Pages = append(s.Pages, cp)
 	}
@@ -24,33 +26,25 @@ func (d *Disk) Export() *Snapshot {
 }
 
 // Import replaces the disk's content with the snapshot's. Statistics are
-// reset; the I/O class is preserved.
+// reset; the I/O class is preserved. The catalogue is sized by s.Next, and
+// every page id must lie in [1, s.Next): a caller holding a snapshot from
+// outside the program checks that first (store.Restore does).
 func (d *Disk) Import(s *Snapshot) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pageSize = s.PageSize
 	d.next = s.Next
-	d.pages = make(map[PageID]*Page, len(s.Pages))
+	d.pages = make([]*Page, s.Next)
+	d.live = 0
 	for _, p := range s.Pages {
 		cp := &Page{ID: p.ID, Used: p.Used, Slots: append([]Slot(nil), p.Slots...)}
+		if d.pages[cp.ID] == nil {
+			d.live++
+		}
 		d.pages[cp.ID] = cp
 	}
 	for i := 0; i < int(numClasses); i++ {
 		d.reads[i].Store(0)
 		d.writes[i].Store(0)
 	}
-}
-
-// pageIDsLocked returns ascending page ids; caller holds d.mu.
-func (d *Disk) pageIDsLocked() []PageID {
-	ids := make([]PageID, 0, len(d.pages))
-	for id := range d.pages {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	return ids
 }

@@ -45,7 +45,7 @@ func (s *Store) Image() (*Image, error) {
 		})
 		return nil
 	})
-	// Shard iteration order is arbitrary; canonicalize for stable images.
+	// The walk is shard by shard; canonicalize to one ascending order.
 	sort.Slice(img.Objects, func(i, j int) bool { return img.Objects[i].OID < img.Objects[j].OID })
 	return img, nil
 }
@@ -57,15 +57,28 @@ func (s *Store) Restore(img *Image) error {
 	if img == nil || img.Disk == nil {
 		return fmt.Errorf("store: nil image")
 	}
+	// The page catalogue and the object table are indexed by id, so an id
+	// the image's own cursors did not issue is rejected before it can size
+	// either.
+	for i := range img.Disk.Pages {
+		if id := img.Disk.Pages[i].ID; id == 0 || id >= img.Disk.Next {
+			return fmt.Errorf("store: image page id %d outside [1, %d)", id, img.Disk.Next)
+		}
+	}
+	for _, o := range img.Objects {
+		if o.OID == NilOID || o.OID >= img.NextOID {
+			return fmt.Errorf("store: image object id %d outside [1, %d)", o.OID, img.NextOID)
+		}
+		if len(o.Pages) == 0 {
+			return fmt.Errorf("store: image object %d has no pages", o.OID)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.disk.Import(img.Disk)
 	s.next.Store(uint64(img.NextOID))
 	s.idx.tree = nil // the next ordered call rebuilds it from this directory
 	for _, o := range img.Objects {
-		if len(o.Pages) == 0 {
-			return fmt.Errorf("store: image object %d has no pages", o.OID)
-		}
 		s.setLoc(o.OID, &loc{pages: append([]disk.PageID(nil), o.Pages...), size: o.Size})
 	}
 	// Verify the directory agrees with the pages.

@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the backend.Ranger capability on the paged store.
-// The directory is a sharded hash table with no inherent order, so the
-// ordered view is an ordindex.Index — the B+tree the btree driver is made
+// The directory is striped over the table shards by the low OID bits and
+// knows no attribute keys, so the ordered view is an ordindex.Index — the B+tree the btree driver is made
 // of — beside it: built once, from the directory, on the first ordered
 // call (Scan, Seek, SetKey, ScanKey) and updated in place by Create,
 // Delete and SetKey from then on. A store that never receives an ordered

@@ -14,6 +14,13 @@
 //   - Relocate, the physical-reorganization primitive clustering policies
 //     use, with its I/O cost charged to the clustering overhead class.
 //
+// Texas leaves the residency check to the MMU. Here the three lookups of a
+// fault — object table, buffer.Pool frame table, disk page catalogue — are
+// arrays indexed by the id, which OIDs and page ids allow because both are
+// issued densely from 1 and never reused: a bounds check and a load each,
+// so the response time beside the I/O count is not mostly hashing. The
+// price is 8 bytes per OID, and per page id, ever issued, in each table.
+//
 // # Concurrency
 //
 // The store is safe for concurrent use by multiple benchmark clients and,
@@ -25,10 +32,13 @@
 //     operations — Relocate, Commit, DropCache, Image, Layout,
 //     CheckIntegrity, ResetStats — take it exclusively, so a
 //     physical reorganization never observes a half-applied mutation.
-//   - The OID→location table is sharded by OID hash, one mutex per shard.
-//   - The buffer pool is a buffer.Sharded: page ids hash to independently
-//     locked sub-pools; all slot-directory edits happen under the owning
-//     pool shard's lock.
+//   - The OID→location table is striped by the low bits of the OID, one
+//     mutex per shard; each shard is a slice indexed by the remaining bits
+//     (OIDs are issued densely from 1 and never reused).
+//   - The buffer pool is a buffer.Sharded: the low bits of a page id pick
+//     an independently locked sub-pool, the remaining bits index its frame
+//     table; all slot-directory edits happen under the owning pool shard's
+//     lock.
 //   - Creation-order placement (the shared fill page) serializes creators
 //     and deleters on one placement mutex; accessors are unaffected.
 //   - Global counters (objects accessed, disk I/O, pool hit/miss) are
@@ -43,6 +53,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,6 +143,7 @@ type Store struct {
 
 	tables []tableShard
 	tmask  uint32
+	tshift uint // log2(len(tables))
 
 	// placeMu serializes creation-order placement (the fill page) and
 	// page emptying on delete.
@@ -159,11 +171,25 @@ type accessScratch struct {
 	owners []int32 // owners[j] = index into the oid batch owning pages[j]
 }
 
-// tableShard is one lock-striped slice of the OID→location table.
+// tableShard is one lock-striped slice of the OID→location table. OIDs are
+// issued densely from 1 and never reused, and shard k owns the OIDs whose
+// low tshift bits are k, so the shard's directory is a slice indexed by
+// oid >> tshift (nil = never created here, or deleted): 8 bytes per OID ever
+// issued. Only setLoc grows it, and only for OIDs the store issued itself.
 type tableShard struct {
-	mu sync.Mutex
-	m  map[OID]*loc
-	_  [48]byte // pad to 64 bytes so adjacent shard locks do not false-share
+	mu   sync.Mutex
+	m    []*loc
+	live int      // non-nil entries of m
+	_    [24]byte // pad to 64 bytes so adjacent shard locks do not false-share
+}
+
+// get returns the entry at slot (an OID shifted down by tshift), nil when
+// the slot is empty or past the end; caller holds sh.mu.
+func (sh *tableShard) get(slot uint64) *loc {
+	if slot < uint64(len(sh.m)) {
+		return sh.m[slot]
+	}
+	return nil
 }
 
 type loc struct {
@@ -211,9 +237,7 @@ func (s *Store) initTables(n int) {
 	}
 	s.tables = make([]tableShard, p)
 	s.tmask = uint32(p - 1)
-	for i := range s.tables {
-		s.tables[i].m = make(map[OID]*loc)
-	}
+	s.tshift = uint(bits.TrailingZeros(uint(p)))
 }
 
 // MustOpen is Open for known-good configurations; it panics on error.
@@ -239,8 +263,8 @@ func (s *Store) Shards() int { return len(s.tables) }
 
 // tableFor returns the shard owning an OID.
 func (s *Store) tableFor(oid OID) *tableShard {
-	// Sequential OIDs round-robin across shards; the low bits are already
-	// uniform for hash purposes.
+	// Sequential OIDs round-robin across shards, which balances both the
+	// directory slices and the lock load.
 	return &s.tables[uint32(oid)&s.tmask]
 }
 
@@ -248,16 +272,24 @@ func (s *Store) tableFor(oid OID) *tableShard {
 func (s *Store) lookup(oid OID) (*loc, bool) {
 	sh := s.tableFor(oid)
 	sh.mu.Lock()
-	l, ok := sh.m[oid]
+	l := sh.get(uint64(oid) >> s.tshift)
 	sh.mu.Unlock()
-	return l, ok
+	return l, l != nil
 }
 
-// setLoc installs a location.
+// setLoc installs a location, growing the shard's directory to reach the
+// OID's slot. Callers pass only OIDs below s.next.
 func (s *Store) setLoc(oid OID, l *loc) {
 	sh := s.tableFor(oid)
+	slot := int(uint64(oid) >> s.tshift)
 	sh.mu.Lock()
-	sh.m[oid] = l
+	if n := slot + 1 - len(sh.m); n > 0 {
+		sh.m = append(sh.m, make([]*loc, n)...)
+	}
+	if sh.m[slot] == nil {
+		sh.live++
+	}
+	sh.m[slot] = l
 	sh.mu.Unlock()
 }
 
@@ -265,23 +297,29 @@ func (s *Store) setLoc(oid OID, l *loc) {
 // same OID fails, which is what makes Delete linearizable.
 func (s *Store) takeLoc(oid OID) (*loc, bool) {
 	sh := s.tableFor(oid)
+	slot := uint64(oid) >> s.tshift
 	sh.mu.Lock()
-	l, ok := sh.m[oid]
-	if ok {
-		delete(sh.m, oid)
+	l := sh.get(slot)
+	if l != nil {
+		sh.m[slot] = nil
+		sh.live--
 	}
 	sh.mu.Unlock()
-	return l, ok
+	return l, l != nil
 }
 
 // forEachLoc visits every table entry (shard by shard, each under its
-// lock). fn must not call back into the table.
+// lock, ascending within a shard). fn must not call back into the table.
 func (s *Store) forEachLoc(fn func(OID, *loc) error) error {
 	for i := range s.tables {
 		sh := &s.tables[i]
 		sh.mu.Lock()
-		for oid, l := range sh.m {
-			if err := fn(oid, l); err != nil {
+		for slot, l := range sh.m {
+			if l == nil {
+				continue
+			}
+			// The OID is the slot with the shard number as its low bits.
+			if err := fn(OID(uint64(slot)<<s.tshift|uint64(i)), l); err != nil {
 				sh.mu.Unlock()
 				return err
 			}
@@ -448,7 +486,7 @@ func (s *Store) AccessBatch(oids []OID) (int, error) {
 		sh := &s.tables[0]
 		sh.mu.Lock()
 		for i, oid := range oids {
-			locs[i] = sh.m[oid]
+			locs[i] = sh.get(uint64(oid))
 		}
 		sh.mu.Unlock()
 	} else {
@@ -461,7 +499,7 @@ func (s *Store) AccessBatch(oids []OID) (int, error) {
 			sh := s.tableFor(oids[i])
 			sh.mu.Lock()
 			for i < len(oids) && s.tableFor(oids[i]) == sh {
-				locs[i] = sh.m[oids[i]]
+				locs[i] = sh.get(uint64(oids[i]) >> s.tshift)
 				i++
 			}
 			sh.mu.Unlock()
@@ -620,7 +658,7 @@ func (s *Store) NumObjects() int {
 	for i := range s.tables {
 		sh := &s.tables[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += sh.live
 		sh.mu.Unlock()
 	}
 	return n
@@ -669,7 +707,7 @@ func (s *Store) Stats() Stats {
 	for i := range s.tables {
 		sh := &s.tables[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += sh.live
 		sh.mu.Unlock()
 	}
 	return Stats{
