@@ -23,6 +23,7 @@ import (
 	"ocb/internal/oo1"
 	"ocb/internal/report"
 	"ocb/internal/store"
+	"ocb/internal/workload"
 )
 
 var quick = exp.Config{Quick: true}
@@ -177,11 +178,12 @@ func BenchmarkOO1Traversal(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := lewis.New(p.Seed)
+	stream := &workload.AccessStream{Store: db.Store}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// A fresh uniformly drawn root per run, as the suite's traversal op.
 		root := db.ByID[src.IntRange(1, db.NumParts())]
-		if _, err := db.TraverseFrom(nil, root, false); err != nil {
+		if _, err := db.TraverseFrom(stream, root, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,6 +269,53 @@ func BenchmarkStoreAccess(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAccessVsBatchOfOne prices Backend.Access against an
+// AccessBatch of one OID over the same warm objects: the number that
+// decides whether Access stays in the Backend contract now that nothing
+// outside the drivers calls it. flatmem is the dispatch-only floor;
+// waldisk serves every fault from its warm object cache.
+func BenchmarkAccessVsBatchOfOne(b *testing.B) {
+	for _, name := range []string{"flatmem", "waldisk"} {
+		st, err := backend.Open(name, backend.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		oids := make([]backend.OID, 1000)
+		for i := range oids {
+			if oids[i], err = st.Create(100); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := st.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.AccessBatch(oids); err != nil { // warm the cache
+			b.Fatal(err)
+		}
+		b.Run(name+"/Access", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := st.Access(oids[i%len(oids)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/AccessBatch1", func(b *testing.B) {
+			one := make([]backend.OID, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				one[0] = oids[i%len(oids)]
+				if _, err := st.AccessBatch(one); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if err := backend.Shutdown(st); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // parallelStore builds a store populated for the contention benchmarks.

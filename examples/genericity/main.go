@@ -19,6 +19,7 @@ import (
 	"ocb/internal/core"
 	"ocb/internal/lewis"
 	"ocb/internal/oo1"
+	"ocb/internal/workload"
 )
 
 // mimicParams is the Table 3 CluB/OO1 impersonation, shrunk for an
@@ -62,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oo1Parts, err := odb.TraverseFrom(nil, odb.ByID[1], false)
+	oo1Parts, err := odb.TraverseFrom(&workload.AccessStream{Store: odb.Store}, odb.ByID[1], false)
 	if err != nil {
 		log.Fatal(err)
 	}

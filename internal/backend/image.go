@@ -58,9 +58,14 @@ func Restore(name string, img *Image) (Backend, error) {
 	}
 	r, ok := b.(Restorer)
 	if !ok {
-		return nil, errNoCapability("image restore on backend " + name)
+		err = errNoCapability("image restore on backend " + name)
+	} else {
+		err = r.Restore(img)
 	}
-	if err := r.Restore(img); err != nil {
+	if err != nil {
+		// The opened driver may own files and goroutines (an ephemeral
+		// waldisk a scratch directory): release it with the error.
+		_ = Shutdown(b)
 		return nil, err
 	}
 	return b, nil

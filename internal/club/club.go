@@ -117,32 +117,33 @@ func Phases(db *oo1.Database, p Params, policy cluster.Policy) (observe, replay 
 		roots[i] = db.ByID[src.IntRange(1, db.NumParts())]
 	}
 
-	pass := func(obs cluster.Policy) func(*workload.Ctx) (int, error) {
-		return func(*workload.Ctx) (int, error) {
-			n := 0
-			for _, root := range roots {
-				m, err := db.TraverseFrom(obs, root, false)
-				if err != nil {
-					return n, err
-				}
-				// Each root is one transaction to the policy: DSTC's
-				// observation periods count these boundaries.
-				if obs != nil {
-					obs.EndTransaction()
-				}
-				n += m
+	// pass replays every root through the client's stream, which
+	// TraverseFrom ends before the root's transaction does.
+	pass := func(ctx *workload.Ctx) (int, error) {
+		s := ctx.State.(*workload.AccessStream)
+		n := 0
+		for _, root := range roots {
+			m, err := db.TraverseFrom(s, root, false)
+			if err != nil {
+				return n, err
 			}
-			return n, nil
+			// Each root is one transaction to the policy: DSTC's
+			// observation periods count these boundaries.
+			if s.Policy != nil {
+				s.Policy.EndTransaction()
+			}
+			n += m
 		}
+		return n, nil
 	}
 	dropCache := func(*workload.Ctx) error { db.Store.DropCache(); return nil }
 
 	obsOps := []workload.Op{
-		{Name: "before", Count: 1, Pre: dropCache, Run: pass(policy)},
+		{Name: "before", Count: 1, Pre: dropCache, Run: pass},
 	}
 	if p.Repeats > 1 {
 		obsOps = append(obsOps, workload.Op{
-			Name: "observe", Count: p.Repeats - 1, Pre: dropCache, Run: pass(policy),
+			Name: "observe", Count: p.Repeats - 1, Pre: dropCache, Run: pass,
 		})
 	}
 	observe = &workload.Spec{
@@ -150,13 +151,19 @@ func Phases(db *oo1.Database, p Params, policy cluster.Policy) (observe, replay 
 		Description: "CluB observation phase: the recurring traversal workload, policy watching",
 		Backend:     db.Store,
 		Ops:         obsOps,
+		NewClient: func(int, *lewis.Source) any {
+			return &workload.AccessStream{Store: db.Store, Policy: policy}
+		},
 	}
 	replay = &workload.Spec{
 		Name:        "club-replay",
 		Description: "CluB replay phase: the same traversals after reclustering",
 		Backend:     db.Store,
 		Ops: []workload.Op{
-			{Name: "after", Count: 1, Pre: dropCache, Run: pass(nil)},
+			{Name: "after", Count: 1, Pre: dropCache, Run: pass},
+		},
+		NewClient: func(int, *lewis.Source) any {
+			return &workload.AccessStream{Store: db.Store}
 		},
 	}
 	reorganize = func() (backend.RelocStats, error) {

@@ -13,7 +13,8 @@ import (
 // Object is one instance of an OCB class (the OBJECT side of Fig. 1).
 // Navigation metadata (ORef, BackRef) lives in memory — what the paper
 // keeps as swizzled pointers — while the object's pages live in the store;
-// every visit faults through Store.Access, so I/O accounting is exact.
+// every visit faults through the executor's access stream, so I/O
+// accounting is exact.
 type Object struct {
 	// OID is the store identity; object #i of the generation algorithm
 	// has OID i.
@@ -42,10 +43,9 @@ type Database struct {
 	// paper's Fig. 4 (database average creation time).
 	GenTime time.Duration
 
-	// live tracks the live object set under the generic workload's
-	// insertions and deletions (swap-remove list + index).
-	live    []backend.OID
-	liveIdx map[backend.OID]int
+	// live counts the live objects under the generic workload's
+	// insertions and deletions.
+	live int
 
 	// liveSnap is the ascending-OID snapshot LiveOIDs serves without
 	// rebuilding an O(n) slice per call. Insertions extend it in place
@@ -211,33 +211,25 @@ func (db *Database) AllOIDs() []backend.OID {
 func CheckDatabase(db *Database) error {
 	p := db.P
 	mutated := len(db.Objects)-1 != p.NO || db.NumLive() != p.NO
-	// Live-set invariant: the swap-remove tracking structures and the
-	// ascending snapshot must agree with each other and with Objects.
-	if len(db.live) != len(db.liveIdx) {
-		return fmt.Errorf("ocb: live list holds %d entries, index %d", len(db.live), len(db.liveIdx))
-	}
-	for i, oid := range db.live {
-		if db.liveIdx[oid] != i {
-			return fmt.Errorf("ocb: live index for %d says %d, list position is %d", oid, db.liveIdx[oid], i)
-		}
-		if db.Object(oid) == nil {
-			return fmt.Errorf("ocb: live list names deleted object %d", oid)
-		}
-	}
+	// Live-set invariant: the ascending snapshot lists exactly the non-nil
+	// Objects, in order, and the live count agrees with it, the store and
+	// the class iterators.
 	snap := db.LiveOIDs()
-	if len(snap) != db.NumLive() {
-		return fmt.Errorf("ocb: live snapshot holds %d entries, live set says %d", len(snap), db.NumLive())
+	k := 0
+	for i, obj := range db.Objects {
+		if obj == nil {
+			continue
+		}
+		if k == len(snap) || snap[k] != backend.OID(i) {
+			return fmt.Errorf("ocb: live snapshot does not list object %d in order", i)
+		}
+		k++
 	}
-	for i, oid := range snap {
-		if i > 0 && snap[i-1] >= oid {
-			return fmt.Errorf("ocb: live snapshot out of order at %d (%d >= %d)", i, snap[i-1], oid)
-		}
-		if _, ok := db.liveIdx[oid]; !ok {
-			return fmt.Errorf("ocb: live snapshot names untracked object %d", oid)
-		}
+	if k != len(snap) || k != db.NumLive() {
+		return fmt.Errorf("ocb: live snapshot holds %d entries, Objects %d, live count %d", len(snap), k, db.NumLive())
 	}
 	if n := db.Store.Stats().Objects; n != db.NumLive() {
-		return fmt.Errorf("ocb: store holds %d objects, live set says %d",
+		return fmt.Errorf("ocb: store holds %d objects, live count says %d",
 			n, db.NumLive())
 	}
 	iterSum := 0
@@ -245,7 +237,7 @@ func CheckDatabase(db *Database) error {
 		iterSum += len(db.Schema.Class(ci).Iterator)
 	}
 	if iterSum != db.NumLive() {
-		return fmt.Errorf("ocb: iterators cover %d objects, live set says %d", iterSum, db.NumLive())
+		return fmt.Errorf("ocb: iterators cover %d objects, live count says %d", iterSum, db.NumLive())
 	}
 	type link struct {
 		from, to backend.OID

@@ -22,22 +22,12 @@ import (
 
 // initLive seeds the live-object tracking after generation.
 func (db *Database) initLive() {
-	db.live = make([]backend.OID, 0, db.NO())
-	db.liveIdx = make(map[backend.OID]int, db.NO())
-	for i := 1; i < len(db.Objects); i++ {
-		if db.Objects[i] != nil {
-			db.liveIdx[db.Objects[i].OID] = len(db.live)
-			db.live = append(db.live, db.Objects[i].OID)
-		}
-	}
-	db.snapMu.Lock()
-	db.liveSnap = append([]backend.OID(nil), db.live...)
-	db.liveSnapOK.Store(true)
-	db.snapMu.Unlock()
+	db.liveSnapOK.Store(false)
+	db.live = len(db.LiveOIDs())
 }
 
 // NumLive returns the number of live objects (inserts minus deletes).
-func (db *Database) NumLive() int { return len(db.live) }
+func (db *Database) NumLive() int { return db.live }
 
 // LiveOIDs returns the live objects in ascending OID order. The returned
 // slice is a shared snapshot maintained incrementally across insertions and
@@ -55,7 +45,7 @@ func (db *Database) LiveOIDs() []backend.OID {
 	if !db.liveSnapOK.Load() {
 		// Rebuild into a fresh slice: snapshots handed out earlier stay
 		// intact for their holders.
-		snap := make([]backend.OID, 0, len(db.live))
+		snap := make([]backend.OID, 0, db.live)
 		for i := 1; i < len(db.Objects); i++ {
 			if db.Objects[i] != nil {
 				snap = append(snap, db.Objects[i].OID)
@@ -87,12 +77,7 @@ func (db *Database) ResolveLive(oid backend.OID) (backend.OID, bool) {
 // exclusive lock. OIDs are issued in increasing order, so the ascending
 // snapshot extends in place without losing sortedness.
 func (db *Database) trackInsert(oid backend.OID) {
-	if db.liveIdx == nil {
-		db.initLive()
-		return
-	}
-	db.liveIdx[oid] = len(db.live)
-	db.live = append(db.live, oid)
+	db.live++
 	db.snapMu.Lock()
 	if db.liveSnapOK.Load() {
 		db.liveSnap = append(db.liveSnap, oid)
@@ -100,18 +85,11 @@ func (db *Database) trackInsert(oid backend.OID) {
 	db.snapMu.Unlock()
 }
 
-// trackDelete unregisters a live object (swap-remove) and invalidates the
-// ascending snapshot; the next LiveOIDs call rebuilds it.
-func (db *Database) trackDelete(oid backend.OID) {
-	i, ok := db.liveIdx[oid]
-	if !ok {
-		return
-	}
-	last := len(db.live) - 1
-	db.live[i] = db.live[last]
-	db.liveIdx[db.live[i]] = i
-	db.live = db.live[:last]
-	delete(db.liveIdx, oid)
+// trackDelete unregisters a live object and invalidates the ascending
+// snapshot; the next LiveOIDs call rebuilds it. Callers hold the
+// database's exclusive lock.
+func (db *Database) trackDelete() {
+	db.live--
 	db.liveSnapOK.Store(false)
 }
 
@@ -210,7 +188,7 @@ func (db *Database) DeleteObject(oid backend.OID) error {
 		return err
 	}
 	db.Objects[oid] = nil
-	db.trackDelete(oid)
+	db.trackDelete()
 	return db.Store.Commit()
 }
 

@@ -75,8 +75,10 @@ func (db *Database) Save(w io.Writer) error {
 
 // Load rebuilds a database saved with Save. The restored store starts
 // with a cold cache and zeroed statistics; the object graph, schema and
-// placement are bit-identical to the saved ones.
-func Load(r io.Reader) (*Database, error) {
+// placement are bit-identical to the saved ones. Every id the file
+// carries is checked before it sizes or indexes a table, and a file that
+// fails a check releases the restored store with the error.
+func Load(r io.Reader) (db *Database, err error) {
 	var p persisted
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("ocb: decoding database: %w", err)
@@ -85,14 +87,22 @@ func Load(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ocb: restoring store: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			_ = backend.Shutdown(st)
+		}
+	}()
+	if p.MaxOID < 0 || backend.OID(p.MaxOID) >= p.Image.NextOID {
+		return nil, fmt.Errorf("ocb: corrupt saved database: MaxOID %d outside [0, %d)", p.MaxOID, p.Image.NextOID)
+	}
 	objects := make([]*Object, p.MaxOID+1)
 	for _, o := range p.Objects {
-		if o == nil || int(o.OID) >= len(objects) {
+		if o == nil || o.OID == backend.NilOID || int(o.OID) > p.MaxOID {
 			return nil, fmt.Errorf("ocb: corrupt object table in saved database")
 		}
 		objects[o.OID] = o
 	}
-	db := &Database{
+	db = &Database{
 		P:       p.Params,
 		Schema:  &Schema{Classes: append([]*Class{nil}, p.Classes...)},
 		Objects: objects,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -151,5 +153,56 @@ func TestLoadAfterRelocation(t *testing.T) {
 	p2, _ := loaded.Store.(backend.Placer).PageOf(150)
 	if p0 != p1 || p1 != p2 {
 		t.Fatal("relocated placement lost on save/load")
+	}
+}
+
+// TestLoadRejectsCorruptFilesWithoutLeaking: saved waldisk databases with
+// a hostile id, a broken object table or an image the driver refuses load
+// as errors, never as panics, and leave no scratch directory behind —
+// every error path releases the store it opened.
+func TestLoadRejectsCorruptFilesWithoutLeaking(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	p := smallParams()
+	p.NO, p.SupRef = 200, 200
+	p.Backend = "waldisk"
+	db := MustGenerate(p)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*persisted)
+	}{
+		{"negative MaxOID", func(f *persisted) { f.MaxOID = -5 }},
+		{"MaxOID at NextOID", func(f *persisted) { f.MaxOID = int(f.Image.NextOID) }},
+		{"object OID 0", func(f *persisted) { f.Objects[3].OID = backend.NilOID }},
+		{"object OID above MaxOID", func(f *persisted) { f.Objects[3].OID = backend.OID(f.MaxOID + 1) }},
+		{"object missing", func(f *persisted) { f.Objects = f.Objects[1:] }},
+		{"image the driver refuses", func(f *persisted) { f.Image.Objects[0].Size = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var f persisted
+			if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&f); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&f)
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(f); err != nil {
+				t.Fatal(err)
+			}
+			if loaded, err := Load(&bad); err == nil {
+				_ = loaded.Close()
+				t.Fatal("corrupt database loaded")
+			}
+			if left, _ := filepath.Glob(filepath.Join(tmp, "ocb-waldisk-*")); len(left) != 0 {
+				t.Fatalf("left behind: %v", left)
+			}
+		})
 	}
 }

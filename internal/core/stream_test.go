@@ -3,15 +3,25 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ocb/internal/backend"
 	"ocb/internal/lewis"
+	"ocb/internal/workload"
 )
 
-// These tests pin the executor's access stream from outside it: what the
-// store is asked for, in which order and in how many calls, and what the
-// policy is told when a fault fails part-way.
+// These tests pin workload.AccessStream, directly and through the
+// executor and the engine, from outside it: what the store is asked for,
+// in which order and in how many calls, and what the policy is told when
+// a fault fails part-way.
+
+// scanBatch and unobserved restate the stream's chunk size and its parent
+// marker for a fault the policy is not told about.
+const (
+	scanBatch  = 512
+	unobserved = ^backend.OID(0)
+)
 
 // streamStore flattens the Access and AccessBatch calls reaching a backend
 // into one OID sequence and counts the calls. With failAt = k > 0 the k-th
@@ -229,8 +239,8 @@ func TestAccessStreamOrderAndChunks(t *testing.T) {
 }
 
 // TestAccessStreamFaultMidway fails the k-th fault, inside the first chunk
-// and inside a later one: the transaction returns the error, has counted
-// the k-1 objects that completed, and the policy saw those and no more.
+// and inside a later one: the transaction returns the error and the policy
+// saw the k-1 objects that completed and no more.
 func TestAccessStreamFaultMidway(t *testing.T) {
 	db, st := streamDB()
 	for _, tc := range streamCases {
@@ -246,9 +256,6 @@ func TestAccessStreamFaultMidway(t *testing.T) {
 				ex := NewExecutor(db, pol, lewis.New(streamSeed))
 				if _, err := ex.ExecCounted(tc.tx); !errors.Is(err, errInjected) {
 					t.Fatalf("fault at object %d not returned: %v", k, err)
-				}
-				if ex.accessed != k-1 {
-					t.Errorf("counted %d objects, want the completed prefix %d", ex.accessed, k-1)
 				}
 				checkFaults(t, st.oids, want[:k-1])
 				if tc.tx.Type == RangeOp {
@@ -291,5 +298,211 @@ func checkObserved(t *testing.T, pol *orderPolicy, want []crossing) {
 		if pol.seen[i] != c {
 			t.Fatalf("observation %d is %v, want %v", i, pol.seen[i], c)
 		}
+	}
+}
+
+// TestAccessStreamDirect drives workload.AccessStream without an executor:
+// the store sees the visits in order in ⌈N/512⌉ calls, the policy hears
+// of each completed root and link — never of an unobserved fault, never
+// before its batch completed — End returns the count, and a Flush of an
+// empty stream makes no call.
+func TestAccessStreamDirect(t *testing.T) {
+	db, st := streamDB()
+	pol := &orderPolicy{}
+	s := &workload.AccessStream{Store: st, Policy: pol}
+	const n = 2*scanBatch + 276
+	var want []backend.OID
+	var observed []crossing
+	for i := 0; i < n; i++ {
+		to := backend.OID(i%db.NO() + 1)
+		var err error
+		switch i % 3 {
+		case 0:
+			err = s.Visit(backend.NilOID, to)
+			observed = append(observed, crossing{backend.NilOID, to})
+		case 1:
+			err = s.Visit(want[i-1], to)
+			observed = append(observed, crossing{want[i-1], to})
+		default:
+			err = s.VisitUnobserved(to)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, to)
+		done := (i + 1) / scanBatch * scanBatch
+		if st.calls != done/scanBatch || len(pol.seen) != done-done/3 {
+			t.Fatalf("after %d visits: %d store calls and %d observations, want %d and %d",
+				i+1, st.calls, len(pol.seen), done/scanBatch, done-done/3)
+		}
+	}
+	got, err := s.End(nil)
+	if err != nil || got != n {
+		t.Fatalf("End = %d, %v; want %d, nil", got, err, n)
+	}
+	if chunks := (n + scanBatch - 1) / scanBatch; st.calls != chunks {
+		t.Errorf("%d store calls for %d objects, want %d", st.calls, n, chunks)
+	}
+	if !slices.Equal(st.oids, want) {
+		t.Error("the store saw the faults out of visit order")
+	}
+	checkObserved(t, pol, observed)
+
+	calls := st.calls
+	if err := s.Flush(); err != nil || st.calls != calls {
+		t.Errorf("Flush of an empty stream: %v, %d store calls; want nil, none", err, st.calls-calls)
+	}
+	if got, err := s.End(nil); got != 0 || err != nil || st.calls != calls {
+		t.Errorf("End of an empty stream = %d, %v after %d store calls; want 0, nil, none", got, err, st.calls-calls)
+	}
+}
+
+// TestAccessStreamDirectFailure: a fault failing in the second chunk ends
+// the op with the completed prefix counted and observed and nothing left
+// queued; an op error with faults still queued drops them unsent.
+func TestAccessStreamDirectFailure(t *testing.T) {
+	db, st := streamDB()
+	pol := &orderPolicy{}
+	s := &workload.AccessStream{Store: st, Policy: pol}
+	const k = scanBatch + 188
+	st.failAt = k
+	var err error
+	visits := 0
+	for err == nil && visits < 3*scanBatch {
+		err = s.Visit(backend.NilOID, backend.OID(visits%db.NO()+1))
+		visits++
+	}
+	got, err := s.End(err)
+	st.failAt = 0
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("fault at object %d not returned: %v", k, err)
+	}
+	if visits != 2*scanBatch {
+		t.Errorf("the fault surfaced at visit %d, want the second chunk's flush at %d", visits, 2*scanBatch)
+	}
+	if got != k-1 || len(st.oids) != k-1 || len(pol.seen) != k-1 {
+		t.Errorf("counted %d, faulted %d, observed %d objects; want the completed prefix %d",
+			got, len(st.oids), len(pol.seen), k-1)
+	}
+
+	calls := st.calls
+	if got, err := s.End(nil); got != 0 || err != nil || st.calls != calls {
+		t.Errorf("the failed op left %d objects, %v and %d store calls on the stream", got, err, st.calls-calls)
+	}
+	for oid := backend.OID(1); oid <= 3; oid++ {
+		if err := s.Visit(backend.NilOID, oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := s.End(errInjected); got != 0 || !errors.Is(err, errInjected) {
+		t.Errorf("End(op error) = %d, %v; want 0, the op's error", got, err)
+	}
+	if err := s.Flush(); err != nil || st.calls != calls || len(pol.seen) != k-1 {
+		t.Errorf("faults queued by a failed op reached the store (%d calls) or the policy", st.calls-calls)
+	}
+}
+
+// countPolicy counts observations without recording them.
+type countPolicy struct {
+	recordingPolicy
+	n int
+}
+
+func (p *countPolicy) ObserveLink(_, _ backend.OID) { p.n++ }
+func (p *countPolicy) ObserveRoot(backend.OID)      { p.n++ }
+
+// TestAccessStreamAllocFree gates the stream's hot path: once its buffers
+// are warm, visiting three chunks' worth of objects, replaying them to a
+// policy and ending the op allocate nothing.
+func TestAccessStreamAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector; allocation counts are not meaningful")
+	}
+	p := chainParams(3, 2000)
+	p.BufferPages = 2048 // resident: no eviction churn in the pool
+	db := MustGenerate(p)
+	s := &workload.AccessStream{Store: db.Store, Policy: &countPolicy{}}
+	op := func() {
+		for oid := backend.OID(1); oid <= 3*scanBatch/2; oid++ {
+			if err := s.Visit(oid-1, oid); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.VisitUnobserved(oid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.End(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op()
+	if avg := testing.AllocsPerRun(50, op); avg != 0 {
+		t.Fatalf("the access stream allocates %.1f per op, want 0", avg)
+	}
+}
+
+// TestAccessStreamToleratedFailureLeaksNothing: under TolerateErrors a
+// failed op — one returning its own error with faults still queued, one
+// whose store fails mid-batch — leaves nothing on the client's stream, so
+// the next op's first batch carries only its own OIDs.
+func TestAccessStreamToleratedFailureLeaksNothing(t *testing.T) {
+	_, st := streamDB()
+	stream := func(ctx *workload.Ctx) *workload.AccessStream { return ctx.State.(*workload.AccessStream) }
+	visit := func(s *workload.AccessStream, lo, hi backend.OID) error {
+		for oid := lo; oid <= hi; oid++ {
+			if err := s.Visit(backend.NilOID, oid); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	own := []backend.OID{1001, 1002, 1003}
+	next := func(ctx *workload.Ctx) (int, error) {
+		s := stream(ctx)
+		start, calls := len(st.oids), st.calls
+		if err := visit(s, own[0], own[len(own)-1]); err != nil {
+			return s.End(err)
+		}
+		n, err := s.End(nil)
+		if st.calls != calls+1 || !slices.Equal(st.oids[start:], own) {
+			t.Errorf("the op after a failure faulted %v in %d calls, want only its own %v in one",
+				st.oids[start:], st.calls-calls, own)
+		}
+		return n, err
+	}
+	spec := &workload.Spec{
+		Name:           "leak",
+		Backend:        st,
+		TolerateErrors: true,
+		NewClient: func(int, *lewis.Source) any {
+			return &workload.AccessStream{Store: st}
+		},
+		Ops: []workload.Op{
+			{Name: "fail-queued", Run: func(ctx *workload.Ctx) (int, error) {
+				s := stream(ctx)
+				if err := visit(s, 1, 100); err != nil {
+					return s.End(err)
+				}
+				return s.End(errInjected)
+			}},
+			{Name: "after-queued", Run: next},
+			{Name: "fail-in-store", Run: func(ctx *workload.Ctx) (int, error) {
+				s := stream(ctx)
+				st.failAt = len(st.oids) + scanBatch + 10
+				defer func() { st.failAt = 0 }()
+				if err := visit(s, 1, 2*scanBatch+100); err != nil {
+					return s.End(err)
+				}
+				return s.End(nil)
+			}},
+			{Name: "after-store", Run: next},
+		},
+	}
+	res, err := workload.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total.Errors != 2 || res.Executed != 2 {
+		t.Fatalf("%d errors and %d ops, want 2 tolerated failures and 2 ops", res.Total.Errors, res.Executed)
 	}
 }

@@ -90,16 +90,10 @@ type TxResult struct {
 // Executor runs transactions against a database on behalf of one client,
 // feeding the clustering policy's observation phase along the way.
 //
-// The executor has one way to fault an object: visit queues it on the
-// access stream and flush ships the queue through Store.AccessBatch, at
-// scanBatch entries and at the end of the transaction. A traversal
-// therefore waits for the store once per scanBatch objects instead of once
-// per object, which is exact because (a) AccessBatch charges what the same
-// sequence of Access calls would, in the same order; (b) the graph lock is
-// held from the first visit to the last flush, so no queued OID can be
-// deleted underneath it; (c) policy observers only count, so replaying
-// ObserveRoot/ObserveLink for the completed prefix after the batch, in
-// visit order, leaves the policy in the state per-object calls would have.
+// The executor faults every object through its workload.AccessStream, in
+// visit order, one Store.AccessBatch call per 512 objects. The stream is
+// exact because the graph lock is held from the first visit to the
+// transaction's End, so no queued OID can be deleted underneath it.
 //
 // The executor owns reusable per-client scratch state — the stream's
 // buffers, a generation-stamped seen-set and pooled BFS frontier buffers —
@@ -114,15 +108,9 @@ type Executor struct {
 	// Src drives the stochastic traversal's random choices.
 	Src *lewis.Source
 
-	// pending is the access stream: the OIDs queued since the last flush,
-	// in visit order, with pendingFrom[i] the object pending[i] was reached
-	// from (NilOID for a root, unobserved for a fault the policy is not
-	// told about). Both hold at most scanBatch entries.
-	pending     []backend.OID
-	pendingFrom []backend.OID
-	// accessed counts the objects the current transaction's flushes
-	// completed.
-	accessed int
+	// stream faults the transaction's objects; it follows DB.Store and
+	// Policy, rebound at the start of every transaction.
+	stream workload.AccessStream
 
 	// seen deduplicates set-access visits; reset is O(1) via generation
 	// stamping instead of reallocating a map per transaction (the scratch
@@ -222,7 +210,10 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 		}
 	}
 
-	e.accessed = 0
+	e.stream.Store, e.stream.Policy = e.DB.Store, e.Policy
+	// n counts the objects a transaction touches without faulting them
+	// (the writes); the stream counts the faults.
+	n := 0
 	var err error
 	switch tx.Type {
 	case SetAccess:
@@ -234,76 +225,26 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 	case StochasticTraversal:
 		err = e.stochastic(tx.Root, tx.Depth, tx.Reverse)
 	case UpdateOp:
-		e.accessed, err = e.update(tx.Root)
+		n, err = e.update(tx.Root)
 	case InsertOp:
-		e.accessed, err = e.insert()
+		n, err = e.insert()
 	case DeleteOp:
-		e.accessed, err = e.delete(tx.Root)
+		n, err = e.delete(tx.Root)
 	case ScanOp:
-		e.accessed, err = e.scan()
+		err = e.scan()
 	case RangeOp:
 		err = e.rangeLookup(tx.Root)
 	default:
 		return 0, fmt.Errorf("ocb: unknown transaction type %v", tx.Type)
 	}
-	if err == nil {
-		err = e.flush()
-	}
+	faulted, err := e.stream.End(err)
 	if err != nil {
 		return 0, err
 	}
 	if e.Policy != nil {
 		e.Policy.EndTransaction()
 	}
-	return e.accessed, nil
-}
-
-// unobserved in the parent slot of a queued fault keeps flush from
-// reporting it to the policy. No object has this OID: identifiers are
-// dense from 1.
-const unobserved = ^backend.OID(0)
-
-// visit queues the fault of object to, reached from object from (NilOID
-// for a root), on the access stream, flushing it when it holds scanBatch
-// entries.
-//
-//ocblint:allocfree -- steady-state hot path
-func (e *Executor) visit(from, to backend.OID) error {
-	e.pending = append(e.pending, to)
-	e.pendingFrom = append(e.pendingFrom, from)
-	if len(e.pending) < scanBatch {
-		return nil
-	}
-	return e.flush()
-}
-
-// flush faults the queued objects through one Store.AccessBatch call, in
-// visit order, replays the policy observations of the prefix that
-// completed, adds that prefix to the transaction's object count and
-// empties the queue. On error the rest of the queue is dropped: the
-// transaction is over.
-//
-//ocblint:allocfree -- steady-state hot path
-func (e *Executor) flush() error {
-	if len(e.pending) == 0 {
-		return nil
-	}
-	n, err := e.DB.Store.AccessBatch(e.pending)
-	if e.Policy != nil {
-		for i, to := range e.pending[:n] {
-			switch from := e.pendingFrom[i]; from {
-			case unobserved:
-			case backend.NilOID:
-				e.Policy.ObserveRoot(to)
-			default:
-				e.Policy.ObserveLink(from, to)
-			}
-		}
-	}
-	e.accessed += n
-	e.pending = e.pending[:0]
-	e.pendingFrom = e.pendingFrom[:0]
-	return err
+	return n + faulted, nil
 }
 
 // discover marks a successor as seen, queues its fault and adds it to the
@@ -315,7 +256,7 @@ func (e *Executor) discover(from, to backend.OID) error {
 		return nil
 	}
 	e.next = append(e.next, to)
-	return e.visit(from, to)
+	return e.stream.Visit(from, to)
 }
 
 // setAccess is the set-oriented access: breadth-first on all the
@@ -331,7 +272,7 @@ func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) error {
 	}
 	e.seen.Reset(len(e.DB.Objects))
 	e.seen.Add(root)
-	if err := e.visit(backend.NilOID, root); err != nil {
+	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
 	e.frontier = append(e.frontier[:0], root)
@@ -369,7 +310,7 @@ func (e *Executor) simple(root backend.OID, depth int, reverse bool) error {
 	if e.DB.Object(root) == nil {
 		return fmt.Errorf("ocb: bad root %d", root)
 	}
-	if err := e.visit(backend.NilOID, root); err != nil {
+	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
 	return e.simpleDFS(root, depth, reverse)
@@ -387,7 +328,7 @@ func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error
 	obj := e.DB.Object(oid)
 	if reverse {
 		for _, succ := range obj.BackRef {
-			if err := e.visit(oid, succ); err != nil {
+			if err := e.stream.Visit(oid, succ); err != nil {
 				return err
 			}
 			if err := e.simpleDFS(succ, remaining-1, reverse); err != nil {
@@ -400,7 +341,7 @@ func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error
 		if succ == backend.NilOID {
 			continue
 		}
-		if err := e.visit(oid, succ); err != nil {
+		if err := e.stream.Visit(oid, succ); err != nil {
 			return err
 		}
 		if err := e.simpleDFS(succ, remaining-1, reverse); err != nil {
@@ -418,7 +359,7 @@ func (e *Executor) hierarchy(root backend.OID, depth, refType int, reverse bool)
 	if e.DB.Object(root) == nil {
 		return fmt.Errorf("ocb: bad root %d", root)
 	}
-	if err := e.visit(backend.NilOID, root); err != nil {
+	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
 	return e.hierarchyDFS(root, depth, refType, reverse)
@@ -450,7 +391,7 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 			if !matched {
 				continue
 			}
-			if err := e.visit(oid, from); err != nil {
+			if err := e.stream.Visit(oid, from); err != nil {
 				return err
 			}
 			if err := e.hierarchyDFS(from, remaining-1, refType, reverse); err != nil {
@@ -464,7 +405,7 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 		if succ == backend.NilOID || class.TRef[k] != refType {
 			continue
 		}
-		if err := e.visit(oid, succ); err != nil {
+		if err := e.stream.Visit(oid, succ); err != nil {
 			return err
 		}
 		if err := e.hierarchyDFS(succ, remaining-1, refType, reverse); err != nil {
@@ -486,7 +427,7 @@ func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) error {
 	if e.DB.Object(root) == nil {
 		return fmt.Errorf("ocb: bad root %d", root)
 	}
-	if err := e.visit(backend.NilOID, root); err != nil {
+	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
 	cur := root
@@ -528,7 +469,7 @@ func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) error {
 				k--
 			}
 		}
-		if err := e.visit(cur, next); err != nil {
+		if err := e.stream.Visit(cur, next); err != nil {
 			return err
 		}
 		cur = next
@@ -582,35 +523,27 @@ func (e *Executor) delete(root backend.OID) (int, error) {
 	return touched, nil
 }
 
-// scanBatch bounds how many objects one AccessBatch call covers, on the
-// access stream and during a scan, so neither pins store locks for a whole
-// traversal nor grows a request frame with the database.
-const scanBatch = 512
-
 // scan visits every live object in OID order — HyperModel's Sequential
 // Scan, excluded from the clustering workload and restored by §5. It walks
 // one live-OID snapshot (the database's cached ascending snapshot, not a
-// freshly built slice) in bounded batches through Store.AccessBatch.
+// freshly built slice) through the stream; the policy is told of the first
+// object alone, once the scan completed.
 //
 //ocblint:allocfree -- steady-state hot path
-func (e *Executor) scan() (int, error) {
+func (e *Executor) scan() error {
 	live := e.DB.LiveOIDs()
-	n := 0
-	for start := 0; start < len(live); start += scanBatch {
-		end := start + scanBatch
-		if end > len(live) {
-			end = len(live)
-		}
-		k, err := e.DB.Store.AccessBatch(live[start:end])
-		n += k
-		if err != nil {
-			return n, err
+	for _, oid := range live {
+		if err := e.stream.VisitUnobserved(oid); err != nil {
+			return err
 		}
 	}
-	if e.Policy != nil && n > 0 {
+	if err := e.stream.Flush(); err != nil {
+		return err
+	}
+	if e.Policy != nil && len(live) > 0 {
 		e.Policy.ObserveRoot(live[0])
 	}
-	return n, nil
+	return nil
 }
 
 // rangeLookup visits the live objects whose OID falls within a 1%-of-NO
@@ -629,11 +562,11 @@ func (e *Executor) rangeLookup(root backend.OID) error {
 		if e.DB.Object(oid) == nil {
 			continue
 		}
-		if err := e.visit(unobserved, oid); err != nil {
+		if err := e.stream.VisitUnobserved(oid); err != nil {
 			return err
 		}
 	}
-	if err := e.flush(); err != nil {
+	if err := e.stream.Flush(); err != nil {
 		return err
 	}
 	if e.Policy != nil {

@@ -11,6 +11,7 @@ import (
 	"ocb/internal/lewis"
 	"ocb/internal/report"
 	"ocb/internal/wire"
+	"ocb/internal/workload"
 )
 
 // oo1Signature runs the OO1-shaped traversal — a depth-7 simple traversal
@@ -155,7 +156,8 @@ func genericityRow(c Config, name string, n, reps int) (row []string, visited in
 
 // queryProfile measures the ordered-index face of a backend: the mean
 // response, in microseconds, of runs zipfian point lookups (each a Seek
-// resolved through the index plus the Access that faults the object) and
+// resolved through the index plus the fault of the object, flushed on its
+// own so the column prices one lookup) and
 // of runs OID range scans over a tenth-of-the-database window, faulted
 // with AccessBatch. Index reads charge no I/O by contract, so the
 // difference between backends here is pure index machinery — and, on the
@@ -163,6 +165,7 @@ func genericityRow(c Config, name string, n, reps int) (row []string, visited in
 func queryProfile(rg backend.Ranger, st backend.Backend, objects, runs int, seed int64) (point, scan float64, err error) {
 	src := lewis.New(seed)
 	zipf := lewis.NewZipf(0.86)
+	stream := workload.AccessStream{Store: st}
 	start := time.Now()
 	for i := 0; i < runs; i++ {
 		target := backend.OID(zipf.Draw(src, 1, objects, 0))
@@ -172,7 +175,7 @@ func queryProfile(rg backend.Ranger, st backend.Backend, objects, runs int, seed
 				return 0, 0, fmt.Errorf("ordered index is empty")
 			}
 		}
-		if err := st.Access(oid); err != nil {
+		if _, err := stream.End(stream.Visit(backend.NilOID, oid)); err != nil {
 			return 0, 0, err
 		}
 	}

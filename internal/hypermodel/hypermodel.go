@@ -242,8 +242,11 @@ func (db *Database) newNode(level int) (*Node, error) {
 // NumNodes returns the node count.
 func (db *Database) NumNodes() int { return len(db.Nodes) - 1 }
 
-// node returns the node owning an OID (linear id mapping: OIDs are dense).
-func (db *Database) node(oid backend.OID) *Node { return db.Nodes[int(oid)] }
+// node returns the node owning an OID. The mapping is linear: the
+// generator creates one object per node in id order, and OIDs are issued
+// sequentially — from wherever the store's counter stood, which is not 1
+// on a store shared with earlier runs (a served one).
+func (db *Database) node(oid backend.OID) *Node { return db.Nodes[int(oid-db.Nodes[1].OID)+1] }
 
 // OpName enumerates the benchmark's operations.
 type OpName string
@@ -286,10 +289,11 @@ func AllOperations() []OpName {
 	}
 }
 
-// hmClient is the engine's per-client state: the precomputed inputs of
-// each operation, drawn untimed by the cold pass and replayed by the warm
-// one (the protocol's "setup" step).
+// hmClient is the engine's per-client state: the client's access stream
+// and the precomputed inputs of each operation, drawn untimed by the cold
+// pass and replayed by the warm one (the protocol's "setup" step).
 type hmClient struct {
+	stream workload.AccessStream
 	inputs map[OpName][]int
 }
 
@@ -304,28 +308,31 @@ func (db *Database) drawInputs(src *lewis.Source) []int {
 }
 
 // passBody runs one pass of an operation over its precomputed inputs —
-// the body both the cold and warm runs share. "If the operation is an
-// update, commit the changes once for all 50 operations."
-func (db *Database) passBody(name OpName, inputs []int, src *lewis.Source, policy cluster.Policy) (int, error) {
-	objects := 0
-	update := false
+// the body both the cold and warm runs share. Each input is one
+// transaction to the policy, so its faults are flushed before it ends.
+// "If the operation is an update, commit the changes once for all 50
+// operations."
+func (db *Database) passBody(name OpName, inputs []int, src *lewis.Source, s *workload.AccessStream) (int, error) {
+	updated := 0
+	var err error
 	for _, in := range inputs {
-		n, upd, err := db.execute(name, in, src, policy)
+		var u int
+		if u, err = db.execute(name, in, src, s); err == nil {
+			err = s.Flush()
+		}
 		if err != nil {
-			return objects, err
+			break
 		}
-		objects += n
-		update = update || upd
-		if policy != nil {
-			policy.EndTransaction()
-		}
-	}
-	if update {
-		if err := db.Store.Commit(); err != nil {
-			return objects, err
+		updated += u
+		if s.Policy != nil {
+			s.Policy.EndTransaction()
 		}
 	}
-	return objects, nil
+	if err == nil && updated > 0 {
+		err = db.Store.Commit()
+	}
+	faulted, err := s.End(err)
+	return updated + faulted, err
 }
 
 // opPair returns the engine ops of one HyperModel operation under the
@@ -333,7 +340,7 @@ func (db *Database) passBody(name OpName, inputs []int, src *lewis.Source, polic
 // drops the cache, and runs the first pass; "<name>/warm" repeats the
 // same inputs against the warmed cache. The editing operations mutate
 // node attributes, so they take the spec's exclusive lock.
-func (db *Database) opPair(name OpName, policy cluster.Policy) []workload.Op {
+func (db *Database) opPair(name OpName) []workload.Op {
 	mutating := name == EditNode || name == EditText || name == EditMillion
 	return []workload.Op{
 		{
@@ -350,7 +357,7 @@ func (db *Database) opPair(name OpName, policy cluster.Policy) []workload.Op {
 			},
 			Run: func(ctx *workload.Ctx) (int, error) {
 				st := ctx.State.(*hmClient)
-				return db.passBody(name, st.inputs[name], ctx.Src, policy)
+				return db.passBody(name, st.inputs[name], ctx.Src, &st.stream)
 			},
 		},
 		{
@@ -368,7 +375,7 @@ func (db *Database) opPair(name OpName, policy cluster.Policy) []workload.Op {
 			},
 			Run: func(ctx *workload.Ctx) (int, error) {
 				st := ctx.State.(*hmClient)
-				return db.passBody(name, st.inputs[name], ctx.Src, policy)
+				return db.passBody(name, st.inputs[name], ctx.Src, &st.stream)
 			},
 		},
 	}
@@ -384,7 +391,7 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 	}
 	var ops []workload.Op
 	for _, name := range AllOperations() {
-		ops = append(ops, db.opPair(name, policy)...)
+		ops = append(ops, db.opPair(name)...)
 	}
 	return &workload.Spec{
 		Name:        "hypermodel",
@@ -405,33 +412,34 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 			return lewis.New(db.P.Seed + int64(c)*104729)
 		},
 		NewClient: func(int, *lewis.Source) any {
-			return &hmClient{inputs: make(map[OpName][]int)}
+			return &hmClient{
+				stream: workload.AccessStream{Store: db.Store, Policy: policy},
+				inputs: make(map[OpName][]int),
+			}
 		},
 	}
 }
 
-// execute runs one operation instance from input node id, returning the
-// number of objects accessed and whether it updated the database. Random
-// choices (EditMillion's new attribute value) come from src, the
-// executing client's source.
-func (db *Database) execute(name OpName, input int, src *lewis.Source, policy cluster.Policy) (int, bool, error) {
+// execute runs one operation instance from input node id, faulting
+// through s, and returns how many objects it updated (the reads' object
+// count is the stream's). Random choices (EditMillion's new attribute
+// value) come from src, the executing client's source.
+func (db *Database) execute(name OpName, input int, src *lewis.Source, s *workload.AccessStream) (int, error) {
 	node := db.Nodes[input]
 	switch name {
 	case NameLookup, NameOIDLookup:
 		// Retrieve one randomly selected node (by uniqueId / by OID —
 		// both a single store access here).
-		return 1, false, db.access(backend.NilOID, node.OID, policy)
+		return 0, s.Visit(backend.NilOID, node.OID)
 
 	case RangeLookupHundred:
 		// Retrieve nodes with hundred = value (N/100 nodes via index).
-		n := 0
 		for _, id := range db.byHundred[input%100] {
-			if err := db.access(backend.NilOID, db.Nodes[id].OID, policy); err != nil {
-				return n, false, err
+			if err := s.Visit(backend.NilOID, db.Nodes[id].OID); err != nil {
+				return 0, err
 			}
-			n++
 		}
-		return n, false, nil
+		return 0, nil
 
 	case RangeLookupMillion:
 		// Retrieve nodes with million in [lo, lo+1%), via the sorted index.
@@ -440,89 +448,85 @@ func (db *Database) execute(name OpName, input int, src *lewis.Source, policy cl
 		start := sort.Search(len(db.byMillion), func(i int) bool {
 			return db.Nodes[db.byMillion[i]].Million >= lo
 		})
-		n := 0
 		for i := start; i < len(db.byMillion); i++ {
 			nd := db.Nodes[db.byMillion[i]]
 			if nd.Million >= hi {
 				break
 			}
-			if err := db.access(backend.NilOID, nd.OID, policy); err != nil {
-				return n, false, err
+			if err := s.Visit(backend.NilOID, nd.OID); err != nil {
+				return 0, err
 			}
-			n++
 		}
-		return n, false, nil
+		return 0, nil
 
 	case GroupLookupChildren:
-		return db.group(node, node.Children, policy)
+		return 0, group(s, node, node.Children)
 	case GroupLookupParts:
-		return db.group(node, node.Parts, policy)
+		return 0, group(s, node, node.Parts)
 	case GroupLookupRefTo:
-		return db.group(node, []backend.OID{node.RefTo}, policy)
+		return 0, group(s, node, []backend.OID{node.RefTo})
 
 	case RefLookupParent:
 		if node.Parent == backend.NilOID {
-			return 0, false, nil
+			return 0, nil
 		}
-		return db.group(node, []backend.OID{node.Parent}, policy)
+		return 0, group(s, node, []backend.OID{node.Parent})
 	case RefLookupPartOf:
-		return db.group(node, node.PartOf, policy)
+		return 0, group(s, node, node.PartOf)
 	case RefLookupRefFrom:
-		return db.group(node, node.RefFrom, policy)
+		return 0, group(s, node, node.RefFrom)
 
 	case SeqScan:
-		n := 0
 		for id := 1; id <= db.NumNodes(); id++ {
-			if err := db.access(backend.NilOID, db.Nodes[id].OID, policy); err != nil {
-				return n, false, err
+			if err := s.Visit(backend.NilOID, db.Nodes[id].OID); err != nil {
+				return 0, err
 			}
-			n++
 		}
-		return n, false, nil
+		return 0, nil
 
 	case ClosureChildren:
-		return db.closure(node, relChildren, db.P.Levels+1, policy)
+		return 0, db.closure(s, node, relChildren, db.P.Levels+1)
 	case ClosureParts:
-		return db.closure(node, relParts, db.P.Levels+1, policy)
+		return 0, db.closure(s, node, relParts, db.P.Levels+1)
 	case ClosureRefTo:
-		return db.closure(node, relRefTo, 25, policy)
+		return 0, db.closure(s, node, relRefTo, 25)
 	case ClosureChildrenDpth:
-		return db.closure(node, relChildren, 2, policy)
+		return 0, db.closure(s, node, relChildren, 2)
 	case ClosurePartsDpth:
-		return db.closure(node, relParts, 2, policy)
+		return 0, db.closure(s, node, relParts, 2)
 	case ClosureRefToDpth:
-		return db.closure(node, relRefTo, 5, policy)
+		return 0, db.closure(s, node, relRefTo, 5)
 
 	case EditNode, EditMillion:
 		// Update an attribute on one node.
 		if err := db.Store.Update(node.OID); err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		if name == EditMillion {
 			node.Million = src.Intn(db.P.MillionRange)
 		}
-		if policy != nil {
-			policy.ObserveRoot(node.OID)
+		if s.Policy != nil {
+			s.Policy.ObserveRoot(node.OID)
 		}
-		return 1, true, nil
+		return 1, nil
 
 	case EditText:
 		// Update the text of a node and its refTo target (a two-object
 		// update transaction).
 		if err := db.Store.Update(node.OID); err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		if err := db.Store.Update(node.RefTo); err != nil {
-			return 1, true, err
+			return 0, err
 		}
-		if policy != nil {
-			policy.ObserveRoot(node.OID)
-			policy.ObserveLink(node.OID, node.RefTo)
+		if s.Policy != nil {
+			s.Policy.ObserveRoot(node.OID)
+			s.Policy.ObserveLink(node.OID, node.RefTo)
 		}
-		return 2, true, nil
+		return 2, nil
 
 	default:
-		return 0, false, fmt.Errorf("hypermodel: unknown operation %q", name)
+		return 0, fmt.Errorf("hypermodel: unknown operation %q", name)
 	}
 }
 
@@ -535,29 +539,26 @@ const (
 )
 
 // group accesses the root then each related node (one-level lookup).
-func (db *Database) group(root *Node, related []backend.OID, policy cluster.Policy) (int, bool, error) {
-	if err := db.access(backend.NilOID, root.OID, policy); err != nil {
-		return 0, false, err
+func group(s *workload.AccessStream, root *Node, related []backend.OID) error {
+	if err := s.Visit(backend.NilOID, root.OID); err != nil {
+		return err
 	}
-	n := 1
 	for _, oid := range related {
 		if oid == backend.NilOID {
 			continue
 		}
-		if err := db.access(root.OID, oid, policy); err != nil {
-			return n, false, err
+		if err := s.Visit(root.OID, oid); err != nil {
+			return err
 		}
-		n++
 	}
-	return n, false, nil
+	return nil
 }
 
 // closure traverses a relationship transitively up to depth.
-func (db *Database) closure(root *Node, rel relKind, depth int, policy cluster.Policy) (int, bool, error) {
-	if err := db.access(backend.NilOID, root.OID, policy); err != nil {
-		return 0, false, err
+func (db *Database) closure(s *workload.AccessStream, root *Node, rel relKind, depth int) error {
+	if err := s.Visit(backend.NilOID, root.OID); err != nil {
+		return err
 	}
-	n := 1
 	var walk func(cur *Node, remaining int) error
 	walk = func(cur *Node, remaining int) error {
 		if remaining == 0 {
@@ -575,33 +576,16 @@ func (db *Database) closure(root *Node, rel relKind, depth int, policy cluster.P
 			}
 		}
 		for _, oid := range next {
-			if err := db.access(cur.OID, oid, policy); err != nil {
+			if err := s.Visit(cur.OID, oid); err != nil {
 				return err
 			}
-			n++
 			if err := walk(db.node(oid), remaining-1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	err := walk(root, depth)
-	return n, false, err
-}
-
-// access faults one node and feeds the policy.
-func (db *Database) access(from, to backend.OID, policy cluster.Policy) error {
-	if err := db.Store.Access(to); err != nil {
-		return err
-	}
-	if policy != nil {
-		if from == backend.NilOID {
-			policy.ObserveRoot(to)
-		} else {
-			policy.ObserveLink(from, to)
-		}
-	}
-	return nil
+	return walk(root, depth)
 }
 
 // Check verifies structural invariants: tree shape, inverse relationship

@@ -132,16 +132,25 @@ func TestSeqScanTouchesEverything(t *testing.T) {
 	}
 }
 
+// execute runs one operation instance on a fresh client stream and
+// returns the objects it faulted and updated.
+func execute(db *Database, name OpName, input int) (faulted, updated int, err error) {
+	s := &workload.AccessStream{Store: db.Store}
+	updated, err = db.execute(name, input, nil, s)
+	faulted, err = s.End(err)
+	return faulted, updated, err
+}
+
 func TestRangeLookupHundredSelectivity(t *testing.T) {
 	db, err := Generate(smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, upd, err := db.execute(RangeLookupHundred, 37, nil, nil)
+	n, upd, err := execute(db, RangeLookupHundred, 37)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if upd {
+	if upd != 0 {
 		t.Fatal("range lookup flagged as update")
 	}
 	want := 0
@@ -171,7 +180,7 @@ func TestRangeLookupMillionSelectivity(t *testing.T) {
 			want++
 		}
 	}
-	n, _, err := db.execute(RangeLookupMillion, input, nil, nil)
+	n, _, err := execute(db, RangeLookupMillion, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +212,7 @@ func TestClosureChildrenFromRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Closure over children from the root touches the whole tree once.
-	n, _, err := db.execute(ClosureChildren, 1, nil, nil)
+	n, _, err := execute(db, ClosureChildren, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +226,7 @@ func TestClosureRefToBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := db.execute(ClosureRefTo, 5, nil, nil)
+	n, _, err := execute(db, ClosureRefTo, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestUnknownOperation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.execute(OpName("bogus"), 1, nil, nil); err == nil {
+	if _, _, err := execute(db, OpName("bogus"), 1); err == nil {
 		t.Fatal("unknown operation accepted")
 	}
 }

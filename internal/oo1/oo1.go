@@ -260,36 +260,32 @@ func (db *Database) NumParts() int { return len(db.ByID) - 1 }
 
 // lookupOnce is the lookup op body: access p.Lookups parts selected at
 // random over the first bound dictionary ids, drawn from src (the
-// executing client's source).
-func (db *Database) lookupOnce(src *lewis.Source, bound int, policy cluster.Policy) (int, error) {
-	n := 0
+// executing client's source), through the client's stream.
+func (db *Database) lookupOnce(src *lewis.Source, bound int, s *workload.AccessStream) (int, error) {
 	for i := 0; i < db.P.Lookups; i++ {
-		oid := db.ByID[src.IntRange(1, bound)]
-		if err := db.Store.Access(oid); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, db.ByID[src.IntRange(1, bound)]); err != nil {
+			return s.End(err)
 		}
-		if policy != nil {
-			policy.ObserveRoot(oid)
-		}
-		n++
 	}
-	return n, nil
+	return s.End(nil)
 }
 
 // TraverseFrom is the traversal op body: depth-first from root through
 // the Connect and To references (or In/From reversed when reverse is
 // set) up to TraversalDepth hops — 3280 parts at the default depth,
-// duplicates possible. It returns the parts visited; ending the policy's
-// transaction is the caller's step. Exported for the before/after
-// clustering protocol (DSTC-CluB), which replays explicit roots.
-func (db *Database) TraverseFrom(policy cluster.Policy, root backend.OID, reverse bool) (int, error) {
+// duplicates possible — faulting every part and connection through s and
+// ending the stream before it returns. It returns the parts visited;
+// ending the policy's transaction is the caller's step. Exported for the
+// before/after clustering protocol (DSTC-CluB), which replays explicit
+// roots.
+func (db *Database) TraverseFrom(s *workload.AccessStream, root backend.OID, reverse bool) (int, error) {
 	if _, ok := db.Parts[root]; !ok {
 		return 0, fmt.Errorf("oo1: root %d is not a part", root)
 	}
 	n := 0
-	var visit func(part backend.OID, depth int) error
-	visit = func(oid backend.OID, depth int) error {
-		if err := db.Store.Access(oid); err != nil {
+	var visit func(from, part backend.OID, depth int) error
+	visit = func(from, oid backend.OID, depth int) error {
+		if err := s.Visit(from, oid); err != nil {
 			return err
 		}
 		n++
@@ -303,7 +299,7 @@ func (db *Database) TraverseFrom(policy cluster.Policy, root backend.OID, revers
 		}
 		for _, coid := range conns {
 			// Crossing part -> connection -> part faults both objects.
-			if err := db.Store.Access(coid); err != nil {
+			if err := s.Visit(oid, coid); err != nil {
 				return err
 			}
 			conn := db.Conns[coid]
@@ -311,20 +307,13 @@ func (db *Database) TraverseFrom(policy cluster.Policy, root backend.OID, revers
 			if reverse {
 				next = conn.From
 			}
-			if policy != nil {
-				policy.ObserveLink(oid, coid)
-				policy.ObserveLink(coid, next)
-			}
-			if err := visit(next, depth-1); err != nil {
+			if err := visit(coid, next, depth-1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if policy != nil {
-		policy.ObserveRoot(root)
-	}
-	err := visit(root, db.P.TraversalDepth)
+	_, err := s.End(visit(backend.NilOID, root, db.P.TraversalDepth))
 	return n, err
 }
 
@@ -412,17 +401,18 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		ins[0] = db.src
 	}
 	nruns := db.P.NRuns
+	stream := func(ctx *workload.Ctx) *workload.AccessStream { return ctx.State.(*workload.AccessStream) }
 	ops := []workload.Op{
 		{Name: "lookup", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
-			return end(db.lookupOnce(ctx.Src, span(), policy))
+			return end(db.lookupOnce(ctx.Src, span(), stream(ctx)))
 		}},
 		{Name: "traversal", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
 			root := db.ByID[ctx.Src.IntRange(1, span())]
-			return end(db.TraverseFrom(policy, root, false))
+			return end(db.TraverseFrom(stream(ctx), root, false))
 		}},
 		{Name: "reverse-traversal", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
 			root := db.ByID[ctx.Src.IntRange(1, span())]
-			return end(db.TraverseFrom(policy, root, true))
+			return end(db.TraverseFrom(stream(ctx), root, true))
 		}},
 		{Name: "insert", Weight: 1, Count: nruns, Mutating: true, Run: func(ctx *workload.Ctx) (int, error) {
 			return end(db.insertOnce(ins[ctx.Client], n0))
@@ -447,6 +437,9 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 				return db.src
 			}
 			return lewis.New(db.P.Seed + int64(c)*104729)
+		},
+		NewClient: func(int, *lewis.Source) any {
+			return &workload.AccessStream{Store: db.Store, Policy: policy}
 		},
 	}
 }

@@ -99,7 +99,7 @@ func TestTraversalVisitCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.TraverseFrom(nil, db.ByID[1], false)
+	n, err := db.TraverseFrom(&workload.AccessStream{Store: db.Store}, db.ByID[1], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTraversalOO1Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := db.ByID[db.src.IntRange(1, db.NumParts())]
-	n, err := db.TraverseFrom(nil, root, false)
+	n, err := db.TraverseFrom(&workload.AccessStream{Store: db.Store}, root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestReverseTraversalRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := db.ByID[db.src.IntRange(1, db.NumParts())]
-	n, err := db.TraverseFrom(nil, root, true)
+	n, err := db.TraverseFrom(&workload.AccessStream{Store: db.Store}, root, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTraversalBadRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.TraverseFrom(nil, 999999, false); err == nil {
+	if _, err := db.TraverseFrom(&workload.AccessStream{Store: db.Store}, 999999, false); err == nil {
 		t.Fatal("bad root accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.lookupOnce(db.src, db.NumParts(), nil)
+	n, err := db.lookupOnce(db.src, db.NumParts(), &workload.AccessStream{Store: db.Store})
 	if err != nil {
 		t.Fatal(err)
 	}

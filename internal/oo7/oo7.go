@@ -322,70 +322,55 @@ func (db *Database) buildAssembly(level int, parent backend.OID) (backend.OID, e
 // NumAtomics returns the atomic-part count.
 func (db *Database) NumAtomics() int { return len(db.AtomicID) }
 
-// access faults an object and feeds the policy.
-func (db *Database) access(from, to backend.OID, policy cluster.Policy) error {
-	if err := db.Store.Access(to); err != nil {
-		return err
-	}
-	if policy != nil {
-		if from == backend.NilOID {
-			policy.ObserveRoot(to)
-		} else {
-			policy.ObserveLink(from, to)
-		}
-	}
-	return nil
-}
-
 // traverseComposite runs a DFS over a composite's atomic graph from its
 // root atomic part, visiting each atomic part once (OO7's T1 semantics).
 // update selects how many visited atomics are updated: 0 none, 1 the
-// root only (T2a), -1 all (T2b).
-func (db *Database) traverseComposite(comp *CompositePart, update int, policy cluster.Policy) (int, error) {
-	visited := make(map[backend.OID]bool)
-	n := 0
+// root only (T2a), -1 all (T2b). The visit set is the client's ctx.Seen,
+// sized by the composite's last atomic: a composite's atomics are created
+// consecutively, and OIDs are issued in creation order.
+func (db *Database) traverseComposite(ctx *workload.Ctx, s *workload.AccessStream, comp *CompositePart, update int) error {
+	ctx.Seen.Reset(int(comp.Atomics[len(comp.Atomics)-1]) + 1)
+	first := true
 	var dfs func(aoid backend.OID) error
 	dfs = func(aoid backend.OID) error {
-		if visited[aoid] {
+		if !ctx.Seen.Add(aoid) {
 			return nil
 		}
-		visited[aoid] = true
-		if err := db.access(comp.OID, aoid, policy); err != nil {
+		if err := s.Visit(comp.OID, aoid); err != nil {
 			return err
 		}
-		n++
-		if update == -1 || (update == 1 && n == 1) {
+		if update == -1 || (update == 1 && first) {
+			// The update reaches the store after the faults before it.
+			if err := s.Flush(); err != nil {
+				return err
+			}
 			if err := db.Store.Update(aoid); err != nil {
 				return err
 			}
 		}
+		first = false
 		a := db.Atomics[aoid]
 		for _, coid := range a.Out {
-			if err := db.access(aoid, coid, policy); err != nil {
+			if err := s.Visit(aoid, coid); err != nil {
 				return err
 			}
-			n++
-			conn := db.Conns[coid]
-			if err := dfs(conn.To); err != nil {
+			if err := dfs(db.Conns[coid].To); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	err := dfs(comp.Root)
-	return n, err
+	return dfs(comp.Root)
 }
 
 // traversalBody implements the shared skeleton of T1/T2/T3/T6.
-func (db *Database) traversalBody(update int, sparse bool, policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) traversalBody(ctx *workload.Ctx, s *workload.AccessStream, update int, sparse bool) error {
 	var walk func(aoid backend.OID) error
 	walk = func(aoid backend.OID) error {
 		a := db.Assms[aoid]
-		if err := db.access(a.Parent, aoid, policy); err != nil {
+		if err := s.Visit(a.Parent, aoid); err != nil {
 			return err
 		}
-		n++
 		for _, sub := range a.Sub {
 			if err := walk(sub); err != nil {
 				return err
@@ -393,36 +378,29 @@ func (db *Database) traversalBody(update int, sparse bool, policy cluster.Policy
 		}
 		for _, compOID := range a.Comps {
 			comp := db.Comps[db.compByOID(compOID)]
-			if sparse {
-				// T6: visit the composite and its root atomic only.
-				if err := db.access(aoid, comp.OID, policy); err != nil {
-					return err
-				}
-				if err := db.access(comp.OID, comp.Root, policy); err != nil {
-					return err
-				}
-				n += 2
-				continue
-			}
-			if err := db.access(aoid, comp.OID, policy); err != nil {
+			if err := s.Visit(aoid, comp.OID); err != nil {
 				return err
 			}
-			n++
-			m, err := db.traverseComposite(comp, update, policy)
-			n += m
-			if err != nil {
+			if sparse {
+				// T6: visit the composite and its root atomic only.
+				if err := s.Visit(comp.OID, comp.Root); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := db.traverseComposite(ctx, s, comp, update); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(db.RootAssm); err != nil {
-		return n, err
+	if err := walk(db.RootAssm); err != nil || update == 0 {
+		return err
 	}
-	if update != 0 {
-		return n, db.Store.Commit()
+	if err := s.Flush(); err != nil {
+		return err
 	}
-	return n, nil
+	return db.Store.Commit()
 }
 
 // compByOID maps a composite OID back to its index.
@@ -436,96 +414,85 @@ func (db *Database) compByOID(oid backend.OID) int {
 // q1Body looks up 10 random atomic parts by id, drawn over the first
 // nAtomic dense ids. Ids whose atomic was structurally deleted miss (the
 // dictionary keeps dense ids).
-func (db *Database) q1Body(src *lewis.Source, nAtomic int, policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) q1Body(src *lewis.Source, s *workload.AccessStream, nAtomic int) error {
 	for i := 0; i < 10; i++ {
 		oid := db.AtomicID[src.Intn(nAtomic)]
 		if db.Atomics[oid] == nil {
 			continue
 		}
-		if err := db.access(backend.NilOID, oid, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, oid); err != nil {
+			return err
 		}
-		n++
 	}
-	return n, nil
+	return nil
 }
 
 // rangeBody scans atomic parts whose build date falls in a window
 // covering frac of the domain.
-func (db *Database) rangeBody(frac float64, src *lewis.Source, policy cluster.Policy) (int, error) {
+func (db *Database) rangeBody(src *lewis.Source, s *workload.AccessStream, frac float64) error {
 	width := int(float64(db.P.DateRange) * frac)
 	lo := src.Intn(db.P.DateRange - width + 1)
 	hi := lo + width
-	n := 0
 	for _, oid := range db.AtomicID {
 		a := db.Atomics[oid]
 		if a == nil || a.BuildDate < lo || a.BuildDate >= hi {
 			continue
 		}
-		if err := db.access(backend.NilOID, oid, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, oid); err != nil {
+			return err
 		}
-		n++
 	}
-	return n, nil
+	return nil
 }
 
 // q4Body fetches 10 random documents by title and the root atomic part
 // of each owning composite, drawn over the first nComp library ids.
-func (db *Database) q4Body(src *lewis.Source, nComp int, policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) q4Body(src *lewis.Source, s *workload.AccessStream, nComp int) error {
 	for i := 0; i < 10; i++ {
 		comp := db.Comps[src.Intn(nComp)]
 		if comp == nil { // structurally deleted composite: the lookup misses
 			continue
 		}
-		if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, comp.Doc); err != nil {
+			return err
 		}
-		if err := db.access(comp.Doc, comp.Root, policy); err != nil {
-			return n, err
+		if err := s.Visit(comp.Doc, comp.Root); err != nil {
+			return err
 		}
-		n += 2
 	}
-	return n, nil
+	return nil
 }
 
 // q5Body finds base assemblies using a composite part with a build date
 // later than the assembly's.
-func (db *Database) q5Body(policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) q5Body(s *workload.AccessStream) error {
 	for _, boid := range db.BaseAssm {
 		b := db.Assms[boid]
-		if err := db.access(backend.NilOID, boid, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, boid); err != nil {
+			return err
 		}
-		n++
 		for _, compOID := range b.Comps {
 			comp := db.Comps[db.compByOID(compOID)]
-			if err := db.access(boid, compOID, policy); err != nil {
-				return n, err
+			if err := s.Visit(boid, compOID); err != nil {
+				return err
 			}
-			n++
 			_ = comp.BuildDate > b.BuildDate // the predicate result set
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // q7Body scans every live atomic part.
-func (db *Database) q7Body(policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) q7Body(s *workload.AccessStream) error {
 	for _, oid := range db.AtomicID {
 		if db.Atomics[oid] == nil {
 			continue
 		}
-		if err := db.access(backend.NilOID, oid, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, oid); err != nil {
+			return err
 		}
-		n++
 	}
-	return n, nil
+	return nil
 }
 
 // The document-centric operations: the traversal group's T8/T9 touch the
@@ -535,54 +502,46 @@ func (db *Database) q7Body(policy cluster.Policy) (int, error) {
 // t8Body scans the documentation of one random composite part (the
 // document object is up to DocSize bytes, typically spanning pages),
 // drawn over the first nComp library ids.
-func (db *Database) t8Body(src *lewis.Source, nComp int, policy cluster.Policy) (int, error) {
+func (db *Database) t8Body(src *lewis.Source, s *workload.AccessStream, nComp int) error {
 	comp := db.Comps[src.Intn(nComp)]
 	if comp == nil {
-		return 0, nil
+		return nil
 	}
-	if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
-		return 0, err
-	}
-	return 1, nil
+	return s.Visit(backend.NilOID, comp.Doc)
 }
 
 // t9Body checks the title of every document (a metadata-only pass over
 // the documentation set, in id order for determinism).
-func (db *Database) t9Body(policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) t9Body(s *workload.AccessStream) error {
 	for _, comp := range db.Comps {
 		if comp == nil {
 			continue
 		}
-		if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, comp.Doc); err != nil {
+			return err
 		}
-		n++
 	}
-	return n, nil
+	return nil
 }
 
 // q8Body joins documents with the atomic parts of their composite: for
 // every document, access the document then every atomic part whose id
 // matches the composite (the benchmark's id-equality join).
-func (db *Database) q8Body(policy cluster.Policy) (int, error) {
-	n := 0
+func (db *Database) q8Body(s *workload.AccessStream) error {
 	for _, comp := range db.Comps {
 		if comp == nil {
 			continue
 		}
-		if err := db.access(backend.NilOID, comp.Doc, policy); err != nil {
-			return n, err
+		if err := s.Visit(backend.NilOID, comp.Doc); err != nil {
+			return err
 		}
-		n++
 		for _, aoid := range comp.Atomics {
-			if err := db.access(comp.Doc, aoid, policy); err != nil {
-				return n, err
+			if err := s.Visit(comp.Doc, aoid); err != nil {
+				return err
 			}
-			n++
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // insertBody creates count new composite parts and wires each into ten
@@ -668,10 +627,12 @@ func (db *Database) deleteBody(ids []int) (int, error) {
 // oo7OpDef is one benchmark operation as an engine-ready op body; the
 // update traversals (T2a/T2b/T3a write atomic parts and commit) are
 // marked mutating so multi-client runs serialize them against readers.
+// A body faults through the client's stream and returns only an error:
+// the op's object count is the stream's.
 type oo7OpDef struct {
 	name     string
 	mutating bool
-	body     func(src *lewis.Source) (int, error)
+	body     func(ctx *workload.Ctx, s *workload.AccessStream) error
 }
 
 // readOpDefs lists the classic benchmark sweep (traversals and queries)
@@ -681,22 +642,26 @@ type oo7OpDef struct {
 // do not depend on how the others' inserts interleave). T3a updates the
 // build date of one atomic part per composite — mechanically T2a over
 // the date attribute, hence the same body.
-func (db *Database) readOpDefs(policy cluster.Policy, atomicSpan, compSpan func() int) []oo7OpDef {
+func (db *Database) readOpDefs(atomicSpan, compSpan func() int) []oo7OpDef {
+	type (
+		ctx    = workload.Ctx
+		stream = workload.AccessStream
+	)
 	return []oo7OpDef{
-		{"T1", false, func(*lewis.Source) (int, error) { return db.traversalBody(0, false, policy) }},
-		{"T2a", true, func(*lewis.Source) (int, error) { return db.traversalBody(1, false, policy) }},
-		{"T2b", true, func(*lewis.Source) (int, error) { return db.traversalBody(-1, false, policy) }},
-		{"T3a", true, func(*lewis.Source) (int, error) { return db.traversalBody(1, false, policy) }},
-		{"T6", false, func(*lewis.Source) (int, error) { return db.traversalBody(0, true, policy) }},
-		{"T8", false, func(src *lewis.Source) (int, error) { return db.t8Body(src, compSpan(), policy) }},
-		{"T9", false, func(*lewis.Source) (int, error) { return db.t9Body(policy) }},
-		{"Q1", false, func(src *lewis.Source) (int, error) { return db.q1Body(src, atomicSpan(), policy) }},
-		{"Q2", false, func(src *lewis.Source) (int, error) { return db.rangeBody(0.01, src, policy) }},
-		{"Q3", false, func(src *lewis.Source) (int, error) { return db.rangeBody(0.10, src, policy) }},
-		{"Q4", false, func(src *lewis.Source) (int, error) { return db.q4Body(src, compSpan(), policy) }},
-		{"Q5", false, func(*lewis.Source) (int, error) { return db.q5Body(policy) }},
-		{"Q7", false, func(*lewis.Source) (int, error) { return db.q7Body(policy) }},
-		{"Q8", false, func(*lewis.Source) (int, error) { return db.q8Body(policy) }},
+		{"T1", false, func(c *ctx, s *stream) error { return db.traversalBody(c, s, 0, false) }},
+		{"T2a", true, func(c *ctx, s *stream) error { return db.traversalBody(c, s, 1, false) }},
+		{"T2b", true, func(c *ctx, s *stream) error { return db.traversalBody(c, s, -1, false) }},
+		{"T3a", true, func(c *ctx, s *stream) error { return db.traversalBody(c, s, 1, false) }},
+		{"T6", false, func(c *ctx, s *stream) error { return db.traversalBody(c, s, 0, true) }},
+		{"T8", false, func(c *ctx, s *stream) error { return db.t8Body(c.Src, s, compSpan()) }},
+		{"T9", false, func(_ *ctx, s *stream) error { return db.t9Body(s) }},
+		{"Q1", false, func(c *ctx, s *stream) error { return db.q1Body(c.Src, s, atomicSpan()) }},
+		{"Q2", false, func(c *ctx, s *stream) error { return db.rangeBody(c.Src, s, 0.01) }},
+		{"Q3", false, func(c *ctx, s *stream) error { return db.rangeBody(c.Src, s, 0.10) }},
+		{"Q4", false, func(c *ctx, s *stream) error { return db.q4Body(c.Src, s, compSpan()) }},
+		{"Q5", false, func(_ *ctx, s *stream) error { return db.q5Body(s) }},
+		{"Q7", false, func(_ *ctx, s *stream) error { return db.q7Body(s) }},
+		{"Q8", false, func(_ *ctx, s *stream) error { return db.q8Body(s) }},
 	}
 }
 
@@ -744,14 +709,15 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		ins[0] = db.src
 	}
 	var ops []workload.Op
-	for _, d := range db.readOpDefs(policy, atomicSpan, compSpan) {
+	for _, d := range db.readOpDefs(atomicSpan, compSpan) {
 		body := d.body
 		ops = append(ops, workload.Op{
 			Name:     d.name,
 			Weight:   1,
 			Mutating: d.mutating,
 			Run: func(ctx *workload.Ctx) (int, error) {
-				return end(body(ctx.Src))
+				s := ctx.State.(*workload.AccessStream)
+				return end(s.End(body(ctx, s)))
 			},
 		})
 	}
@@ -789,6 +755,9 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 				return db.src
 			}
 			return lewis.New(db.P.Seed + int64(c)*104729)
+		},
+		NewClient: func(int, *lewis.Source) any {
+			return &workload.AccessStream{Store: db.Store, Policy: policy}
 		},
 	}
 }

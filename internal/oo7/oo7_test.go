@@ -15,6 +15,26 @@ func smallParams() Params {
 	return p
 }
 
+// runBody runs the named read op body once on a fresh client stream,
+// drawing from the database's own stream over the live dictionaries, and
+// returns the objects it faulted.
+func runBody(t *testing.T, db *Database, name string) int {
+	t.Helper()
+	for _, d := range db.readOpDefs(func() int { return len(db.AtomicID) }, func() int { return len(db.Comps) }) {
+		if d.name != name {
+			continue
+		}
+		s := &workload.AccessStream{Store: db.Store}
+		n, err := s.End(d.body(&workload.Ctx{Src: db.src}, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	t.Fatalf("no read op %s", name)
+	return 0
+}
+
 func TestGenerateShape(t *testing.T) {
 	p := smallParams()
 	db, err := Generate(p)
@@ -44,10 +64,7 @@ func TestT1VisitsEveryReferencedAtomicOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.traversalBody(0, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := runBody(t, db, "T1")
 	// Minimum: all 13 assemblies + for each of the 9 base assemblies,
 	// 3 composites with 5 atomics each (plus connection objects).
 	if n < 13+9*3*(1+5) {
@@ -60,14 +77,7 @@ func TestT6SparserThanT1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := db.traversalBody(0, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t6, err := db.traversalBody(0, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1, t6 := runBody(t, db, "T1"), runBody(t, db, "T6")
 	if t6 >= t1 {
 		t.Fatalf("T6 (%d) not sparser than T1 (%d)", t6, t1)
 	}
@@ -79,16 +89,12 @@ func TestT2UpdatesCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Store.ResetStats()
-	if _, err := db.traversalBody(1, false, nil); err != nil { // T2a
-		t.Fatal(err)
-	}
+	runBody(t, db, "T2a")
 	w1 := db.Store.Stats().Disk.TotalWrites()
 	if w1 == 0 {
 		t.Fatal("T2a committed nothing")
 	}
-	if _, err := db.traversalBody(-1, false, nil); err != nil { // T2b
-		t.Fatal(err)
-	}
+	runBody(t, db, "T2b")
 	w2 := db.Store.Stats().Disk.TotalWrites()
 	if w2 <= w1 {
 		t.Fatal("T2b (update all) wrote no more than T2a (update one)")
@@ -100,44 +106,25 @@ func TestQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := db.q1Body(db.src, len(db.AtomicID), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1 := runBody(t, db, "Q1")
 	if q1 != 10 {
 		t.Fatalf("Q1 accessed %d, want 10", q1)
 	}
-	q2, err := db.rangeBody(0.01, db.src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q3, err := db.rangeBody(0.10, db.src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2, q3 := runBody(t, db, "Q2"), runBody(t, db, "Q3")
 	// Q3 (10% selectivity) must select roughly 10x Q2 (1%); with a 100
 	// atomic-part database sampling noise is large, so just require more.
 	if q3 <= q2 {
 		t.Fatalf("Q3 (%d) not broader than Q2 (%d)", q3, q2)
 	}
-	q4, err := db.q4Body(db.src, len(db.Comps), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q4 := runBody(t, db, "Q4")
 	if q4 != 20 {
 		t.Fatalf("Q4 accessed %d, want 20 (10 docs + 10 roots)", q4)
 	}
-	q5, err := db.q5Body(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q5 := runBody(t, db, "Q5")
 	if q5 < len(db.BaseAssm) {
 		t.Fatalf("Q5 accessed %d", q5)
 	}
-	q7, err := db.q7Body(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q7 := runBody(t, db, "Q7")
 	if q7 != db.NumAtomics() {
 		t.Fatalf("Q7 accessed %d, want %d", q7, db.NumAtomics())
 	}
@@ -255,24 +242,15 @@ func TestDocumentOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := db.t8Body(db.src, len(db.Comps), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t8 := runBody(t, db, "T8")
 	if t8 != 1 {
 		t.Fatalf("T8 accessed %d, want 1 document", t8)
 	}
-	t9, err := db.t9Body(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t9 := runBody(t, db, "T9")
 	if t9 != len(db.Docs) {
 		t.Fatalf("T9 accessed %d, want %d documents", t9, len(db.Docs))
 	}
-	q8, err := db.q8Body(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q8 := runBody(t, db, "Q8")
 	want := len(db.Docs) * (1 + db.P.NumAtomic)
 	if q8 != want {
 		t.Fatalf("Q8 accessed %d, want %d (docs joined with atomics)", q8, want)

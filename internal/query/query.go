@@ -23,8 +23,9 @@
 //     the attribute index, then fault the selected objects.
 //   - hot-lookup: Lookups point lookups per run, targets drawn from a
 //     Zipf distribution with skew HotSkew (rank 1 is OID 1), each
-//     resolved with Seek before the Access — the hot-key pattern an
-//     ordered index serves from its upper levels.
+//     resolved with Seek and queued on the client's access stream, which
+//     faults the run's lookups in one AccessBatch — the hot-key pattern
+//     an ordered index serves from its upper levels.
 //
 // On a backend without the Ranger capability every operation reports a
 // capability skip (backend.ErrNoRanger wraps backend.ErrNotSupported,
@@ -225,22 +226,21 @@ func (db *Database) Scenario(clients int) *workload.Spec {
 			if db.rg == nil {
 				return 0, backend.ErrNoRanger
 			}
-			n := 0
+			s := ctx.State.(*workload.AccessStream)
 			for i := 0; i < p.Lookups; i++ {
 				target := backend.OID(db.zipf.Draw(ctx.Src, 1, p.NumObjects, 0))
 				oid, ok := db.rg.Seek(target, false)
 				if !ok {
 					// Past the maximum live OID: resolve to the largest.
 					if oid, ok = db.rg.Seek(target, true); !ok {
-						return n, fmt.Errorf("query: index is empty at lookup %d", i)
+						return s.End(fmt.Errorf("query: index is empty at lookup %d", i))
 					}
 				}
-				if err := db.Store.Access(oid); err != nil {
-					return n, err
+				if err := s.Visit(backend.NilOID, oid); err != nil {
+					return s.End(err)
 				}
-				n++
 			}
-			return n, nil
+			return s.End(nil)
 		}},
 	}
 	return &workload.Spec{
@@ -251,5 +251,8 @@ func (db *Database) Scenario(clients int) *workload.Spec {
 		Seed:    p.Seed,
 		Backend: db.Store,
 		Ops:     ops,
+		NewClient: func(int, *lewis.Source) any {
+			return &workload.AccessStream{Store: db.Store}
+		},
 	}
 }

@@ -28,9 +28,16 @@ package workload
 //     returns an object count. workload.Run is the only thing that times
 //     a suite op, workload.Result the only schema it is reported in, and
 //     report.ResultTable the only table that shows it.
-//   - Use the Ctx scratch (ctx.Seen, ctx.Frontier/Queue/Batch) instead
-//     of allocating per-op maps and slices; the measured loop is guarded
+//   - Use the Ctx scratch (ctx.Seen, ctx.Batch) instead of allocating
+//     per-op maps and slices; the measured loop is guarded
 //     allocation-free and your op is inside it.
+//   - Fault objects through an AccessStream, one per client, built in
+//     NewClient and read back via ctx.State — never Store.Access, which
+//     costs a remote backend one round trip per object. The flush rules:
+//     Flush before any other store call (Update, Create, Delete, Commit,
+//     DropCache) and before Policy.EndTransaction; return through
+//     End(err), still under Spec.Lock. End flushes on success and drops
+//     the queue on error, so no op leaves faults queued for the next.
 //   - Put untimed protocol steps (input precomputation, cache drops) in
 //     Pre, not Run — Pre executes immediately before each run of the op,
 //     outside the measurement window.

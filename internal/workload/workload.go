@@ -77,9 +77,8 @@ type Ctx struct {
 	// no per-operation map allocations (the core executor's scratch,
 	// shared with every suite).
 	Seen SeenSet
-	// Frontier and Queue are reusable OID buffers for level-by-level
-	// explorations; Batch is a reusable buffer for AccessBatch calls.
-	Frontier, Queue, Batch []backend.OID
+	// Batch is a reusable OID buffer for index scan results.
+	Batch []backend.OID
 }
 
 // Spec declares one benchmark scenario run: the operation set, the mix,
