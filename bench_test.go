@@ -481,12 +481,12 @@ func BenchmarkScanTransaction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ex.Exec(core.Transaction{Type: core.ScanOp})
+		n, err := ex.Exec(core.Transaction{Type: core.ScanOp})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.ObjectsAccessed != db.NumLive() {
-			b.Fatalf("scan touched %d objects, live set has %d", res.ObjectsAccessed, db.NumLive())
+		if n != db.NumLive() {
+			b.Fatalf("scan touched %d objects, live set has %d", n, db.NumLive())
 		}
 	}
 }

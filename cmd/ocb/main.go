@@ -257,7 +257,7 @@ func run() error {
 
 	if policy != nil && *reorg {
 		start := time.Now()
-		rs, err := r.Reorganize()
+		rs, err := cluster.Reorganize(policy, db.Store)
 		switch {
 		case errors.Is(err, backend.ErrNotSupported):
 			fmt.Printf("reorganization skipped: backend %q has no physical relocation\n\n", *backendName)

@@ -17,6 +17,7 @@ import (
 
 	"ocb/internal/core"
 	"ocb/internal/dstc"
+	"ocb/internal/scenarios"
 )
 
 func main() {
@@ -59,28 +60,9 @@ func measure(p core.Params, n int) (before, after float64, err error) {
 		ObservationPeriod: 1 << 30, // consolidate once, at reorganization
 		MaxUnitBytes:      1 << 16, // units of up to 16 pages
 	})
-	observe := core.NewRunner(db, policy)
-	probe := core.NewRunner(db, nil)
-
-	const measSeed = 999331
-	db.Store.DropCache()
-	b, err := probe.RunPhase("before", n/2, measSeed)
+	res, err := scenarios.OCBClustering(db, policy, n, n/2, 999331, []int64{1000, 1001, 1002}).Run()
 	if err != nil {
 		return 0, 0, err
 	}
-	for rep := 0; rep < 3; rep++ {
-		db.Store.DropCache()
-		if _, err := observe.RunPhase("observe", n, int64(1000+rep)); err != nil {
-			return 0, 0, err
-		}
-	}
-	if _, err := observe.Reorganize(); err != nil {
-		return 0, 0, err
-	}
-	db.Store.DropCache()
-	a, err := probe.RunPhase("after", n/2, measSeed)
-	if err != nil {
-		return 0, 0, err
-	}
-	return b.MeanIOsPerOp(), a.MeanIOsPerOp(), nil
+	return res.Before, res.After, nil
 }

@@ -45,12 +45,9 @@ func signature(db *core.Database) (objects int, ios uint64, err error) {
 			break
 		}
 	}
-	ex := core.NewExecutor(db, nil, nil)
-	res, err := ex.Exec(core.Transaction{Type: core.SimpleTraversal, Root: root, Depth: db.P.SimDepth})
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.ObjectsAccessed, res.IOs, nil
+	before := db.Store.DiskStats().TransactionIOs()
+	objects, err = core.NewExecutor(db, nil, nil).Exec(core.Transaction{Type: core.SimpleTraversal, Root: root, Depth: db.P.SimDepth})
+	return objects, db.Store.DiskStats().TransactionIOs() - before, err
 }
 
 func main() {

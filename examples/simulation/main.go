@@ -16,8 +16,9 @@ import (
 
 	"ocb/internal/core"
 	"ocb/internal/dstc"
-	"ocb/internal/lewis"
+	"ocb/internal/scenarios"
 	"ocb/internal/sim"
+	"ocb/internal/workload"
 )
 
 func main() {
@@ -31,38 +32,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Capture the workload's demands before and after DSTC reclustering.
-	capture := func(policy *dstc.DSTC, seed int64, n int) []sim.Demand {
-		db.Store.DropCache()
-		src := lewis.New(seed)
-		var ex *core.Executor
-		if policy != nil {
-			ex = core.NewExecutor(db, policy, src)
-		} else {
-			ex = core.NewExecutor(db, nil, src)
-		}
-		out := make([]sim.Demand, 0, n)
-		for i := 0; i < n; i++ {
-			tx := core.SampleTransaction(p, src)
-			res, err := ex.Exec(tx)
-			if err != nil {
-				log.Fatal(err)
-			}
-			out = append(out, sim.Demand{Objects: res.ObjectsAccessed, IOs: res.IOs})
-		}
-		return out
-	}
-
-	const measSeed = 4242
-	before := capture(nil, measSeed, 40)
+	// Capture the workload's demands before and after DSTC reclustering:
+	// the engine hands each measured transaction's demand to the hook,
+	// demands[0] for the before pass and demands[1] for the after pass.
 	policy := dstc.New(dstc.Params{ObservationPeriod: 1 << 30, MaxUnitBytes: 1 << 16})
-	for rep := 0; rep < 3; rep++ {
-		capture(policy, int64(100+rep), 60)
+	proto := scenarios.OCBClustering(db, policy, 60, 40, 4242, []int64{100, 101, 102})
+	var demands [][]sim.Demand
+	pass := proto.Pass
+	proto.Pass = func(observed bool, seed int64) *workload.Spec {
+		spec := pass(observed, seed)
+		if !observed {
+			i := len(demands)
+			demands = append(demands, nil)
+			spec.OnOp = func(_, objects int, ios uint64, _ time.Duration) {
+				demands[i] = append(demands[i], sim.Demand{Objects: objects, IOs: ios})
+			}
+		}
+		return spec
 	}
-	if _, err := policy.Reorganize(db.Store); err != nil {
+	if _, err := proto.Run(); err != nil {
 		log.Fatal(err)
 	}
-	after := capture(nil, measSeed, 40)
 
 	// Two hardware models: the paper's 1992 workstation and a 2000s-era
 	// box — same demands, different simulated clocks.
@@ -77,7 +67,7 @@ func main() {
 		for _, run := range []struct {
 			name    string
 			demands []sim.Demand
-		}{{"before reclustering", before}, {"after reclustering", after}} {
+		}{{"before reclustering", demands[0]}, {"after reclustering", demands[1]}} {
 			res, err := sim.Simulate(hw.p, [][]sim.Demand{run.demands})
 			if err != nil {
 				log.Fatal(err)

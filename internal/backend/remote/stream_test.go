@@ -88,7 +88,7 @@ func TestTraversalFramesPerTransaction(t *testing.T) {
 		{Type: core.StochasticTraversal, Root: 1, Depth: 1200},
 	} {
 		before := hosted.n.Load()
-		objects, err := ex.ExecCounted(tx)
+		objects, err := ex.Exec(tx)
 		if err != nil {
 			t.Fatal(err)
 		}

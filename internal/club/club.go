@@ -10,15 +10,12 @@
 //
 // Protocol. CluB is a *clustering* benchmark: its premise is a recurring,
 // stereotyped workload that the dynamic clustering algorithm observes and
-// then accelerates. The protocol is therefore:
-//
-//  1. draw Roots random traversal roots;
-//  2. run the traversals from those roots Repeats times (cold cache per
-//     pass) with the policy observing; the first pass is the "before"
-//     measurement;
-//  3. trigger the policy's physical reorganization;
-//  4. replay the same traversals from a cold cache: the "after"
-//     measurement.
+// then accelerates. Roots random traversal roots are drawn once; a cold
+// pass over them is measured, Repeats further passes run with the policy
+// observing, the policy reorganizes the database, and the same pass is
+// measured again from a cold cache. This package supplies the pass; the
+// protocol itself is internal/scenarios' Clustering, shared with every
+// other clustering experiment.
 //
 // The paper's measurements on Texas/DSTC: 66 I/Os before, 5 after
 // (gain 13.2) with CluB; OCB parameterized to approximate CluB's database
@@ -30,9 +27,7 @@ package club
 
 import (
 	"fmt"
-	"time"
 
-	"ocb/internal/backend"
 	"ocb/internal/cluster"
 	"ocb/internal/lewis"
 	"ocb/internal/oo1"
@@ -46,10 +41,10 @@ type Params struct {
 	// Roots is the number of distinct traversal roots in the recurring
 	// workload. Default 10.
 	Roots int
-	// Repeats is how many times the workload recurs during the observation
-	// phase. Default 3.
+	// Repeats is how many observed passes the workload recurs for between
+	// the two measurements. Default 3.
 	Repeats int
-	// Seed drives root selection (the same roots replay in both phases).
+	// Seed drives root selection (the same roots recur in every pass).
 	Seed int64
 }
 
@@ -64,7 +59,8 @@ func DefaultParams() Params {
 	}
 }
 
-func (p Params) withDefaults() Params {
+// WithDefaults fills the zero Roots and Repeats with their defaults.
+func (p Params) WithDefaults() Params {
 	if p.Roots <= 0 {
 		p.Roots = 10
 	}
@@ -74,154 +70,37 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Result reports one full CluB protocol execution.
-type Result struct {
-	// IOsBefore and IOsAfter are mean transaction I/Os per traversal,
-	// before and after reclustering.
-	IOsBefore, IOsAfter float64
-	// Gain is IOsBefore / IOsAfter, the paper's gain factor.
-	Gain float64
-	// Reloc is the physical reorganization cost (clustering overhead).
-	Reloc backend.RelocStats
-	// ClusteringIOs is the total clustering-overhead I/O charged.
-	ClusteringIOs uint64
-	// GenTime is the database creation time.
-	GenTime time.Duration
-}
-
-// Run executes the CluB protocol with the given clustering policy
-// (classically DSTC) over a freshly generated OO1 database, which it
-// releases before returning (a durable store holds files).
-func Run(p Params, policy cluster.Policy) (*Result, error) {
-	db, err := oo1.Generate(p.OO1)
-	if err != nil {
-		return nil, err
-	}
-	defer backend.Shutdown(db.Store)
-	return RunOn(db, p, policy)
-}
-
-// Phases expresses the CluB protocol as unified workload-engine specs:
-// an observation phase whose ops are whole recurring passes ("before" is
-// the first, cold-measured pass; "observe" the remaining recurrences, all
-// watched by the policy), a reorganization step, and a replay phase
-// ("after": the same roots from a cold cache, unobserved). Each pass's
-// Pre drops the cache, exactly as the pre-engine protocol did. The same
-// fixed roots — drawn once from the protocol seed — recur in every pass.
-func Phases(db *oo1.Database, p Params, policy cluster.Policy) (observe, replay *workload.Spec, reorganize func() (backend.RelocStats, error)) {
-	p = p.withDefaults()
-	// Fixed roots: the recurring workload both phases replay.
+// Pass is one CluB pass: a traversal from each root, each its own
+// operation and, to the policy (nil for an unobserved pass), its own
+// transaction. The same fixed roots — drawn from the protocol seed — recur
+// in every pass, so a pass's MeanIOsPerOp is the mean I/Os per traversal.
+func Pass(db *oo1.Database, p Params, policy cluster.Policy) *workload.Spec {
+	p = p.WithDefaults()
 	src := lewis.New(p.Seed)
-	roots := make([]backend.OID, p.Roots)
-	for i := range roots {
-		roots[i] = db.ByID[src.IntRange(1, db.NumParts())]
-	}
-
-	// pass replays every root through the client's stream, which
-	// TraverseFrom ends before the root's transaction does.
-	pass := func(ctx *workload.Ctx) (int, error) {
-		s := ctx.State.(*workload.AccessStream)
-		n := 0
-		for _, root := range roots {
-			m, err := db.TraverseFrom(s, root, false)
-			if err != nil {
+	ops := make([]workload.Op, p.Roots)
+	for i := range ops {
+		root := db.ByID[src.IntRange(1, db.NumParts())]
+		ops[i] = workload.Op{
+			Name: fmt.Sprintf("root%d", i+1),
+			// TraverseFrom ends the client's stream before the root's
+			// transaction ends: DSTC's observation periods count these
+			// boundaries.
+			Run: func(ctx *workload.Ctx) (int, error) {
+				n, err := db.TraverseFrom(ctx.State.(*workload.AccessStream), root, false)
+				if err == nil && policy != nil {
+					policy.EndTransaction()
+				}
 				return n, err
-			}
-			// Each root is one transaction to the policy: DSTC's
-			// observation periods count these boundaries.
-			if s.Policy != nil {
-				s.Policy.EndTransaction()
-			}
-			n += m
+			},
 		}
-		return n, nil
 	}
-	dropCache := func(*workload.Ctx) error { db.Store.DropCache(); return nil }
-
-	obsOps := []workload.Op{
-		{Name: "before", Count: 1, Pre: dropCache, Run: pass},
-	}
-	if p.Repeats > 1 {
-		obsOps = append(obsOps, workload.Op{
-			Name: "observe", Count: p.Repeats - 1, Pre: dropCache, Run: pass,
-		})
-	}
-	observe = &workload.Spec{
-		Name:        "club-observe",
-		Description: "CluB observation phase: the recurring traversal workload, policy watching",
+	return &workload.Spec{
+		Name:        "club",
+		Description: "CluB pass: the recurring traversal workload",
 		Backend:     db.Store,
-		Ops:         obsOps,
+		Ops:         ops,
 		NewClient: func(int, *lewis.Source) any {
 			return &workload.AccessStream{Store: db.Store, Policy: policy}
 		},
 	}
-	replay = &workload.Spec{
-		Name:        "club-replay",
-		Description: "CluB replay phase: the same traversals after reclustering",
-		Backend:     db.Store,
-		Ops: []workload.Op{
-			{Name: "after", Count: 1, Pre: dropCache, Run: pass},
-		},
-		NewClient: func(int, *lewis.Source) any {
-			return &workload.AccessStream{Store: db.Store}
-		},
-	}
-	reorganize = func() (backend.RelocStats, error) {
-		if policy == nil {
-			return backend.RelocStats{}, nil
-		}
-		return policy.Reorganize(db.Store)
-	}
-	return observe, replay, reorganize
-}
-
-// RunOn is Run over an already generated database (so callers can reuse
-// an expensive database across policies). The passes execute through the
-// unified workload engine; this wrapper only sequences the protocol and
-// derives the gain figures.
-func RunOn(db *oo1.Database, p Params, policy cluster.Policy) (*Result, error) {
-	p = p.withDefaults()
-	observe, replay, reorganize := Phases(db, p, policy)
-
-	ores, err := workload.Run(observe)
-	if err != nil {
-		return nil, err
-	}
-	before := float64(ores.PerOp[0].IOsTotal) / float64(p.Roots)
-
-	clBefore := db.Store.Stats().Disk.ClusteringIOs()
-	reloc, err := reorganize()
-	if err != nil {
-		return nil, err
-	}
-	clAfter := db.Store.Stats().Disk.ClusteringIOs()
-
-	rres, err := workload.Run(replay)
-	if err != nil {
-		return nil, err
-	}
-	after := float64(rres.PerOp[0].IOsTotal) / float64(p.Roots)
-
-	res := &Result{
-		IOsBefore:     before,
-		IOsAfter:      after,
-		Reloc:         reloc,
-		ClusteringIOs: clAfter - clBefore,
-		GenTime:       db.GenTime,
-	}
-	if after > 0 {
-		res.Gain = before / after
-	}
-	return res, nil
-}
-
-// Check validates a result's internal consistency (used by tests).
-func (r *Result) Check() error {
-	if r.IOsBefore < 0 || r.IOsAfter < 0 {
-		return fmt.Errorf("club: negative I/O means")
-	}
-	if r.IOsAfter > 0 && r.Gain != r.IOsBefore/r.IOsAfter {
-		return fmt.Errorf("club: gain inconsistent")
-	}
-	return nil
 }

@@ -1,18 +1,21 @@
-package club
+package club_test
 
 import (
 	"testing"
 
+	"ocb/internal/backend"
+	"ocb/internal/club"
 	"ocb/internal/cluster"
 	"ocb/internal/dstc"
 	"ocb/internal/oo1"
+	"ocb/internal/scenarios"
 )
 
 // smallParams returns a scaled-down CluB geometry that preserves the
 // regime the gain depends on: reference windows spanning several pages
 // (dilution) and a buffer smaller than a traversal footprint (thrash).
-func smallParams() Params {
-	p := DefaultParams()
+func smallParams() club.Params {
+	p := club.DefaultParams()
 	p.OO1.NumParts = 8000
 	p.OO1.RefZone = 160
 	p.OO1.TraversalDepth = 5
@@ -34,20 +37,38 @@ func clubDSTC() *dstc.DSTC {
 	})
 }
 
+// generate builds the CluB database and releases it when the test ends.
+func generate(t *testing.T, p club.Params) *oo1.Database {
+	t.Helper()
+	db, err := oo1.Generate(p.OO1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = backend.Shutdown(db.Store) })
+	return db
+}
+
+// run executes the CluB protocol over a freshly generated database.
+func run(t *testing.T, p club.Params, policy cluster.Policy) *scenarios.ClusteringResult {
+	t.Helper()
+	res, err := scenarios.CluBClustering(generate(t, p), p, policy).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestDSTCGain is the miniature Table 4: a recurring single-transaction
 // traversal workload must recluster very well (the paper reports gain 13.2
 // on Texas; the shape — a clearly large gain — is asserted here).
 func TestDSTCGain(t *testing.T) {
-	res, err := Run(smallParams(), clubDSTC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatal(err)
+	res := run(t, smallParams(), clubDSTC())
+	if res.Gain != res.Before/res.After {
+		t.Fatalf("gain %v inconsistent with %v -> %v", res.Gain, res.Before, res.After)
 	}
 	if res.Gain < 2 {
 		t.Fatalf("CluB gain = %.2f (%.1f -> %.1f I/Os), want >= 2",
-			res.Gain, res.IOsBefore, res.IOsAfter)
+			res.Gain, res.Before, res.After)
 	}
 	if res.ClusteringIOs == 0 {
 		t.Fatal("reorganization charged no clustering overhead")
@@ -58,13 +79,10 @@ func TestDSTCGain(t *testing.T) {
 }
 
 func TestNoPolicyNoGain(t *testing.T) {
-	res, err := Run(smallParams(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, smallParams(), nil)
 	// Same placement and same roots on both sides: identical I/Os.
-	if res.IOsBefore != res.IOsAfter {
-		t.Fatalf("placement unchanged but I/Os moved: %v -> %v", res.IOsBefore, res.IOsAfter)
+	if res.Before != res.After {
+		t.Fatalf("placement unchanged but I/Os moved: %v -> %v", res.Before, res.After)
 	}
 	if res.ClusteringIOs != 0 {
 		t.Fatal("no policy but clustering I/Os charged")
@@ -72,33 +90,27 @@ func TestNoPolicyNoGain(t *testing.T) {
 }
 
 func TestNonePolicy(t *testing.T) {
-	res, err := Run(smallParams(), cluster.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IOsBefore != res.IOsAfter || res.Gain != 1 {
+	res := run(t, smallParams(), cluster.None{})
+	if res.Before != res.After || res.Gain != 1 {
 		t.Fatalf("None policy changed I/Os: %+v", res)
 	}
 }
 
 func TestRunOnReusesDatabase(t *testing.T) {
 	p := smallParams()
-	db, err := oo1.Generate(p.OO1)
+	db := generate(t, p)
+	a, err := scenarios.CluBClustering(db, p, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunOn(db, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOn(db, p, clubDSTC())
+	b, err := scenarios.CluBClustering(db, p, clubDSTC()).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The same roots replay: the DSTC run must start from the same before
 	// figure the measurement run saw.
-	if a.IOsBefore != b.IOsBefore {
-		t.Fatalf("before I/Os differ across RunOn calls: %v vs %v", a.IOsBefore, b.IOsBefore)
+	if a.Before != b.Before {
+		t.Fatalf("before I/Os differ across protocol runs: %v vs %v", a.Before, b.Before)
 	}
 	if b.Gain <= 1 {
 		t.Fatalf("gain = %v", b.Gain)
@@ -109,22 +121,12 @@ func TestDefaultsApplied(t *testing.T) {
 	p := smallParams()
 	p.Roots = 0
 	p.Repeats = 0
-	res, err := Run(p, nil)
-	if err != nil {
-		t.Fatal(err)
+	db := generate(t, p)
+	d := club.DefaultParams()
+	if ops := len(club.Pass(db, p, nil).Ops); ops != d.Roots {
+		t.Fatalf("pass has %d ops, want the default %d roots", ops, d.Roots)
 	}
-	if err := res.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResultCheckCatchesInconsistency(t *testing.T) {
-	r := &Result{IOsBefore: 10, IOsAfter: 5, Gain: 3}
-	if err := r.Check(); err == nil {
-		t.Fatal("inconsistent gain accepted")
-	}
-	r2 := &Result{IOsBefore: -1}
-	if err := r2.Check(); err == nil {
-		t.Fatal("negative I/Os accepted")
+	if obs := len(scenarios.CluBClustering(db, p, nil).ObserveSeeds); obs != d.Repeats {
+		t.Fatalf("%d observation passes, want the default %d repeats", obs, d.Repeats)
 	}
 }

@@ -1,4 +1,4 @@
-package club
+package club_test
 
 // The test binary opens backends by name; link the driver bundle, as the
 // commands do.

@@ -1,4 +1,4 @@
-package club
+package club_test
 
 import "testing"
 
@@ -9,13 +9,10 @@ func TestEngineGoldenCLIENTN1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden protocol replay skipped in -short mode")
 	}
-	res, err := Run(smallParams(), clubDSTC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IOsBefore != 134.75 || res.IOsAfter != 31.875 {
+	res := run(t, smallParams(), clubDSTC())
+	if res.Before != 134.75 || res.After != 31.875 {
 		t.Errorf("I/Os = %v -> %v, want 134.75 -> 31.875 (pre-engine golden)",
-			res.IOsBefore, res.IOsAfter)
+			res.Before, res.After)
 	}
 	if res.ClusteringIOs != 858 || res.Reloc.ObjectsMoved != 4097 {
 		t.Errorf("clustering overhead = %d I/Os, %d moved, want 858/4097",

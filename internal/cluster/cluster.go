@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"ocb/internal/backend"
+	"ocb/internal/disk"
 )
 
 // Policy is a database clustering strategy under benchmark.
@@ -53,6 +54,22 @@ type Policy interface {
 	Reorganize(s backend.Backend) (backend.RelocStats, error)
 	// Reset discards all gathered statistics.
 	Reset()
+}
+
+// Reorganize runs the policy's physical reorganization on b — the step
+// OCB triggers "when the system is idle" between measurement phases — and
+// returns its cost. A nil policy reorganizes nothing. Everything the step
+// does is clustering overhead, so its I/O is charged to disk.Clustering
+// for the duration on backends that expose the classification hook (the
+// paged driver also classifies inside Relocate itself; this covers
+// drivers that do not).
+func Reorganize(p Policy, b backend.Backend) (backend.RelocStats, error) {
+	if p == nil {
+		return backend.RelocStats{}, nil
+	}
+	backend.SetIOClass(b, disk.Clustering)
+	defer backend.SetIOClass(b, disk.Transaction)
+	return p.Reorganize(b)
 }
 
 // None is the non-clustering control policy: it observes nothing and

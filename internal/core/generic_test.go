@@ -135,15 +135,15 @@ func TestGenericOperationsViaExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.ObjectsAccessed != 1 {
-		t.Fatalf("update touched %d", up.ObjectsAccessed)
+	if up != 1 {
+		t.Fatalf("update touched %d", up)
 	}
 
 	ins, err := ex.Exec(Transaction{Type: InsertOp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins.ObjectsAccessed < 1 {
+	if ins < 1 {
 		t.Fatal("insert touched nothing")
 	}
 
@@ -151,7 +151,7 @@ func TestGenericOperationsViaExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if del.ObjectsAccessed < 1 {
+	if del < 1 {
 		t.Fatal("delete touched nothing")
 	}
 
@@ -159,8 +159,8 @@ func TestGenericOperationsViaExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.ObjectsAccessed != db.NumLive() {
-		t.Fatalf("scan touched %d, live = %d", scan.ObjectsAccessed, db.NumLive())
+	if scan != db.NumLive() {
+		t.Fatalf("scan touched %d, live = %d", scan, db.NumLive())
 	}
 
 	rng, err := ex.Exec(Transaction{Type: RangeOp, Root: 50})
@@ -171,8 +171,8 @@ func TestGenericOperationsViaExecutor(t *testing.T) {
 	if width < 1 {
 		width = 1
 	}
-	if rng.ObjectsAccessed < 1 || rng.ObjectsAccessed > width {
-		t.Fatalf("range touched %d, want 1..%d", rng.ObjectsAccessed, width)
+	if rng < 1 || rng > width {
+		t.Fatalf("range touched %d, want 1..%d", rng, width)
 	}
 
 	if err := CheckDatabase(db); err != nil {
@@ -271,8 +271,8 @@ func TestScanAfterChurnMatchesLiveSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.ObjectsAccessed != want {
-		t.Fatalf("scan = %d, want %d", scan.ObjectsAccessed, want)
+	if scan != want {
+		t.Fatalf("scan = %d, want %d", scan, want)
 	}
 	if err := CheckDatabase(db); err != nil {
 		t.Fatal(err)

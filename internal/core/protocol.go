@@ -3,7 +3,6 @@ package core
 import (
 	"ocb/internal/backend"
 	"ocb/internal/cluster"
-	"ocb/internal/disk"
 	"ocb/internal/lewis"
 	"ocb/internal/workload"
 )
@@ -72,9 +71,7 @@ func (r *Runner) PhaseSpec(name string, txPerClient int, seed int64) *workload.S
 			Name: t.String(),
 			Run: func(ctx *workload.Ctx) (int, error) {
 				st := ctx.State.(*phaseClient)
-				// ExecCounted: the engine samples time and disk counters
-				// itself; Exec's own measurement would be dead weight.
-				return st.ex.ExecCounted(st.pending)
+				return st.ex.Exec(st.pending)
 			},
 		}
 	}
@@ -145,20 +142,4 @@ func SampleTransaction(p Params, src *lewis.Source) Transaction {
 		tx.Reverse = true
 	}
 	return tx
-}
-
-// Reorganize triggers the policy's physical reorganization (phase 5 runs
-// "when the system is idle"; the protocol calls it between measurement
-// phases) and returns its cost.
-func (r *Runner) Reorganize() (backend.RelocStats, error) {
-	if r.Policy == nil {
-		return backend.RelocStats{}, nil
-	}
-	// Everything phase 5 does is clustering overhead, so classify its I/O
-	// for the duration on backends that expose the hook. The paged driver
-	// additionally classifies inside Relocate itself; this covers drivers
-	// that do not self-classify.
-	backend.SetIOClass(r.DB.Store, disk.Clustering)
-	defer backend.SetIOClass(r.DB.Store, disk.Transaction)
-	return r.Policy.Reorganize(r.DB.Store)
 }

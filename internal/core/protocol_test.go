@@ -223,7 +223,7 @@ func TestDSTCGainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Reorganize(); err != nil {
+	if _, err := cluster.Reorganize(policy, db.Store); err != nil {
 		t.Fatal(err)
 	}
 	db.Store.DropCache()
@@ -246,7 +246,7 @@ func TestRunnerWithoutPolicy(t *testing.T) {
 	p := smallParams()
 	db := MustGenerate(p)
 	r := NewRunner(db, nil)
-	if _, err := r.Reorganize(); err != nil {
+	if _, err := cluster.Reorganize(nil, db.Store); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.RunPhase("free", 10, 1); err != nil {

@@ -213,7 +213,7 @@ func TestAccessStreamOrderAndChunks(t *testing.T) {
 			}
 			st.oids, st.calls = st.oids[:0], 0
 			pol := &orderPolicy{}
-			n, err := NewExecutor(db, pol, lewis.New(streamSeed)).ExecCounted(tc.tx)
+			n, err := NewExecutor(db, pol, lewis.New(streamSeed)).Exec(tc.tx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func TestAccessStreamFaultMidway(t *testing.T) {
 				defer func() { st.failAt = 0 }()
 				pol := &orderPolicy{}
 				ex := NewExecutor(db, pol, lewis.New(streamSeed))
-				if _, err := ex.ExecCounted(tc.tx); !errors.Is(err, errInjected) {
+				if _, err := ex.Exec(tc.tx); !errors.Is(err, errInjected) {
 					t.Fatalf("fault at object %d not returned: %v", k, err)
 				}
 				checkFaults(t, st.oids, want[:k-1])
@@ -269,7 +269,7 @@ func TestAccessStreamFaultMidway(t *testing.T) {
 				// The executor is reusable: nothing of the failed
 				// transaction is left on the stream.
 				st.failAt = 0
-				if n, err := ex.ExecCounted(Transaction{Type: HierarchyTraversal, Root: 1, Depth: 2, RefType: 1}); err != nil || n != 3 {
+				if n, err := ex.Exec(Transaction{Type: HierarchyTraversal, Root: 1, Depth: 2, RefType: 1}); err != nil || n != 3 {
 					t.Errorf("transaction after the fault: %d objects, %v; want 3, nil", n, err)
 				}
 			})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ocb/internal/backend"
 	"ocb/internal/cluster"
@@ -80,13 +79,6 @@ type Transaction struct {
 	Reverse bool
 }
 
-// TxResult reports one executed transaction.
-type TxResult struct {
-	ObjectsAccessed int
-	IOs             uint64
-	Duration        time.Duration
-}
-
 // Executor runs transactions against a database on behalf of one client,
 // feeding the clustering policy's observation phase along the way.
 //
@@ -133,51 +125,13 @@ func (tx Transaction) mutating() bool {
 	return tx.Type == InsertOp || tx.Type == DeleteOp
 }
 
-// Exec runs one transaction, returning objects accessed, I/Os charged to
-// the transaction class, and wall-clock duration.
+// Exec runs one transaction and returns the objects it accessed.
 //
 // Concurrency: read-only transaction types share-lock the database's graph
 // lock, so traversals from many clients proceed in parallel; insertions
 // and deletions take it exclusively (they restructure Objects, iterators
 // and BackRefs). Store-level faulting is internally sharded.
-//
-// I/O attribution note: the I/O delta is read from the shared disk
-// counters, so with CLIENTN > 1 concurrent clients the per-transaction
-// figure includes interleaved faults of other clients; global phase totals
-// remain exact. With one client the figure is exact (the configuration of
-// every experiment in the paper's Section 4).
-func (e *Executor) Exec(tx Transaction) (TxResult, error) {
-	if tx.mutating() {
-		e.DB.mu.Lock()
-		defer e.DB.mu.Unlock()
-	} else {
-		e.DB.mu.RLock()
-		defer e.DB.mu.RUnlock()
-	}
-	before := e.DB.Store.DiskStats()
-	//ocblint:allow determinism -- harness timing, not op logic
-	start := time.Now()
-
-	accessed, err := e.execLocked(tx)
-	if err != nil {
-		return TxResult{}, err
-	}
-
-	after := e.DB.Store.DiskStats()
-	return TxResult{
-		ObjectsAccessed: accessed,
-		IOs:             after.TransactionIOs() - before.TransactionIOs(),
-		//ocblint:allow determinism -- harness timing, not op logic
-		Duration: time.Since(start),
-	}, nil
-}
-
-// ExecCounted is Exec without the measuring wrapper: it takes the same
-// locks and runs the same transaction body but returns only the accessed
-// object count. The workload engine uses it on the hot phase path — the
-// engine samples time and disk counters itself, so Exec's per-transaction
-// measurement would be computed twice and discarded.
-func (e *Executor) ExecCounted(tx Transaction) (int, error) {
+func (e *Executor) Exec(tx Transaction) (int, error) {
 	if tx.mutating() {
 		e.DB.mu.Lock()
 		defer e.DB.mu.Unlock()
@@ -188,9 +142,8 @@ func (e *Executor) ExecCounted(tx Transaction) (int, error) {
 	return e.execLocked(tx)
 }
 
-// execLocked is the transaction body shared by Exec and ExecCounted; the
-// caller holds the database's graph lock in the mode tx.mutating()
-// demands.
+// execLocked is Exec's transaction body; the caller holds the database's
+// graph lock in the mode tx.mutating() demands.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) execLocked(tx Transaction) (int, error) {
@@ -198,7 +151,7 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 	// sampled root; an in-range but deleted root resolves onto the live
 	// object set. Out-of-range roots remain errors.
 	if tx.Type != InsertOp && tx.Type != ScanOp {
-		if tx.Root == backend.NilOID || int(tx.Root) >= len(e.DB.Objects) {
+		if tx.Root == backend.NilOID || uint64(tx.Root) >= uint64(len(e.DB.Objects)) {
 			return 0, fmt.Errorf("ocb: bad root %d", tx.Root)
 		}
 		if e.DB.Objects[tx.Root] == nil {

@@ -9,6 +9,7 @@ import (
 	"ocb/internal/dstc"
 	"ocb/internal/lewis"
 	"ocb/internal/report"
+	"ocb/internal/scenarios"
 )
 
 // Policies reproduces ablation A1: every clustering policy on the same
@@ -19,10 +20,11 @@ func Policies(c Config) (*report.Table, error) {
 	t := report.New("A1 — clustering policy shoot-out (single-type recurring workload)",
 		"Policy", "I/Os before", "I/Os after", "Gain", "Clustering I/Os", "Objects moved")
 
-	n, reps := 60, 3
+	n := 60
 	if c.Quick {
 		n = 30
 	}
+	seed := 771 + c.Seed
 	for _, name := range []string{"none", "sequential", "byclass", "hot", "greedy", "dstc"} {
 		p := c.mimicParams() // single-type CluB-like workload (PSimple=1)
 		db, err := core.Generate(p)
@@ -46,7 +48,8 @@ func Policies(c Config) (*report.Table, error) {
 		case "dstc":
 			policy = clubDSTC()
 		}
-		res, err := replay(db, policy, n, reps, 771+c.Seed)
+		// CluB's stereotyped shape: the measured pass itself recurs.
+		res, err := scenarios.OCBClustering(db, policy, n, n, seed, []int64{seed, seed, seed}).Run()
 		// Each row's database goes before the next is generated, not when
 		// the experiment returns; a failed release of a scratch store does
 		// not change the row. The loops below release theirs the same way.
@@ -223,7 +226,8 @@ func DSTCSensitivity(c Config) (*report.Table, error) {
 			Tfc:               cl.tfa,
 			MaxUnitBytes:      1 << 16,
 		})
-		res, err := heldOut(db, d, obsN, measN, 3, 999331+c.Seed)
+		seed := 999331 + c.Seed
+		res, err := scenarios.OCBClustering(db, d, obsN, measN, seed, heldOutSeeds(seed)).Run()
 		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("dstc sensitivity: %w", err)
@@ -288,7 +292,8 @@ func RootSkew(c Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("root skew %s: %w", spec, err)
 		}
-		res, err := heldOut(db, clubDSTC(), obsN, measN, 3, 999331+c.Seed)
+		seed := 999331 + c.Seed
+		res, err := scenarios.OCBClustering(db, clubDSTC(), obsN, measN, seed, heldOutSeeds(seed)).Run()
 		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("root skew %s: %w", spec, err)

@@ -13,7 +13,6 @@ package exp
 
 import (
 	"ocb/internal/backend"
-	"ocb/internal/cluster"
 	"ocb/internal/core"
 	"ocb/internal/dstc"
 	"ocb/internal/oo1"
@@ -88,85 +87,7 @@ func clubDSTC() *dstc.DSTC {
 	})
 }
 
-// heldOut runs the OCB measurement protocol: the policy observes reps
-// workload phases drawn from fresh seeds, the database is reorganized,
-// and mean I/Os per transaction are measured on a held-out seed before
-// and after — so the policy is never shown the measured transactions.
-type heldOutResult struct {
-	Before, After float64
-	Gain          float64
-	Reloc         backend.RelocStats
-	ClusteringIOs uint64
-}
-
-func heldOut(db *core.Database, policy cluster.Policy, obsN, measN, reps int, seed int64) (heldOutResult, error) {
-	var res heldOutResult
-	measure := core.NewRunner(db, nil)
-	observe := core.NewRunner(db, policy)
-
-	db.Store.DropCache()
-	before, err := measure.RunPhase("before", measN, seed)
-	if err != nil {
-		return res, err
-	}
-	for rep := 0; rep < reps; rep++ {
-		db.Store.DropCache()
-		if _, err := observe.RunPhase("observe", obsN, seed+1000+int64(rep)); err != nil {
-			return res, err
-		}
-	}
-	clBefore := db.Store.Stats().Disk.ClusteringIOs()
-	res.Reloc, err = observe.Reorganize()
-	if err != nil {
-		return res, err
-	}
-	res.ClusteringIOs = db.Store.Stats().Disk.ClusteringIOs() - clBefore
-	db.Store.DropCache()
-	after, err := measure.RunPhase("after", measN, seed)
-	if err != nil {
-		return res, err
-	}
-	res.Before = before.MeanIOsPerOp()
-	res.After = after.MeanIOsPerOp()
-	if res.After > 0 {
-		res.Gain = res.Before / res.After
-	}
-	return res, nil
-}
-
-// replay runs the stereotyped protocol DSTC-CluB uses: the policy observes
-// reps passes of one fixed workload (same seed), the database is
-// reorganized, and the same workload replays for the after measurement.
-func replay(db *core.Database, policy cluster.Policy, n, reps int, seed int64) (heldOutResult, error) {
-	var res heldOutResult
-	observe := core.NewRunner(db, policy)
-	measure := core.NewRunner(db, nil)
-
-	for rep := 0; rep < reps; rep++ {
-		db.Store.DropCache()
-		m, err := observe.RunPhase("observe", n, seed)
-		if err != nil {
-			return res, err
-		}
-		if rep == 0 {
-			res.Before = m.MeanIOsPerOp()
-		}
-	}
-	clBefore := db.Store.Stats().Disk.ClusteringIOs()
-	reloc, err := observe.Reorganize()
-	if err != nil {
-		return res, err
-	}
-	res.Reloc = reloc
-	res.ClusteringIOs = db.Store.Stats().Disk.ClusteringIOs() - clBefore
-	db.Store.DropCache()
-	m, err := measure.RunPhase("after", n, seed)
-	if err != nil {
-		return res, err
-	}
-	res.After = m.MeanIOsPerOp()
-	if res.After > 0 {
-		res.Gain = res.Before / res.After
-	}
-	return res, nil
-}
+// heldOutSeeds are the observation seeds of OCB's measurement protocol:
+// the policy observes three passes drawn from fresh seeds, so it is never
+// shown the transactions measured on seed.
+func heldOutSeeds(seed int64) []int64 { return []int64{seed + 1000, seed + 1001, seed + 1002} }

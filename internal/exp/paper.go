@@ -8,7 +8,9 @@ import (
 	"ocb/internal/club"
 	"ocb/internal/core"
 	"ocb/internal/dstc"
+	"ocb/internal/oo1"
 	"ocb/internal/report"
+	"ocb/internal/scenarios"
 )
 
 // Table1 renders the OCB database parameters and their defaults, generated
@@ -145,11 +147,16 @@ func Table4(c Config) (*report.Table, error) {
 		cp.Roots = 8
 	}
 	cd := dstc.New(dstc.Params{ObservationPeriod: 1 << 30, Tfa: 2, Tfc: 2, MaxUnitBytes: 1 << 18})
-	cres, err := club.Run(cp, cd)
+	cdb, err := oo1.Generate(cp.OO1)
 	if err != nil {
 		return nil, fmt.Errorf("table4 club: %w", err)
 	}
-	t.AddRow("DSTC-CluB", report.F1(cres.IOsBefore), report.F1(cres.IOsAfter), report.F2(cres.Gain))
+	cres, err := scenarios.CluBClustering(cdb, cp, cd).Run()
+	_ = backend.Shutdown(cdb.Store)
+	if err != nil {
+		return nil, fmt.Errorf("table4 club: %w", err)
+	}
+	t.AddRow("DSTC-CluB", report.F1(cres.Before), report.F1(cres.After), report.F2(cres.Gain))
 
 	// Row 2: OCB tuned to approximate CluB (Table 3 parameters).
 	mp := c.mimicParams()
@@ -162,7 +169,8 @@ func Table4(c Config) (*report.Table, error) {
 	if c.Quick {
 		obsN, measN = 60, 30
 	}
-	mres, err := heldOut(db, clubDSTC(), obsN, measN, 3, 999331+c.Seed)
+	seed := 999331 + c.Seed
+	mres, err := scenarios.OCBClustering(db, clubDSTC(), obsN, measN, seed, heldOutSeeds(seed)).Run()
 	if err != nil {
 		return nil, fmt.Errorf("table4 mimic protocol: %w", err)
 	}
@@ -189,7 +197,8 @@ func Table5(c Config) (*report.Table, error) {
 	if c.Quick {
 		obsN, measN = 400, 200
 	}
-	res, err := heldOut(db, clubDSTC(), obsN, measN, 3, 999331+c.Seed)
+	seed := 999331 + c.Seed
+	res, err := scenarios.OCBClustering(db, clubDSTC(), obsN, measN, seed, heldOutSeeds(seed)).Run()
 	if err != nil {
 		return nil, fmt.Errorf("table5 protocol: %w", err)
 	}

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"ocb/internal/backend"
-	"ocb/internal/cluster"
 	"ocb/internal/core"
-	"ocb/internal/lewis"
 	"ocb/internal/report"
+	"ocb/internal/scenarios"
 	"ocb/internal/sim"
+	"ocb/internal/workload"
 )
 
 // SimulatedTestbed reproduces ablation A8 — the paper's Section 5
@@ -32,40 +32,25 @@ func SimulatedTestbed(c Config) (*report.Table, error) {
 	}
 	defer backend.Shutdown(db.Store)
 
-	capture := func(policy cluster.Policy, seed int64) ([]sim.Demand, error) {
-		db.Store.DropCache()
-		src := lewis.New(seed)
-		ex := core.NewExecutor(db, policy, src)
-		demands := make([]sim.Demand, 0, n)
-		for i := 0; i < n; i++ {
-			tx := core.SampleTransaction(p, src)
-			res, err := ex.Exec(tx)
-			if err != nil {
-				return nil, err
-			}
-			demands = append(demands, sim.Demand{Objects: res.ObjectsAccessed, IOs: res.IOs})
-		}
-		return demands, nil
-	}
-
 	const seed = 999331
-	policy := clubDSTC()
-	before, err := capture(nil, seed)
-	if err != nil {
-		return nil, fmt.Errorf("sim before: %w", err)
-	}
-	// Observation passes (fresh seeds), then reorganization.
-	for rep := 0; rep < 3; rep++ {
-		if _, err := capture(policy, seed+1000+int64(rep)); err != nil {
-			return nil, fmt.Errorf("sim observe: %w", err)
+	proto := scenarios.OCBClustering(db, clubDSTC(), n, n, seed, heldOutSeeds(seed))
+	// The engine hands each measured transaction's demand to the hook:
+	// demands[0] is the before pass, demands[1] the after pass.
+	var demands [][]sim.Demand
+	pass := proto.Pass
+	proto.Pass = func(observed bool, seed int64) *workload.Spec {
+		spec := pass(observed, seed)
+		if !observed {
+			i := len(demands)
+			demands = append(demands, make([]sim.Demand, 0, n))
+			spec.OnOp = func(_, objects int, ios uint64, _ time.Duration) {
+				demands[i] = append(demands[i], sim.Demand{Objects: objects, IOs: ios})
+			}
 		}
+		return spec
 	}
-	if _, err := policy.Reorganize(db.Store); err != nil {
-		return nil, err
-	}
-	after, err := capture(nil, seed)
-	if err != nil {
-		return nil, fmt.Errorf("sim after: %w", err)
+	if _, err := proto.Run(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 
 	hw := sim.Params{DiskServiceTime: 15 * time.Millisecond, CPUPerObject: 40 * time.Microsecond}
@@ -74,7 +59,7 @@ func SimulatedTestbed(c Config) (*report.Table, error) {
 	for _, row := range []struct {
 		name    string
 		demands []sim.Demand
-	}{{"before reclustering", before}, {"after reclustering", after}} {
+	}{{"before reclustering", demands[0]}, {"after reclustering", demands[1]}} {
 		res, err := sim.Simulate(hw, [][]sim.Demand{row.demands})
 		if err != nil {
 			return nil, err

@@ -292,9 +292,9 @@ func ParseDistribution(spec string) (Distribution, error) {
 	case "zipf":
 		skew := 1.0
 		if len(parts) > 1 {
-			v, err := strconv.ParseFloat(parts[1], 64)
+			v, err := parseFloat("zipf skew", parts[1])
 			if err != nil {
-				return nil, fmt.Errorf("lewis: bad zipf skew %q: %w", parts[1], err)
+				return nil, err
 			}
 			skew = v
 		}
@@ -304,9 +304,9 @@ func ParseDistribution(spec string) (Distribution, error) {
 	case "negexp":
 		ne := NegExp{}
 		if len(parts) > 1 {
-			v, err := strconv.ParseFloat(parts[1], 64)
+			v, err := parseFloat("negexp mean", parts[1])
 			if err != nil {
-				return nil, fmt.Errorf("lewis: bad negexp mean %q: %w", parts[1], err)
+				return nil, err
 			}
 			ne.MeanFrac = v
 		}
@@ -314,9 +314,9 @@ func ParseDistribution(spec string) (Distribution, error) {
 	case "selfsimilar":
 		ss := SelfSimilar{}
 		if len(parts) > 1 {
-			v, err := strconv.ParseFloat(parts[1], 64)
+			v, err := parseFloat("selfsimilar skew", parts[1])
 			if err != nil {
-				return nil, fmt.Errorf("lewis: bad selfsimilar skew %q: %w", parts[1], err)
+				return nil, err
 			}
 			ss.Skew = v
 		}
@@ -331,9 +331,9 @@ func ParseDistribution(spec string) (Distribution, error) {
 		}
 		rz := RefZone{Zone: zone}
 		if len(parts) > 2 {
-			p, err := strconv.ParseFloat(parts[2], 64)
+			p, err := parseFloat("refzone plocal", parts[2])
 			if err != nil {
-				return nil, fmt.Errorf("lewis: bad refzone plocal %q: %w", parts[2], err)
+				return nil, err
 			}
 			rz.PLocal = p
 		}
@@ -341,6 +341,20 @@ func ParseDistribution(spec string) (Distribution, error) {
 	default:
 		return nil, fmt.Errorf("lewis: unknown distribution %q", spec)
 	}
+}
+
+// parseFloat parses a distribution's float parameter. NaN and the
+// infinities parse as floats but defeat every range guard a Draw applies,
+// so they are rejected here.
+func parseFloat(what, s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("lewis: bad %s %q: %w", what, s, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("lewis: bad %s %q: not a finite number", what, s)
+	}
+	return v, nil
 }
 
 func clamp(v, lo, hi int) int {

@@ -194,6 +194,38 @@ func TestParseDistributionErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseDistribution holds every spec the command line can pass for
+// DIST1..DIST5 to one contract: ParseDistribution either rejects it, or
+// every draw from the result stays inside the requested interval. A draw
+// outside it becomes an out-of-range index in generation or a bad
+// transaction root.
+func FuzzParseDistribution(f *testing.F) {
+	for _, spec := range []string{
+		"uniform", "constant:5", "roundrobin", "zipf:1.5", "normal",
+		"negexp:0.3", "selfsimilar", "selfsimilar:0.1", "refzone:100:0.8",
+		"selfsimilar:NaN", "selfsimilar:1e-300", "zipf:-Inf", "negexp:Inf",
+		"refzone:5:nan", "constant:9223372036854775807",
+	} {
+		f.Add(spec, int16(1), uint8(20), int64(7))
+	}
+	f.Fuzz(func(t *testing.T, spec string, lo int16, span uint8, seed int64) {
+		d, err := ParseDistribution(spec)
+		if err != nil {
+			return
+		}
+		// Spans stay small: zipf caches one float per value per skew.
+		l := int(lo)
+		h := l + int(span%32)
+		s := New(seed)
+		for i := 0; i < 64; i++ {
+			center := l + i%(h-l+1)
+			if v := d.Draw(s, l, h, center); v < l || v > h {
+				t.Fatalf("%q: Draw(%d, %d, center %d) = %d", spec, l, h, center, v)
+			}
+		}
+	})
+}
+
 func BenchmarkUint32(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@ type SelfSimilar struct {
 // Draw implements Distribution.
 func (ss SelfSimilar) Draw(s *Source, lo, hi, _ int) int {
 	h := ss.Skew
-	if h <= 0 || h > 0.5 {
+	if !(h > 0 && h <= 0.5) {
 		h = 0.2
 	}
 	n := hi - lo + 1
@@ -31,17 +31,15 @@ func (ss SelfSimilar) Draw(s *Source, lo, hi, _ int) int {
 	// Inverse transform: with exponent e = log(h)/log(1-h),
 	// P(X <= h*n) = h^(1/e) = 1-h — the (1-h)/h rule at every scale.
 	exp := math.Log(h) / math.Log(1-h)
-	v := int(float64(n) * math.Pow(u, exp))
-	if v >= n {
-		v = n - 1
-	}
-	return lo + v
+	// A skew so small that 1-h rounds to 1 makes the exponent infinite;
+	// the clamp keeps such a draw inside the interval.
+	return lo + clamp(int(float64(n)*math.Pow(u, exp)), 0, n-1)
 }
 
 // Name implements Distribution.
 func (ss SelfSimilar) Name() string {
 	h := ss.Skew
-	if h <= 0 || h > 0.5 {
+	if !(h > 0 && h <= 0.5) {
 		h = 0.2
 	}
 	return fmt.Sprintf("selfsimilar:%g", h)

@@ -10,10 +10,11 @@
 //     traversal, insert.
 //   - oo7: the OO7 suite — traversals, queries, insert+delete.
 //   - hypermodel: the 20 HyperModel operations under setup/cold/warm.
-//   - dstc: the DSTC-CluB clustering comparison — observe the recurring
-//     traversal workload, reorganize with DSTC, replay. On backends
-//     without physical relocation the reorganization step reports a skip
-//     and the replay measures the unclustered layout.
+//   - dstc: the DSTC-CluB clustering comparison — measure the recurring
+//     traversal workload, let DSTC observe it, reorganize, measure again
+//     (the Clustering protocol). On backends without physical relocation
+//     the reorganization step reports a skip and "after" measures the
+//     unclustered layout.
 //   - query: the ordered-index category — range scans, attribute
 //     selections and zipfian hot-key lookups over the Ranger capability.
 //     On backends without an ordered index every op reports a skip.
@@ -181,7 +182,7 @@ var registry = []struct {
 	{"oo1", "OO1 (Cattell): lookup, traversal, reverse traversal, insert", buildOO1},
 	{"oo7", "OO7 (small): traversals, queries, insert+delete", buildOO7},
 	{"hypermodel", "HyperModel: 20 operations under setup/cold/warm", buildHyperModel},
-	{"dstc", "DSTC-CluB: observe, recluster, replay (gain factor)", buildDSTC},
+	{"dstc", "DSTC-CluB: before, observe, recluster, after (gain factor)", buildDSTC},
 	{"query", "ordered-index queries: range scans, attribute selections, hot-key lookups", buildQuery},
 }
 
@@ -579,10 +580,10 @@ func buildQuery(o Options) (*Scenario, error) {
 	}, nil
 }
 
-// buildDSTC builds the DSTC-CluB comparison preset: observe the recurring
-// traversal workload with DSTC watching, reorganize, replay. The
-// reorganization is the capability-gated step: backends without a
-// Relocator report a skip and the replay measures the unchanged layout.
+// buildDSTC builds the DSTC-CluB comparison preset: the clustering
+// protocol over CluB's recurring traversal workload with DSTC watching.
+// The reorganization is the capability-gated step: backends without a
+// Relocator report a skip and "after" measures the unchanged layout.
 func buildDSTC(o Options) (*Scenario, error) {
 	if len(o.OpWeights)+len(o.OpCounts) > 0 || o.Measured > 0 || o.Warmup > 0 {
 		return nil, fmt.Errorf("scenarios: dstc runs CluB's fixed protocol; op/measured/warmup overrides are not supported")
@@ -615,34 +616,16 @@ func buildDSTC(o Options) (*Scenario, error) {
 		Tfc:               2,
 		MaxUnitBytes:      1 << 16,
 	})
-	observe, replay, reorganize := club.Phases(db, p, policy)
-	for _, spec := range []*workload.Spec{observe, replay} {
-		if o.Think > 0 {
-			spec.Think = o.Think
+	sc := CluBClustering(db, p, policy).Scenario("dstc", "DSTC-CluB: before, observe, recluster, after (gain factor)")
+	if o.Think > 0 {
+		for _, ph := range sc.Phases {
+			ph.Spec.Think = o.Think
 		}
 	}
-	return &Scenario{
-		Name:        "dstc",
-		Description: "DSTC-CluB: observe, recluster, replay (gain factor)",
-		Notes: []string{
-			fmt.Sprintf("database: %d parts (OO1 geometry), %d roots x %d recurrences",
-				p.OO1.NumParts, p.Roots, p.Repeats),
-			"gain factor = mean I/Os per traversal before reclustering / after",
-		},
-		Phases: []Phase{
-			{Name: "observe", Spec: observe},
-			{
-				Name: "replay",
-				Setup: func() (string, error) {
-					rs, err := reorganize()
-					if err != nil {
-						return "", err
-					}
-					return fmt.Sprintf("reorganized with dstc: moved %d objects, %d pages read, %d written",
-						rs.ObjectsMoved, rs.PagesRead, rs.PagesWritten), nil
-				},
-				Spec: replay,
-			},
-		},
-	}, nil
+	sc.Notes = []string{
+		fmt.Sprintf("database: %d parts (OO1 geometry), %d roots x %d observed recurrences",
+			p.OO1.NumParts, p.Roots, p.Repeats),
+		"gain factor = mean I/Os per traversal before reclustering / after",
+	}
+	return sc, nil
 }

@@ -108,6 +108,18 @@ package workload
 //     scenarios where shed load is the measurement, paired with a
 //     MaxErrorRate bound.
 //
+// # Reading single operations
+//
+// The Result aggregates; a consumer that needs each operation's own
+// figures — a queueing simulation's per-transaction demands — sets
+// OnOp. The engine calls it after every recorded successful op with the
+// op's index in Ops, its objects, transaction I/Os and response time,
+// the same values it folds into PerOp; warmup, skips and tolerated
+// errors never reach it. Under Clients > 1 it runs on every client's
+// goroutine at once, and the I/O figure carries the same interleaving
+// caveat as the per-op IOs aggregates. Left nil, it costs the measured
+// loop one nil check.
+//
 // Sweep runs one Spec across a clients × rate grid, and FindMaxRate
 // binary-searches the highest rate that holds a P95 bound — both in
 // sweep.go, surfaced as `ocb sweep` and the `load` experiment.

@@ -158,6 +158,12 @@ type Spec struct {
 	// samplers (core's SampleTransaction) use it to keep streams
 	// bit-identical.
 	Next func(*Ctx) int
+	// OnOp, when set, is called after every recorded successful op with
+	// the op's index in Ops, its accessed objects, transaction I/Os and
+	// response time — the per-operation figures the aggregates fold.
+	// Warmup ops, skips and tolerated errors do not reach it. With
+	// Clients > 1 it is called from every client goroutine concurrently.
+	OnOp func(op, objects int, ios uint64, d time.Duration)
 }
 
 // OpMetrics aggregates one op's measurements across all clients.
@@ -751,6 +757,9 @@ func (r *Runner) step(ctx *Ctx, cm *clientResult, idx, seq int, record bool, arr
 	if record {
 		cm.perOp[idx].add(objects, ios, d)
 		cm.total.add(objects, ios, d)
+		if s.OnOp != nil {
+			s.OnOp(idx, objects, ios, d)
+		}
 	}
 	return objects, nil
 }

@@ -374,6 +374,48 @@ func TestCustomNextAndState(t *testing.T) {
 	}
 }
 
+// TestOnOpSeesEachMeasuredOp pins the per-op hook at CLIENTN=1 on a paged
+// store whose buffer is smaller than the data: it fires once per measured
+// op, never during warmup, and its op indices, objects and I/Os add up to
+// the run's own aggregates.
+func TestOnOpSeesEachMeasuredOp(t *testing.T) {
+	be, err := backend.Open("paged", backend.Config{PageSize: 4096, BufferPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := be.Create(400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := make([]int64, 2)
+	var objects int64
+	var ios uint64
+	spec := &Spec{
+		Name: "hook", Backend: be, Warmup: 20, Measured: 50, Seed: 5, ColdStart: true,
+		Ops: []Op{accessOp("a", be, 100, 1, 0), accessOp("b", be, 100, 1, 0)},
+		OnOp: func(op, n int, io uint64, _ time.Duration) {
+			calls[op]++
+			objects += int64(n)
+			ios += io
+		},
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls[0]+calls[1] != 50 || calls[0] != res.PerOp[0].Count || calls[1] != res.PerOp[1].Count {
+		t.Fatalf("hook calls per op = %v, want the measured counts %d/%d",
+			calls, res.PerOp[0].Count, res.PerOp[1].Count)
+	}
+	if objects != res.Total.ObjectsTotal {
+		t.Fatalf("hook objects = %d, run total %d", objects, res.Total.ObjectsTotal)
+	}
+	if ios == 0 || ios != res.Total.IOsTotal {
+		t.Fatalf("hook I/Os = %d, run IOsTotal %d (want equal and non-zero)", ios, res.Total.IOsTotal)
+	}
+}
+
 func TestColdStartDropsCache(t *testing.T) {
 	// On the paged backend a ColdStart run re-faults its working set.
 	be, err := backend.Open("paged", backend.Config{PageSize: 4096, BufferPages: 64})
