@@ -1,12 +1,16 @@
-// Command ocb runs one fully configured OCB benchmark end to end:
-// generate the parameterized database, optionally attach a clustering
-// policy, execute the cold/warm protocol, optionally reorganize between
-// phases, and print the paper's metrics (response time, accessed objects,
-// I/Os — globally and per transaction type).
+// Command ocb runs one fully configured OCB benchmark end to end.
 //
-// Every Table 1 / Table 2 parameter is a flag; distributions accept the
-// specs of lewis.ParseDistribution (uniform, constant[:k], roundrobin,
-// zipf[:s], normal, negexp[:m], refzone:z[:p]).
+// Without a subcommand, ocb is the classic flag mode: every Table 1 /
+// Table 2 parameter is a flag, and the run is the `ocb` scenario preset's
+// §3.3 protocol over them — generate the parameterized database, a cold
+// run, a reorganization with the -cluster policy (none by default), a warm
+// run — printed as `ocb run` prints a scenario: the response time,
+// accessed objects and I/Os of each phase, globally and per transaction
+// type, and what the reorganization moved and cost in clustering I/Os.
+// -preset chooses the parameter set the other flags override; a flag set
+// out of range is an error, never silently the preset's value.
+// Distributions accept the specs of lewis.ParseDistribution (uniform,
+// constant[:k], roundrobin, zipf[:s], normal, negexp[:m], refzone:z[:p]).
 //
 // Subcommands:
 //
@@ -26,24 +30,18 @@
 // latency-under-load table. `ocb scenarios` lists the presets.
 // `ocb serve` hosts any local backend on a TCP address so other ocb
 // processes can benchmark it via `-backend remote -backend-opt addr=...`.
-// Without a subcommand, ocb runs the classic flag-configured protocol.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"ocb/internal/backend"
 	_ "ocb/internal/backend/all"
-	"ocb/internal/cluster"
 	"ocb/internal/core"
-	"ocb/internal/dstc"
 	"ocb/internal/lewis"
-	"ocb/internal/report"
 	"ocb/internal/scenarios"
 )
 
@@ -75,209 +73,126 @@ func main() {
 			return
 		}
 	}
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "ocb: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	p := core.DefaultParams()
-
-	preset := flag.String("preset", "default", "parameter preset: default | club | generic")
-	// Database parameters (Table 1).
-	nc := flag.Int("nc", 0, "NC: number of classes (0 keeps the preset)")
-	maxnref := flag.Int("maxnref", 0, "MAXNREF: references per class")
-	basesize := flag.Int("basesize", 0, "BASESIZE: instance base size (bytes)")
-	no := flag.Int("no", 0, "NO: total number of objects")
-	nreft := flag.Int("nreft", 0, "NREFT: number of reference types")
-	infclass := flag.Int("infclass", -1, "INFCLASS (-1 keeps the preset)")
-	supclass := flag.Int("supclass", 0, "SUPCLASS")
-	infref := flag.Int("infref", 0, "INFREF")
-	supref := flag.Int("supref", 0, "SUPREF")
-	dist1 := flag.String("dist1", "", "DIST1: reference type distribution")
-	dist2 := flag.String("dist2", "", "DIST2: class reference distribution")
-	dist3 := flag.String("dist3", "", "DIST3: object class distribution")
-	dist4 := flag.String("dist4", "", "DIST4: object reference distribution")
-	dist5 := flag.String("dist5", "", "RAND5: transaction root distribution")
-	// Workload parameters (Table 2).
-	setdepth := flag.Int("setdepth", -1, "SETDEPTH")
-	simdepth := flag.Int("simdepth", -1, "SIMDEPTH")
-	hiedepth := flag.Int("hiedepth", -1, "HIEDEPTH")
-	stodepth := flag.Int("stodepth", -1, "STODEPTH")
-	coldn := flag.Int("coldn", -1, "COLDN: cold-run transactions")
-	hotn := flag.Int("hotn", -1, "HOTN: warm-run transactions")
-	think := flag.Duration("think", -1, "THINK latency between transactions")
-	pset := flag.Float64("pset", -1, "PSET")
-	psimple := flag.Float64("psimple", -1, "PSIMPLE")
-	phier := flag.Float64("phier", -1, "PHIER")
-	pstoch := flag.Float64("pstoch", -1, "PSTOCH")
-	preverse := flag.Float64("preverse", -1, "probability of reversed transactions")
-	clients := flag.Int("clients", 0, "CLIENTN: concurrent clients")
-	// System under test. Backend-specific geometry (page size, buffer,
-	// replacement policy ...) travels as -backend-opt key=value pairs so a
-	// backend only sees options it understands; the driver validates the
-	// keys and rejects unknown ones naming the valid set.
-	backendName := flag.String("backend", backend.DefaultName,
-		fmt.Sprintf("system-under-test backend: %s", strings.Join(backend.List(), " | ")))
-	var backendOpts backend.OptionFlags
-	flag.Var(&backendOpts, "backend-opt",
-		"backend-specific option key=value (repeatable); e.g. -backend-opt pagesize=4096 -backend-opt buffer=512 for paged")
-	seed := flag.Int64("seed", 0, "random seed (0 keeps the preset)")
-	// Clustering.
-	clust := flag.String("cluster", "none", "clustering policy: none | sequential | byclass | hot | greedy | dstc")
-	reorg := flag.Bool("reorganize", true, "reorganize between the cold and warm runs")
-
-	flag.Parse()
-
-	switch *preset {
-	case "default":
-	case "club":
-		p = core.CluBParams()
-	case "generic":
-		p = core.GenericParams()
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
-	}
-
-	setInt := func(dst *int, v int) {
-		if v > 0 {
-			*dst = v
-		}
-	}
-	setInt(&p.NC, *nc)
-	setInt(&p.MaxNRef, *maxnref)
-	setInt(&p.BaseSize, *basesize)
-	setInt(&p.NO, *no)
-	setInt(&p.NRefT, *nreft)
-	if *infclass >= 0 {
-		p.InfClass = *infclass
-	}
-	setInt(&p.SupClass, *supclass)
-	setInt(&p.InfRef, *infref)
-	setInt(&p.SupRef, *supref)
-	if *nc > 0 && *supclass == 0 {
-		p.SupClass = p.NC
-	}
-	if *no > 0 && *supref == 0 {
-		p.SupRef = p.NO
-	}
-	for _, d := range []struct {
-		spec string
-		dst  *lewis.Distribution
-	}{{*dist1, &p.Dist1}, {*dist2, &p.Dist2}, {*dist3, &p.Dist3}, {*dist4, &p.Dist4}, {*dist5, &p.Dist5}} {
-		if d.spec == "" {
-			continue
-		}
-		dist, err := lewis.ParseDistribution(d.spec)
-		if err != nil {
-			return err
-		}
-		*d.dst = dist
-	}
-	setIfSet := func(dst *int, v int) {
-		if v >= 0 {
-			*dst = v
-		}
-	}
-	setIfSet(&p.SetDepth, *setdepth)
-	setIfSet(&p.SimDepth, *simdepth)
-	setIfSet(&p.HieDepth, *hiedepth)
-	setIfSet(&p.StoDepth, *stodepth)
-	setIfSet(&p.ColdN, *coldn)
-	setIfSet(&p.HotN, *hotn)
-	if *think >= 0 {
-		p.Think = *think
-	}
-	setProb := func(dst *float64, v float64) {
-		if v >= 0 {
-			*dst = v
-		}
-	}
-	setProb(&p.PSet, *pset)
-	setProb(&p.PSimple, *psimple)
-	setProb(&p.PHier, *phier)
-	setProb(&p.PStoch, *pstoch)
-	setProb(&p.PReverse, *preverse)
-	setInt(&p.ClientN, *clients)
-	p.Backend = *backendName
-	opts, err := backend.ParseOptions(backendOpts)
+// run is the classic flag mode: every Table 1/2 parameter is a flag, and
+// the run is the ocb preset's protocol over them (scenarios.OCB) — cold
+// run, reorganization with the -cluster policy, warm run — printed the
+// way `ocb run` prints a scenario.
+func run(args []string) error {
+	p, policy, err := parseClassic(args)
 	if err != nil {
 		return err
 	}
-	p.BackendOptions = opts
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-
-	fmt.Printf("generating database: NC=%d NO=%d seed=%d ...\n", p.NC, p.NO, p.Seed)
-	db, err := core.Generate(p)
+	sc, err := scenarios.OCB(p, policy)
 	if err != nil {
 		return err
 	}
 	// Durable backends own files (ephemeral ones a scratch directory);
 	// release the store once the protocol is done.
-	defer db.Close()
-	st := db.Store.Stats()
-	if st.Pages > 0 {
-		fmt.Printf("generated in %s on backend %q: %d objects on %d pages\n\n",
-			report.Dur(db.GenTime), *backendName, st.Objects, st.Pages)
-	} else {
-		fmt.Printf("generated in %s on backend %q: %d objects (no page abstraction)\n\n",
-			report.Dur(db.GenTime), *backendName, st.Objects)
-	}
+	defer sc.Close()
+	printHeader(sc)
+	return runAndPrint(sc)
+}
 
-	var policy cluster.Policy
-	switch *clust {
-	case "none", "":
-		policy = nil
-	case "sequential":
-		policy = &cluster.Sequential{Objects: db.AllOIDs}
-	case "byclass":
-		policy = &cluster.ByClass{Objects: db.AllOIDs, Label: db.ClassOf}
-	case "hot":
-		policy = cluster.NewHot()
-	case "greedy":
-		policy = cluster.NewGreedy(1 << 16)
-	case "dstc":
-		policy = dstc.New(dstc.Params{ObservationPeriod: 1 << 30, MaxUnitBytes: 1 << 16})
+// parseClassic parses the classic mode's flags into the parameters and
+// the clustering policy name. -preset chooses the values every other
+// flag overrides, so the arguments are parsed twice: once to learn the
+// preset, then onto it. A flag the user sets replaces the preset's value
+// unchanged, for Params.Validate to judge; one left unset keeps it.
+func parseClassic(args []string) (core.Params, string, error) {
+	p := core.DefaultParams()
+	var opts backend.OptionFlags
+	fs, preset, _ := classicFlags(&p, &opts)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
+	switch *preset {
+	case "default":
+		p = core.DefaultParams()
+	case "club":
+		p = core.CluBParams()
+	case "generic":
+		p = core.GenericParams()
 	default:
-		return fmt.Errorf("unknown clustering policy %q", *clust)
+		return p, "", fmt.Errorf("unknown preset %q", *preset)
 	}
-
-	r := core.NewRunner(db, policy)
-	cold, err := r.RunPhase("cold", p.ColdN, p.Seed+1)
-	if err != nil {
-		return err
+	opts = nil
+	fs, _, policy := classicFlags(&p, &opts)
+	_ = fs.Parse(args)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// The class and object intervals follow a resized database unless
+	// given explicitly.
+	if set["nc"] && !set["supclass"] {
+		p.SupClass = p.NC
 	}
-	printResult(cold)
+	if set["no"] && !set["supref"] {
+		p.SupRef = p.NO
+	}
+	var err error
+	p.BackendOptions, err = backend.ParseOptions(opts)
+	return p, *policy, err
+}
 
-	if policy != nil && *reorg {
-		start := time.Now()
-		rs, err := cluster.Reorganize(policy, db.Store)
-		switch {
-		case errors.Is(err, backend.ErrNotSupported):
-			fmt.Printf("reorganization skipped: backend %q has no physical relocation\n\n", *backendName)
-		case err != nil:
+// classicFlags declares the classic mode's flags, binding every Table 1/2
+// parameter and the backend name to their fields of p, and the
+// backend-specific options to opts.
+func classicFlags(p *core.Params, opts *backend.OptionFlags) (fs *flag.FlagSet, preset, policy *string) {
+	fs = flag.NewFlagSet("ocb", flag.ExitOnError)
+	preset = fs.String("preset", "default", "parameter preset the other flags override: default | club | generic")
+	// Database parameters (Table 1).
+	fs.IntVar(&p.NC, "nc", p.NC, "NC: number of classes")
+	fs.IntVar(&p.MaxNRef, "maxnref", p.MaxNRef, "MAXNREF: references per class")
+	fs.IntVar(&p.BaseSize, "basesize", p.BaseSize, "BASESIZE: instance base size (bytes)")
+	fs.IntVar(&p.NO, "no", p.NO, "NO: total number of objects")
+	fs.IntVar(&p.NRefT, "nreft", p.NRefT, "NREFT: number of reference types")
+	fs.IntVar(&p.InfClass, "infclass", p.InfClass, "INFCLASS")
+	fs.IntVar(&p.SupClass, "supclass", p.SupClass, "SUPCLASS (NC when only -nc is set)")
+	fs.IntVar(&p.InfRef, "infref", p.InfRef, "INFREF")
+	fs.IntVar(&p.SupRef, "supref", p.SupRef, "SUPREF (NO when only -no is set)")
+	for i, d := range []struct {
+		dst   *lewis.Distribution
+		usage string
+	}{
+		{&p.Dist1, "DIST1: reference type distribution"},
+		{&p.Dist2, "DIST2: class reference distribution"},
+		{&p.Dist3, "DIST3: object class distribution"},
+		{&p.Dist4, "DIST4: object reference distribution"},
+		{&p.Dist5, "RAND5: transaction root distribution"},
+	} {
+		fs.Func(fmt.Sprintf("dist%d", i+1), d.usage, func(spec string) error {
+			dist, err := lewis.ParseDistribution(spec)
+			*d.dst = dist
 			return err
-		default:
-			fmt.Printf("reorganized with %s in %s: moved %d objects, %d pages read, %d written\n\n",
-				policy.Name(), report.Dur(time.Since(start)), rs.ObjectsMoved, rs.PagesRead, rs.PagesWritten)
-		}
+		})
 	}
-
-	warm, err := r.RunPhase("warm", p.HotN, p.Seed+2)
-	if err != nil {
-		return err
-	}
-	printResult(warm)
-
-	final := db.Store.Stats()
-	fmt.Printf("totals: %d transaction I/Os, %d clustering I/Os, %d objects accessed, hit ratio %.2f\n",
-		final.Disk.TransactionIOs(), final.Disk.ClusteringIOs(),
-		final.ObjectsAccessed, final.Pool.HitRatio())
-	return nil
+	// Workload parameters (Table 2).
+	fs.IntVar(&p.SetDepth, "setdepth", p.SetDepth, "SETDEPTH")
+	fs.IntVar(&p.SimDepth, "simdepth", p.SimDepth, "SIMDEPTH")
+	fs.IntVar(&p.HieDepth, "hiedepth", p.HieDepth, "HIEDEPTH")
+	fs.IntVar(&p.StoDepth, "stodepth", p.StoDepth, "STODEPTH")
+	fs.IntVar(&p.ColdN, "coldn", p.ColdN, "COLDN: cold-run transactions")
+	fs.IntVar(&p.HotN, "hotn", p.HotN, "HOTN: warm-run transactions")
+	fs.DurationVar(&p.Think, "think", p.Think, "THINK latency between transactions")
+	fs.Float64Var(&p.PSet, "pset", p.PSet, "PSET")
+	fs.Float64Var(&p.PSimple, "psimple", p.PSimple, "PSIMPLE")
+	fs.Float64Var(&p.PHier, "phier", p.PHier, "PHIER")
+	fs.Float64Var(&p.PStoch, "pstoch", p.PStoch, "PSTOCH")
+	fs.Float64Var(&p.PReverse, "preverse", p.PReverse, "probability of reversed transactions")
+	fs.IntVar(&p.ClientN, "clients", p.ClientN, "CLIENTN: concurrent clients")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "random seed")
+	// System under test. Backend-specific geometry (page size, buffer,
+	// replacement policy ...) travels as -backend-opt key=value pairs so a
+	// backend only sees options it understands; the driver validates the
+	// keys and rejects unknown ones naming the valid set.
+	fs.StringVar(&p.Backend, "backend", backend.DefaultName,
+		fmt.Sprintf("system-under-test backend: %s", strings.Join(backend.List(), " | ")))
+	fs.Var(opts, "backend-opt",
+		"backend-specific option key=value (repeatable); e.g. -backend-opt pagesize=4096 -backend-opt buffer=512 for paged")
+	policy = fs.String("cluster", "none", "clustering policy, reorganizing between the cold and warm runs: "+
+		strings.Join(scenarios.PolicyNames(), " | "))
+	return fs, preset, policy
 }

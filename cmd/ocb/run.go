@@ -68,12 +68,17 @@ func (f *scenarioFlags) build(fs *flag.FlagSet, o scenarios.Options) (*scenarios
 	if err != nil {
 		return nil, err
 	}
+	printHeader(sc)
+	return sc, nil
+}
+
+// printHeader prints a built scenario's name, description and build notes.
+func printHeader(sc *scenarios.Scenario) {
 	fmt.Printf("scenario %s — %s\n", sc.Name, sc.Description)
 	for _, note := range sc.Notes {
 		fmt.Printf("  %s\n", note)
 	}
 	fmt.Println()
-	return sc, nil
 }
 
 // runScenario implements the `ocb run` subcommand: build a scenario
@@ -112,6 +117,13 @@ func runScenario(args []string) error {
 	// The scenario owns its system under test; release it (files,
 	// scratch directories) once the run is done.
 	defer sc.Close()
+	return runAndPrint(sc)
+}
+
+// runAndPrint runs every phase of sc, printing each phase's setup note and
+// result table. An SLO violation is an error, so the command exits
+// non-zero on it.
+func runAndPrint(sc *scenarios.Scenario) error {
 	results, err := sc.Run()
 	if err != nil {
 		return err

@@ -56,11 +56,7 @@ func measure(p core.Params, n int) (before, after float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	policy := dstc.New(dstc.Params{
-		ObservationPeriod: 1 << 30, // consolidate once, at reorganization
-		MaxUnitBytes:      1 << 16, // units of up to 16 pages
-	})
-	res, err := scenarios.OCBClustering(db, policy, n, n/2, 999331, []int64{1000, 1001, 1002}).Run()
+	res, err := scenarios.OCBClustering(db, dstc.NewCluBStyle(), n, n/2, 999331, []int64{1000, 1001, 1002}).Run()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -8,9 +8,10 @@ import (
 
 	"fmt"
 	"log"
+	"time"
 
 	"ocb/internal/core"
-	"ocb/internal/workload"
+	"ocb/internal/scenarios"
 )
 
 func main() {
@@ -23,20 +24,23 @@ func main() {
 	p.HotN = 500
 	p.BufferPages = 128
 
-	db, err := core.Generate(p)
+	start := time.Now()
+	sc, err := scenarios.OCB(p, "none")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sc.Close()
+	store := sc.Phases[0].Spec.Backend
+	st := store.Stats()
 	fmt.Printf("generated %d objects in %d classes in %s (%d pages)\n",
-		db.NO(), p.NC, db.GenTime.Round(1e6), db.Store.Stats().Pages)
+		st.Objects, p.NC, time.Since(start).Round(1e6), st.Pages)
 
-	runner := core.NewRunner(db, nil)
-	res, err := runner.Run()
+	results, err := sc.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	for _, phase := range []*workload.Result{res.Cold, res.Warm} {
+	for _, pr := range results {
+		phase := pr.Result
 		fmt.Printf("\n%s run: %d transactions in %s\n",
 			phase.Name, phase.Executed, phase.Duration.Round(1e6))
 		fmt.Printf("  mean I/Os per transaction:    %.1f\n", phase.MeanIOsPerOp())
@@ -48,7 +52,7 @@ func main() {
 		}
 	}
 
-	st := db.Store.Stats()
+	st = store.Stats()
 	fmt.Printf("\nbuffer hit ratio: %.2f, total I/Os: %d\n",
 		st.Pool.HitRatio(), st.Disk.Total())
 }

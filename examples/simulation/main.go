@@ -35,8 +35,7 @@ func main() {
 	// Capture the workload's demands before and after DSTC reclustering:
 	// the engine hands each measured transaction's demand to the hook,
 	// demands[0] for the before pass and demands[1] for the after pass.
-	policy := dstc.New(dstc.Params{ObservationPeriod: 1 << 30, MaxUnitBytes: 1 << 16})
-	proto := scenarios.OCBClustering(db, policy, 60, 40, 4242, []int64{100, 101, 102})
+	proto := scenarios.OCBClustering(db, dstc.NewCluBStyle(), 60, 40, 4242, []int64{100, 101, 102})
 	var demands [][]sim.Demand
 	pass := proto.Pass
 	proto.Pass = func(observed bool, seed int64) *workload.Spec {

@@ -24,19 +24,31 @@ func goldenParams() core.Params {
 	return p
 }
 
+// ocbRun is one full cold/warm protocol run and the store's counters
+// after it.
+type ocbRun struct {
+	Cold, Warm *workload.Result
+	Store      backend.Stats
+}
+
 // runOCB generates a database for p and runs the full cold/warm protocol.
-func runOCB(t *testing.T, p core.Params) *core.Result {
+func runOCB(t *testing.T, p core.Params) ocbRun {
 	t.Helper()
 	db, err := core.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = db.Close() })
-	res, err := core.NewRunner(db, nil).Run()
+	r := core.NewRunner(db, nil)
+	cold, err := r.RunPhase("cold", p.ColdN, p.Seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	warm, err := r.RunPhase("warm", p.HotN, p.Seed+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ocbRun{Cold: cold, Warm: warm, Store: db.Store.Stats()}
 }
 
 // TestGoldenOCBOverRemoteMatchesInProcess pins the transparency of the

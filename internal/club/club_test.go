@@ -25,18 +25,6 @@ func smallParams() club.Params {
 	return p
 }
 
-// clubDSTC returns the DSTC tuning for stereotyped workloads: one
-// observation period spanning the whole observation phase, clustering
-// units up to 16 pages.
-func clubDSTC() *dstc.DSTC {
-	return dstc.New(dstc.Params{
-		ObservationPeriod: 1 << 30,
-		Tfa:               2,
-		Tfc:               2,
-		MaxUnitBytes:      1 << 16,
-	})
-}
-
 // generate builds the CluB database and releases it when the test ends.
 func generate(t *testing.T, p club.Params) *oo1.Database {
 	t.Helper()
@@ -62,7 +50,7 @@ func run(t *testing.T, p club.Params, policy cluster.Policy) *scenarios.Clusteri
 // traversal workload must recluster very well (the paper reports gain 13.2
 // on Texas; the shape — a clearly large gain — is asserted here).
 func TestDSTCGain(t *testing.T) {
-	res := run(t, smallParams(), clubDSTC())
+	res := run(t, smallParams(), dstc.NewCluBStyle())
 	if res.Gain != res.Before/res.After {
 		t.Fatalf("gain %v inconsistent with %v -> %v", res.Gain, res.Before, res.After)
 	}
@@ -90,7 +78,7 @@ func TestNoPolicyNoGain(t *testing.T) {
 }
 
 func TestNonePolicy(t *testing.T) {
-	res := run(t, smallParams(), cluster.None{})
+	res := run(t, smallParams(), nil)
 	if res.Before != res.After || res.Gain != 1 {
 		t.Fatalf("None policy changed I/Os: %+v", res)
 	}
@@ -103,7 +91,7 @@ func TestRunOnReusesDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scenarios.CluBClustering(db, p, clubDSTC()).Run()
+	b, err := scenarios.CluBClustering(db, p, dstc.NewCluBStyle()).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package club_test
 
-import "testing"
+import (
+	"testing"
+
+	"ocb/internal/dstc"
+)
 
 // TestEngineGoldenCLIENTN1 pins the CluB protocol's figures to the exact
 // values the pre-engine pass loop produced on the same seed and geometry
@@ -9,7 +13,7 @@ func TestEngineGoldenCLIENTN1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden protocol replay skipped in -short mode")
 	}
-	res := run(t, smallParams(), clubDSTC())
+	res := run(t, smallParams(), dstc.NewCluBStyle())
 	if res.Before != 134.75 || res.After != 31.875 {
 		t.Errorf("I/Os = %v -> %v, want 134.75 -> 31.875 (pre-engine golden)",
 			res.Before, res.After)

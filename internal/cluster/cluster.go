@@ -8,9 +8,10 @@
 // and, when asked, computes a new physical placement that the store applies
 // via Relocate, with the I/O cost charged to the clustering-overhead class.
 //
-// Baselines provided here:
+// The non-clustering control every experiment needs is the nil Policy:
+// it observes nothing (runners skip observation) and Reorganize with it
+// moves nothing. Baselines provided here:
 //
-//   - None: the non-clustering control every experiment needs.
 //   - Sequential: defragmentation in OID order (placement ignores usage).
 //   - ByClass: type-based clustering (groups instances of a class), the
 //     classic static strategy of early OODBs (ORION, O2).
@@ -71,30 +72,6 @@ func Reorganize(p Policy, b backend.Backend) (backend.RelocStats, error) {
 	defer backend.SetIOClass(b, disk.Transaction)
 	return p.Reorganize(b)
 }
-
-// None is the non-clustering control policy: it observes nothing and
-// Reorganize is a no-op.
-type None struct{}
-
-// Name implements Policy.
-func (None) Name() string { return "none" }
-
-// ObserveLink implements Policy.
-func (None) ObserveLink(_, _ backend.OID) {}
-
-// ObserveRoot implements Policy.
-func (None) ObserveRoot(backend.OID) {}
-
-// EndTransaction implements Policy.
-func (None) EndTransaction() {}
-
-// Reorganize implements Policy.
-func (None) Reorganize(backend.Backend) (backend.RelocStats, error) {
-	return backend.RelocStats{}, nil
-}
-
-// Reset implements Policy.
-func (None) Reset() {}
 
 // Enumerator lists all live objects, in a stable order, for placement
 // policies that relocate the whole database.

@@ -13,27 +13,21 @@ func buildStore(t *testing.T, n, size int) (backendtest.PlacedBackend, []backend
 	return backendtest.BuildPaged(t, n, size)
 }
 
-func TestNoneIsInert(t *testing.T) {
-	s, oids := buildStore(t, 4, 50)
-	var p None
-	p.ObserveLink(oids[0], oids[1])
-	p.ObserveRoot(oids[0])
-	p.EndTransaction()
+// TestReorganizeNilIsInert: a nil policy is the no-clustering control —
+// reorganizing with it moves nothing and performs no I/O.
+func TestReorganizeNilIsInert(t *testing.T) {
+	s, _ := buildStore(t, 4, 50)
 	before := s.Stats().Disk
-	rs, err := p.Reorganize(s)
+	rs, err := Reorganize(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.ObjectsMoved != 0 {
-		t.Fatalf("None moved %d objects", rs.ObjectsMoved)
+		t.Fatalf("nil policy moved %d objects", rs.ObjectsMoved)
 	}
 	if s.Stats().Disk != before {
-		t.Fatal("None performed I/O")
+		t.Fatal("nil policy performed I/O")
 	}
-	if p.Name() != "none" {
-		t.Fatal("wrong name")
-	}
-	p.Reset()
 }
 
 func TestSequentialOrdersByOID(t *testing.T) {

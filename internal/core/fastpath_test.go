@@ -218,11 +218,8 @@ func TestPhaseMetricsGoldenCLIENTN1(t *testing.T) {
 	p.BufferPages = 64
 	p.Seed = 77
 	db := MustGenerate(p)
-	res, err := NewRunner(db, nil).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPhaseGold(t, "clustering/cold", res.Cold, phaseGold{
+	cold, warm := runProtocol(t, NewRunner(db, nil))
+	checkPhaseGold(t, "clustering/cold", cold, phaseGold{
 		tx: 200, reads: 57960, writes: 0, objMean: "360.045",
 		perType: map[TxType]typeGold{
 			SetAccess:           {53, "572.0188679", "474.2264151"},
@@ -231,7 +228,7 @@ func TestPhaseMetricsGoldenCLIENTN1(t *testing.T) {
 			StochasticTraversal: {48, "51", "39.70833333"},
 		},
 	})
-	checkPhaseGold(t, "clustering/warm", res.Warm, phaseGold{
+	checkPhaseGold(t, "clustering/warm", warm, phaseGold{
 		tx: 600, reads: 166416, writes: 0, objMean: "345.3166667",
 		perType: map[TxType]typeGold{
 			SetAccess:           {132, "558.6060606", "463.4848485"},
@@ -249,11 +246,8 @@ func TestPhaseMetricsGoldenCLIENTN1(t *testing.T) {
 	g.BufferPages = 64
 	g.Seed = 101
 	gdb := MustGenerate(g)
-	gres, err := NewRunner(gdb, nil).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPhaseGold(t, "generic/cold", gres.Cold, phaseGold{
+	gcold, gwarm := runProtocol(t, NewRunner(gdb, nil))
+	checkPhaseGold(t, "generic/cold", gcold, phaseGold{
 		tx: 150, reads: 25809, writes: 97, objMean: "258.8733333",
 		perType: map[TxType]typeGold{
 			SetAccess:           {16, "590.4375", "465.0625"},
@@ -267,7 +261,7 @@ func TestPhaseMetricsGoldenCLIENTN1(t *testing.T) {
 			RangeOp:             {12, "15", "2.25"},
 		},
 	})
-	checkPhaseGold(t, "generic/warm", gres.Warm, phaseGold{
+	checkPhaseGold(t, "generic/warm", gwarm, phaseGold{
 		tx: 400, reads: 70948, writes: 238, objMean: "256.0875",
 		perType: map[TxType]typeGold{
 			SetAccess:           {53, "554.2264151", "436.2641509"},

@@ -183,17 +183,13 @@ func TestGenericOperationsViaExecutor(t *testing.T) {
 func TestGenericWorkloadEndToEnd(t *testing.T) {
 	p := genericSmall()
 	db := MustGenerate(p)
-	r := NewRunner(db, nil)
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Warm.Executed != int64(p.HotN) {
-		t.Fatalf("warm tx = %d", res.Warm.Executed)
+	cold, warm := runProtocol(t, NewRunner(db, nil))
+	if warm.Executed != int64(p.HotN) {
+		t.Fatalf("warm tx = %d", warm.Executed)
 	}
 	// Every one of the nine types must have occurred across the run.
 	for typ := TxType(0); typ < NumTxTypes; typ++ {
-		if res.Cold.PerOp[typ].Count+res.Warm.PerOp[typ].Count == 0 {
+		if cold.PerOp[typ].Count+warm.PerOp[typ].Count == 0 {
 			t.Fatalf("type %v never sampled", typ)
 		}
 	}

@@ -231,8 +231,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.SetDepth < 0 || p.SimDepth < 0 || p.HieDepth < 0 || p.StoDepth < 0:
 		return fmt.Errorf("ocb: negative transaction depth")
-	case p.ColdN < 0 || p.HotN < 0:
-		return fmt.Errorf("ocb: negative transaction count")
+	case p.ColdN < 1 || p.HotN < 1:
+		return fmt.Errorf("ocb: COLDN = %d, HOTN = %d, need >= 1 each", p.ColdN, p.HotN)
 	case p.ClientN < 1:
 		return fmt.Errorf("ocb: CLIENTN = %d, need >= 1", p.ClientN)
 	case p.Think < 0:

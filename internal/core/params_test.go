@@ -130,6 +130,7 @@ func TestValidateCatchesEachField(t *testing.T) {
 		"nilDist":      break1(func(p *Params) { p.Dist3 = nil }),
 		"depth":        break1(func(p *Params) { p.SimDepth = -1 }),
 		"counts":       break1(func(p *Params) { p.ColdN = -1 }),
+		"zeroCounts":   break1(func(p *Params) { p.HotN = 0 }),
 		"clients":      break1(func(p *Params) { p.ClientN = 0 }),
 		"think":        break1(func(p *Params) { p.Think = -time.Second }),
 		"probSum":      break1(func(p *Params) { p.PSet = 0.9 }),

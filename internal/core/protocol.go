@@ -7,17 +7,11 @@ import (
 	"ocb/internal/workload"
 )
 
-// Result is a full protocol execution: cold run then warm run.
-type Result struct {
-	Cold, Warm *workload.Result
-	PolicyName string
-	Store      backend.Stats
-}
-
-// Runner executes the OCB protocol of §3.3 against a database: each of
-// CLIENTN clients performs a cold run of COLDN transactions whose types are
-// drawn according to the predefined probabilities, then a warm run of HOTN
-// transactions, with THINK latency between transactions.
+// Runner builds the phases of the OCB protocol of §3.3 against a
+// database: each of CLIENTN clients performs a run of transactions whose
+// types are drawn according to the predefined probabilities, with THINK
+// latency between transactions. scenarios.OCB sequences the protocol's
+// cold run of COLDN and warm run of HOTN transactions.
 type Runner struct {
 	DB *Database
 	// Policy observes the workload; nil for plain measurement.
@@ -31,23 +25,6 @@ func NewRunner(db *Database, policy cluster.Policy) *Runner {
 		policy = cluster.Synchronize(policy)
 	}
 	return &Runner{DB: db, Policy: policy}
-}
-
-// Run executes the full protocol: cold run (ColdN) then warm run (HotN).
-func (r *Runner) Run() (*Result, error) {
-	cold, err := r.RunPhase("cold", r.DB.P.ColdN, r.DB.P.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	warm, err := r.RunPhase("warm", r.DB.P.HotN, r.DB.P.Seed+2)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Cold: cold, Warm: warm, Store: r.DB.Store.Stats()}
-	if r.Policy != nil {
-		res.PolicyName = r.Policy.Name()
-	}
-	return res, nil
 }
 
 // phaseClient is the per-client engine state of an OCB phase: the

@@ -9,37 +9,45 @@ import (
 	"ocb/internal/workload"
 )
 
+// runProtocol runs the §3.3 cold and warm phases as scenarios.OCB
+// sequences them: ColdN transactions on Seed+1, then HotN on Seed+2.
+func runProtocol(t *testing.T, r *Runner) (cold, warm *workload.Result) {
+	t.Helper()
+	cold, err := r.RunPhase("cold", r.DB.P.ColdN, r.DB.P.Seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err = r.RunPhase("warm", r.DB.P.HotN, r.DB.P.Seed+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cold, warm
+}
+
 func TestRunnerFullProtocol(t *testing.T) {
 	p := smallParams()
 	p.ColdN = 30
 	p.HotN = 60
 	db := MustGenerate(p)
-	r := NewRunner(db, cluster.None{})
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
+	cold, warm := runProtocol(t, NewRunner(db, nil))
+	if cold.Executed != int64(p.ColdN) {
+		t.Fatalf("cold transactions = %d, want %d", cold.Executed, p.ColdN)
 	}
-	if res.Cold.Executed != int64(p.ColdN) {
-		t.Fatalf("cold transactions = %d, want %d", res.Cold.Executed, p.ColdN)
-	}
-	if res.Warm.Executed != int64(p.HotN) {
-		t.Fatalf("warm transactions = %d, want %d", res.Warm.Executed, p.HotN)
-	}
-	if res.PolicyName != "none" {
-		t.Fatalf("policy name = %q", res.PolicyName)
+	if warm.Executed != int64(p.HotN) {
+		t.Fatalf("warm transactions = %d, want %d", warm.Executed, p.HotN)
 	}
 	// Per-type counts must sum to the phase total.
 	var sum int64
-	for _, tm := range res.Warm.PerOp {
+	for _, tm := range warm.PerOp {
 		sum += tm.Count
 	}
-	if sum != res.Warm.Executed {
-		t.Fatalf("per-type counts sum to %d, want %d", sum, res.Warm.Executed)
+	if sum != warm.Executed {
+		t.Fatalf("per-type counts sum to %d, want %d", sum, warm.Executed)
 	}
-	if res.Warm.Total.Objects.Mean() <= 1 {
-		t.Fatalf("mean objects per tx = %v", res.Warm.Total.Objects.Mean())
+	if warm.Total.Objects.Mean() <= 1 {
+		t.Fatalf("mean objects per tx = %v", warm.Total.Objects.Mean())
 	}
-	if res.Warm.Duration <= 0 {
+	if warm.Duration <= 0 {
 		t.Fatal("phase duration missing")
 	}
 }
@@ -105,16 +113,12 @@ func TestMultiClientRun(t *testing.T) {
 	p.ColdN = 10
 	p.HotN = 20
 	db := MustGenerate(p)
-	r := NewRunner(db, dstc.New(dstc.Params{ObservationPeriod: 5}))
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
+	cold, warm := runProtocol(t, NewRunner(db, dstc.New(dstc.Params{ObservationPeriod: 5})))
+	if cold.Executed != int64(4*p.ColdN) {
+		t.Fatalf("cold transactions = %d, want %d", cold.Executed, 4*p.ColdN)
 	}
-	if res.Cold.Executed != int64(4*p.ColdN) {
-		t.Fatalf("cold transactions = %d, want %d", res.Cold.Executed, 4*p.ColdN)
-	}
-	if res.Warm.Executed != int64(4*p.HotN) {
-		t.Fatalf("warm transactions = %d, want %d", res.Warm.Executed, 4*p.HotN)
+	if warm.Executed != int64(4*p.HotN) {
+		t.Fatalf("warm transactions = %d, want %d", warm.Executed, 4*p.HotN)
 	}
 }
 

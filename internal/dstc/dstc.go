@@ -109,6 +109,15 @@ func New(p Params) *DSTC {
 	}
 }
 
+// NewCluBStyle returns DSTC as the clustering experiments tune it for
+// CluB-style stereotyped workloads: one observation period spanning the
+// whole observation phase (statistics consolidate once, at
+// reorganization), the standard selection and clustering thresholds
+// Tfa = Tfc = 2, and clustering units of up to 16 pages.
+func NewCluBStyle() *DSTC {
+	return New(Params{ObservationPeriod: 1 << 30, Tfa: 2, Tfc: 2, MaxUnitBytes: 1 << 16})
+}
+
 // Name implements cluster.Policy.
 func (d *DSTC) Name() string { return "dstc" }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ocb/internal/backend"
-	"ocb/internal/cluster"
 	"ocb/internal/core"
 	"ocb/internal/dstc"
 	"ocb/internal/lewis"
@@ -25,28 +24,16 @@ func Policies(c Config) (*report.Table, error) {
 		n = 30
 	}
 	seed := 771 + c.Seed
-	for _, name := range []string{"none", "sequential", "byclass", "hot", "greedy", "dstc"} {
+	for _, name := range scenarios.PolicyNames() {
 		p := c.mimicParams() // single-type CluB-like workload (PSimple=1)
 		db, err := core.Generate(p)
 		if err != nil {
 			return nil, fmt.Errorf("policies %s: %w", name, err)
 		}
-		var policy cluster.Policy
-		switch name {
-		case "none":
-			policy = cluster.None{}
-		case "sequential":
-			policy = &cluster.Sequential{Objects: db.AllOIDs}
-		case "byclass":
-			policy = &cluster.ByClass{Objects: db.AllOIDs, Label: db.ClassOf}
-		case "hot":
-			policy = cluster.NewHot()
-		case "greedy":
-			g := cluster.NewGreedy(1 << 16)
-			g.MinWeight = 2
-			policy = g
-		case "dstc":
-			policy = clubDSTC()
+		policy, err := scenarios.NewPolicy(name, db)
+		if err != nil {
+			_ = backend.Shutdown(db.Store)
+			return nil, err
 		}
 		// CluB's stereotyped shape: the measured pass itself recurs.
 		res, err := scenarios.OCBClustering(db, policy, n, n, seed, []int64{seed, seed, seed}).Run()
@@ -293,7 +280,7 @@ func RootSkew(c Config) (*report.Table, error) {
 			return nil, fmt.Errorf("root skew %s: %w", spec, err)
 		}
 		seed := 999331 + c.Seed
-		res, err := scenarios.OCBClustering(db, clubDSTC(), obsN, measN, seed, heldOutSeeds(seed)).Run()
+		res, err := scenarios.OCBClustering(db, dstc.NewCluBStyle(), obsN, measN, seed, heldOutSeeds(seed)).Run()
 		_ = backend.Shutdown(db.Store)
 		if err != nil {
 			return nil, fmt.Errorf("root skew %s: %w", spec, err)

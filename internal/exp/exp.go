@@ -14,7 +14,6 @@ package exp
 import (
 	"ocb/internal/backend"
 	"ocb/internal/core"
-	"ocb/internal/dstc"
 	"ocb/internal/oo1"
 )
 
@@ -73,18 +72,6 @@ func (c Config) mimicParams() core.Params {
 	p.Backend = c.Backend
 	p.BackendOptions = c.BackendOptions
 	return p
-}
-
-// clubDSTC returns the DSTC tuning for the clustering experiments: one
-// observation period spanning the whole observation phase, the standard
-// selection/clustering thresholds, units of up to 16 pages.
-func clubDSTC() *dstc.DSTC {
-	return dstc.New(dstc.Params{
-		ObservationPeriod: 1 << 30,
-		Tfa:               2,
-		Tfc:               2,
-		MaxUnitBytes:      1 << 16,
-	})
 }
 
 // heldOutSeeds are the observation seeds of OCB's measurement protocol:

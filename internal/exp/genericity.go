@@ -8,6 +8,7 @@ import (
 
 	"ocb/internal/backend"
 	"ocb/internal/core"
+	"ocb/internal/dstc"
 	"ocb/internal/lewis"
 	"ocb/internal/report"
 	"ocb/internal/scenarios"
@@ -129,7 +130,7 @@ func genericityRow(c Config, name string, n int) (row []string, visited int, err
 	if _, err := backend.AsRelocator(db.Store); err == nil {
 		// CluB's stereotyped shape: the measured pass itself recurs.
 		seed := 771 + c.Seed
-		res, err := scenarios.OCBClustering(db, clubDSTC(), n, n, seed, []int64{seed, seed, seed}).Run()
+		res, err := scenarios.OCBClustering(db, dstc.NewCluBStyle(), n, n, seed, []int64{seed, seed, seed}).Run()
 		if err != nil {
 			return nil, 0, fmt.Errorf("clustering: %w", err)
 		}

@@ -170,7 +170,7 @@ func Table4(c Config) (*report.Table, error) {
 		obsN, measN = 60, 30
 	}
 	seed := 999331 + c.Seed
-	mres, err := scenarios.OCBClustering(db, clubDSTC(), obsN, measN, seed, heldOutSeeds(seed)).Run()
+	mres, err := scenarios.OCBClustering(db, dstc.NewCluBStyle(), obsN, measN, seed, heldOutSeeds(seed)).Run()
 	if err != nil {
 		return nil, fmt.Errorf("table4 mimic protocol: %w", err)
 	}
@@ -198,7 +198,7 @@ func Table5(c Config) (*report.Table, error) {
 		obsN, measN = 400, 200
 	}
 	seed := 999331 + c.Seed
-	res, err := scenarios.OCBClustering(db, clubDSTC(), obsN, measN, seed, heldOutSeeds(seed)).Run()
+	res, err := scenarios.OCBClustering(db, dstc.NewCluBStyle(), obsN, measN, seed, heldOutSeeds(seed)).Run()
 	if err != nil {
 		return nil, fmt.Errorf("table5 protocol: %w", err)
 	}

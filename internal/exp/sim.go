@@ -6,6 +6,7 @@ import (
 
 	"ocb/internal/backend"
 	"ocb/internal/core"
+	"ocb/internal/dstc"
 	"ocb/internal/report"
 	"ocb/internal/scenarios"
 	"ocb/internal/sim"
@@ -33,7 +34,7 @@ func SimulatedTestbed(c Config) (*report.Table, error) {
 	defer backend.Shutdown(db.Store)
 
 	const seed = 999331
-	proto := scenarios.OCBClustering(db, clubDSTC(), n, n, seed, heldOutSeeds(seed))
+	proto := scenarios.OCBClustering(db, dstc.NewCluBStyle(), n, n, seed, heldOutSeeds(seed))
 	// The engine hands each measured transaction's demand to the hook:
 	// demands[0] is the before pass, demands[1] the after pass.
 	var demands [][]sim.Demand

@@ -7,6 +7,7 @@ import (
 	"ocb/internal/club"
 	"ocb/internal/cluster"
 	"ocb/internal/core"
+	"ocb/internal/dstc"
 	"ocb/internal/oo1"
 	"ocb/internal/workload"
 )
@@ -97,21 +98,73 @@ func (c *Clustering) scenario(name, description string, res *ClusteringResult, r
 	phases = append(phases, Phase{
 		Name: "after",
 		Setup: func() (string, error) {
-			cl := c.Backend.DiskStats().ClusteringIOs()
-			res.Reloc, *reorgErr = cluster.Reorganize(c.Policy, c.Backend)
-			res.ClusteringIOs = c.Backend.DiskStats().ClusteringIOs() - cl
-			if *reorgErr != nil {
-				return "", *reorgErr
-			}
-			if c.Policy == nil {
-				return "no clustering policy: layout unchanged", nil
-			}
-			return fmt.Sprintf("reorganized with %s: moved %d objects, %d pages read, %d written",
-				c.Policy.Name(), res.Reloc.ObjectsMoved, res.Reloc.PagesRead, res.Reloc.PagesWritten), nil
+			note, err := reorganize(c.Policy, c.Backend, res)
+			*reorgErr = err
+			return note, err
 		},
 		Spec: pass("after", false, c.Seed),
 	})
 	return &Scenario{Name: name, Description: description, Phases: phases}
+}
+
+// reorganize is the protocol's reorganization step, the untimed Setup of
+// the phase that measures the new layout: it reorganizes b with policy
+// (nil leaves the layout unchanged), records the relocation cost and the
+// clustering I/Os the step charged in res, and notes what it did.
+func reorganize(policy cluster.Policy, b backend.Backend, res *ClusteringResult) (string, error) {
+	cl := b.DiskStats().ClusteringIOs()
+	var err error
+	res.Reloc, err = cluster.Reorganize(policy, b)
+	res.ClusteringIOs = b.DiskStats().ClusteringIOs() - cl
+	if err != nil {
+		return "", err
+	}
+	if policy == nil {
+		return "no clustering policy: layout unchanged", nil
+	}
+	return fmt.Sprintf("reorganized with %s: moved %d objects, %d pages read, %d written, %d clustering I/Os",
+		policy.Name(), res.Reloc.ObjectsMoved, res.Reloc.PagesRead, res.Reloc.PagesWritten, res.ClusteringIOs), nil
+}
+
+// policies names every clustering policy once, in presentation order.
+// "none" is the nil no-clustering control; sequential and byclass
+// relocate the whole database, so they enumerate it.
+var policies = []struct {
+	name string
+	new  func(db *core.Database) cluster.Policy
+}{
+	{"none", func(*core.Database) cluster.Policy { return nil }},
+	{"sequential", func(db *core.Database) cluster.Policy { return &cluster.Sequential{Objects: db.AllOIDs} }},
+	{"byclass", func(db *core.Database) cluster.Policy {
+		return &cluster.ByClass{Objects: db.AllOIDs, Label: db.ClassOf}
+	}},
+	{"hot", func(*core.Database) cluster.Policy { return cluster.NewHot() }},
+	{"greedy", func(*core.Database) cluster.Policy {
+		g := cluster.NewGreedy(1 << 16)
+		g.MinWeight = 2 // ignore links crossed only once
+		return g
+	}},
+	{"dstc", func(*core.Database) cluster.Policy { return dstc.NewCluBStyle() }},
+}
+
+// PolicyNames lists the clustering policies NewPolicy builds, in order.
+func PolicyNames() []string {
+	out := make([]string, len(policies))
+	for i, e := range policies {
+		out[i] = e.name
+	}
+	return out
+}
+
+// NewPolicy returns the named clustering policy over db: nil for "none",
+// an error naming the valid set for an unknown name.
+func NewPolicy(name string, db *core.Database) (cluster.Policy, error) {
+	for _, e := range policies {
+		if e.name == name {
+			return e.new(db), nil
+		}
+	}
+	return nil, fmt.Errorf("scenarios: unknown clustering policy %q (valid: %v)", name, PolicyNames())
 }
 
 // OCBClustering is the protocol over an OCB database: measured passes run

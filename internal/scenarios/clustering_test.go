@@ -20,8 +20,7 @@ func TestClusteringReorganizeChargesNoTransactionIOs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	policy := dstc.New(dstc.Params{ObservationPeriod: 1 << 30, MaxUnitBytes: 1 << 16})
-	proto := OCBClustering(db, policy, 40, 20, 7, []int64{8, 9})
+	proto := OCBClustering(db, dstc.NewCluBStyle(), 40, 20, 7, []int64{8, 9})
 	res := new(ClusteringResult)
 	var reorgErr error
 	sc := proto.scenario("t", "", res, &reorgErr)
@@ -51,5 +50,33 @@ func TestClusteringReorganizeChargesNoTransactionIOs(t *testing.T) {
 	}
 	if res.Reloc.ObjectsMoved == 0 {
 		t.Fatal("nothing moved")
+	}
+}
+
+// TestNewPolicy: every policy name builds a policy of that name, "none"
+// is the nil no-clustering control, and an unknown name is an error.
+func TestNewPolicy(t *testing.T) {
+	p := core.DefaultParams()
+	p.NO, p.SupRef = 200, 200
+	db, err := core.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, name := range PolicyNames() {
+		policy, err := NewPolicy(name, db)
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", name, err)
+		case name == "none":
+			if policy != nil {
+				t.Errorf("none = %v, want nil", policy)
+			}
+		case policy == nil || policy.Name() != name:
+			t.Errorf("%s built %v", name, policy)
+		}
+	}
+	if _, err := NewPolicy("nosuch", db); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }

@@ -166,6 +166,10 @@ func TestLoadModelValidationAtBuild(t *testing.T) {
 		{Quick: true, Rate: -5},
 		{Quick: true, Rate: 100, Think: time.Millisecond},
 		{Quick: true, SLO: &workload.SLO{SLOBound: workload.SLOBound{P95Us: -1}}},
+		{Quick: true, Clients: -3},
+		{Quick: true, Measured: -5},
+		{Quick: true, Warmup: -2},
+		{Quick: true, Think: -5 * time.Millisecond},
 	}
 	for i, o := range cases {
 		if _, err := Build("oo1", o); err == nil {

@@ -5,7 +5,12 @@
 //
 // Presets:
 //
-//   - ocb: OCB's own cold/warm protocol (Table 1/Table 2 parameters).
+//   - ocb: OCB's own cold/warm protocol (Table 1/Table 2 parameters). OCB
+//     builds it from a full core.Params and a clustering policy name; the
+//     preset passes the defaults and no policy, the classic `ocb` flag
+//     mode every flag and -cluster, so a policy reorganizes between the
+//     cold and warm runs with the clustering protocol's one reorganize
+//     step.
 //   - oo1: the OO1 (Cattell) suite — lookup, traversal, reverse
 //     traversal, insert.
 //   - oo7: the OO7 suite — traversals, queries, insert+delete.
@@ -24,6 +29,10 @@
 // but the fixed protocol dstc accept user-authored operation mixes
 // re-weighting the preset's op set (ocb maps weights onto its
 // transaction-type probabilities).
+//
+// Clustering policies are named once, by NewPolicy: "none" (nil, the
+// no-clustering control), sequential, byclass, hot, greedy and dstc (the
+// CluB-style tuning of dstc.NewCluBStyle).
 package scenarios
 
 import (
@@ -206,8 +215,13 @@ func Describe(name string) string {
 }
 
 // Build generates the named preset's database and returns its runnable
-// phases.
+// phases. Negative counts, think time or rate are rejected before
+// anything is generated.
 func Build(name string, o Options) (*Scenario, error) {
+	if o.Clients < 0 || o.Warmup < 0 || o.Measured < 0 || o.Think < 0 || o.Rate < 0 {
+		return nil, fmt.Errorf("scenarios: clients %d, warmup %d, measured %d, think %v and rate %g must not be negative",
+			o.Clients, o.Warmup, o.Measured, o.Think, o.Rate)
+	}
 	for _, e := range registry {
 		if e.name == name {
 			s, err := e.build(o)
@@ -233,9 +247,6 @@ func Build(name string, o Options) (*Scenario, error) {
 func applyLoadModel(s *Scenario, o Options) error {
 	if o.Rate == 0 && o.ThinkDist == "" && !o.TolerateErrors && o.SLO.Empty() {
 		return nil
-	}
-	if o.Rate < 0 {
-		return fmt.Errorf("scenarios: negative arrival rate %g", o.Rate)
 	}
 	if o.Rate > 0 && o.Think > 0 {
 		return fmt.Errorf("scenarios: rate and think are mutually exclusive (a rate target sets the arrival interval itself)")
@@ -286,11 +297,11 @@ func hasOp(spec *workload.Spec, name string) bool {
 }
 
 // backendLabel names the effective backend driver.
-func backendLabel(o Options) string {
-	if o.Backend == "" {
+func backendLabel(name string) string {
+	if name == "" {
 		return backend.DefaultName
 	}
-	return o.Backend
+	return name
 }
 
 // clients resolves the effective client count.
@@ -352,8 +363,8 @@ func applyMix(spec *workload.Spec, o Options) error {
 	return nil
 }
 
-// buildOCB builds the OCB protocol preset: a Table 1/Table 2 database and
-// the cold/warm phases, straight from core's engine spec constructor.
+// buildOCB builds the OCB protocol preset: the Table 1/Table 2 defaults
+// (CI-sized with Quick) adjusted by the options, and no clustering policy.
 func buildOCB(o Options) (*Scenario, error) {
 	for name, c := range o.OpCounts {
 		if c > 0 {
@@ -384,25 +395,44 @@ func buildOCB(o Options) (*Scenario, error) {
 			return nil, err
 		}
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+	return OCB(p, "none")
+}
+
+// OCB builds the paper's §3.3 protocol over the Table 1/2 parameters p:
+// it generates the database and returns a "cold" phase of COLDN
+// transactions per client drawn from Seed+1 and a "warm" phase of HOTN
+// drawn from Seed+2, both observed by the named clustering policy (see
+// NewPolicy). With a policy other than "none", warm's Setup is the
+// clustering protocol's reorganization step: cold, reorganize, warm. The
+// ocb preset is OCB without a policy; the classic `ocb` flag mode is OCB
+// over every Table 1/2 flag and -cluster.
+func OCB(p core.Params, policyName string) (*Scenario, error) {
 	db, err := core.Generate(p)
 	if err != nil {
 		return nil, err
 	}
-	r := core.NewRunner(db, nil)
-	s := &Scenario{
-		Name:        "ocb",
-		Description: "OCB cold/warm protocol (Table 1/2 defaults)",
-		Notes: []string{fmt.Sprintf("database: NO=%d NC=%d on backend %q, generated in %s",
-			p.NO, p.NC, backendLabel(o), db.GenTime.Round(time.Millisecond))},
-		Phases: []Phase{
-			{Name: "cold", Spec: r.PhaseSpec("cold", p.ColdN, p.Seed+1)},
-			{Name: "warm", Spec: r.PhaseSpec("warm", p.HotN, p.Seed+2)},
-		},
+	policy, err := NewPolicy(policyName, db)
+	if err != nil {
+		_ = db.Close()
+		return nil, err
 	}
-	return s, nil
+	r := core.NewRunner(db, policy)
+	warm := Phase{Name: "warm", Spec: r.PhaseSpec("warm", p.HotN, p.Seed+2)}
+	if policy != nil {
+		warm.Setup = func() (string, error) { return reorganize(policy, db.Store, new(ClusteringResult)) }
+	}
+	st := db.Store.Stats()
+	layout := fmt.Sprintf("%d objects on %d pages", st.Objects, st.Pages)
+	if st.Pages == 0 {
+		layout = fmt.Sprintf("%d objects (no page abstraction)", st.Objects)
+	}
+	return &Scenario{
+		Name:        "ocb",
+		Description: "OCB cold/warm protocol (Table 1/2 parameters)",
+		Notes: []string{fmt.Sprintf("database: NO=%d NC=%d seed=%d on backend %q, generated in %s: %s",
+			p.NO, p.NC, p.Seed, backendLabel(p.Backend), db.GenTime.Round(time.Millisecond), layout)},
+		Phases: []Phase{{Name: "cold", Spec: r.PhaseSpec("cold", p.ColdN, p.Seed+1)}, warm},
+	}, nil
 }
 
 // reweightParams maps op weights onto OCB's transaction-type occurrence
@@ -570,7 +600,7 @@ func buildQuery(o Options) (*Scenario, error) {
 		p.NumObjects, p.Classes, db.GenTime.Round(time.Millisecond))}
 	if !db.Indexed() {
 		notes = append(notes, fmt.Sprintf(
-			"backend %q keeps no ordered index: every operation will report a skip", backendLabel(o)))
+			"backend %q keeps no ordered index: every operation will report a skip", backendLabel(o.Backend)))
 	}
 	return &Scenario{
 		Name:        "query",
@@ -610,13 +640,7 @@ func buildDSTC(o Options) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy := dstc.New(dstc.Params{
-		ObservationPeriod: 1 << 30,
-		Tfa:               2,
-		Tfc:               2,
-		MaxUnitBytes:      1 << 16,
-	})
-	sc := CluBClustering(db, p, policy).Scenario("dstc", "DSTC-CluB: before, observe, recluster, after (gain factor)")
+	sc := CluBClustering(db, p, dstc.NewCluBStyle()).Scenario("dstc", "DSTC-CluB: before, observe, recluster, after (gain factor)")
 	if o.Think > 0 {
 		for _, ph := range sc.Phases {
 			ph.Spec.Think = o.Think

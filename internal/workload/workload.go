@@ -156,7 +156,8 @@ type Spec struct {
 	// it returns the index of the next op to execute and may stash
 	// arguments for it in the Ctx. Suites with their own transaction
 	// samplers (core's SampleTransaction) use it to keep streams
-	// bit-identical.
+	// bit-identical. A fixed program (Measured == 0) never calls it, so
+	// setting it there is rejected.
 	Next func(*Ctx) int
 	// OnOp, when set, is called after every recorded successful op with
 	// the op's index in Ops, its accessed objects, transaction I/Os and
@@ -354,6 +355,9 @@ func (s *Spec) validate() error {
 	}
 	if s.Warmup > 0 && s.Measured == 0 {
 		return fmt.Errorf("workload %q: warmup needs a mixed workload (Measured > 0)", s.Name)
+	}
+	if s.Next != nil && s.Measured == 0 {
+		return fmt.Errorf("workload %q: a Next sampler needs a mixed workload (Measured > 0)", s.Name)
 	}
 	if s.Think < 0 {
 		return fmt.Errorf("workload %q: negative think time", s.Name)

@@ -249,6 +249,7 @@ func TestValidationErrors(t *testing.T) {
 		{Name: "noweight", Backend: be, Measured: 10, Ops: []Op{{Name: "a", Run: run}}},
 		{Name: "warmupprog", Backend: be, Warmup: 5, Ops: []Op{{Name: "a", Weight: 1, Run: run}}},
 		{Name: "negthink", Backend: be, Think: -1, Ops: []Op{{Name: "a", Run: run}}},
+		{Name: "nextprog", Backend: be, Ops: []Op{{Name: "a", Run: run}}, Next: func(*Ctx) int { return 0 }},
 	}
 	for _, spec := range cases {
 		if _, err := Run(spec); err == nil {
