@@ -164,10 +164,15 @@ func genericityRow(c Config, name string, n int) (row []string, visited int, err
 func queryProfile(rg backend.Ranger, st backend.Backend, objects, runs int, seed int64) (point, scan float64, err error) {
 	src := lewis.New(seed)
 	zipf := lewis.NewZipf(0.86)
+	// The targets are drawn before the clock starts: the column prices the
+	// lookup, not the sampler (nor its one-time table build).
+	targets := make([]backend.OID, runs)
+	for i := range targets {
+		targets[i] = backend.OID(zipf.Draw(src, 1, objects, 0))
+	}
 	stream := workload.AccessStream{Store: st}
 	start := time.Now()
-	for i := 0; i < runs; i++ {
-		target := backend.OID(zipf.Draw(src, 1, objects, 0))
+	for _, target := range targets {
 		oid, ok := rg.Seek(target, false)
 		if !ok {
 			if oid, ok = rg.Seek(target, true); !ok {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Distribution draws integers from an inclusive interval [lo, hi].
@@ -78,74 +79,108 @@ func (r *RoundRobin) Draw(_ *Source, lo, hi, _ int) int {
 func (r *RoundRobin) Name() string { return "roundrobin" }
 
 // Zipf draws ranks from [lo, hi] with probability proportional to
-// 1/rank^Skew (rank 1 is lo). Skew must be > 0 and != 1 is not required.
-// The normalization constant is cached per interval width.
+// 1/rank^Skew (rank 1 is lo). Any finite Skew is accepted; 0 is uniform.
+// Skew must not change after the first draw. Every Zipf of one skew
+// samples from the same process-wide cumulative table (zipfTable), so a
+// draw takes no lock, does no map lookup and allocates nothing once the
+// table covers its width.
 type Zipf struct {
 	Skew float64
 
-	mu    sync.Mutex
-	zetaN map[int]float64
+	tab atomic.Pointer[zipfTable]
 }
 
 // NewZipf returns a Zipf distribution with the given skew.
-func NewZipf(skew float64) *Zipf {
-	return &Zipf{Skew: skew, zetaN: make(map[int]float64)}
-}
+func NewZipf(skew float64) *Zipf { return &Zipf{Skew: skew} }
 
-// Draw implements Distribution using inverse-CDF sampling over the exact
-// discrete Zipf CDF (O(log n) per draw after an O(n) one-time zeta).
+// Draw implements Distribution by inverse-CDF sampling over the exact
+// discrete Zipf CDF: u is uniform over the mass of ranks 1..n, and the
+// rank is the first whose cumulative mass reaches u (O(log n) per draw).
+//
+//ocblint:allocfree
 func (z *Zipf) Draw(s *Source, lo, hi, _ int) int {
 	n := hi - lo + 1
 	if n <= 1 {
 		s.Uint32()
 		return lo
 	}
-	u := s.Float64() * z.zeta(n)
-	// Walk the CDF geometrically: binary search over cumulative sums is
-	// not possible without storing them, so store them per width.
-	cum := z.cumulative(n)
-	i := binarySearchFloat(cum, u)
-	return lo + i
+	t := z.tab.Load()
+	if t == nil {
+		t = z.table()
+	}
+	cum := *t.cum.Load()
+	if len(cum) < n {
+		cum = t.grow(n)
+	}
+	cum = cum[:n]
+	return lo + binarySearchFloat(cum, s.Float64()*cum[n-1])
 }
 
 // Name implements Distribution.
 func (z *Zipf) Name() string { return fmt.Sprintf("zipf:%g", z.Skew) }
 
-func (z *Zipf) zeta(n int) float64 {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if z.zetaN == nil {
-		z.zetaN = make(map[int]float64)
-	}
-	if v, ok := z.zetaN[n]; ok {
-		return v
-	}
-	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), z.Skew)
-	}
-	z.zetaN[n] = sum
-	return sum
+// zipfTable is the cumulative series of one skew: cum[k-1] is the sum of
+// 1/j^skew for j = 1..k, added left to right. A width-n draw reads the
+// prefix cum[:n]. The table only ever grows, continuing the running sum,
+// and entries once published never change, so a reader holding an older,
+// shorter slice stays valid and the table's size is bounded by the widest
+// width drawn.
+type zipfTable struct {
+	skew float64
+
+	mu  sync.Mutex // serializes grow
+	cum atomic.Pointer[[]float64]
 }
 
-var zipfCumMu sync.Mutex
-var zipfCum = map[string][]float64{}
+// zipfTables holds one table per skew, keyed by the skew's bits, for the
+// life of the process: the set-ups and experiments that share a skew
+// build its series once.
+var (
+	zipfTablesMu sync.Mutex
+	zipfTables   = map[uint64]*zipfTable{}
+)
 
-func (z *Zipf) cumulative(n int) []float64 {
-	key := fmt.Sprintf("%g/%d", z.Skew, n)
-	zipfCumMu.Lock()
-	defer zipfCumMu.Unlock()
-	if c, ok := zipfCum[key]; ok {
-		return c
+// table finds (or creates) the shared table for z.Skew and caches it in z.
+func (z *Zipf) table() *zipfTable {
+	key := math.Float64bits(z.Skew)
+	zipfTablesMu.Lock()
+	defer zipfTablesMu.Unlock()
+	t := zipfTables[key]
+	if t == nil {
+		t = newZipfTable(z.Skew)
+		zipfTables[key] = t
 	}
-	c := make([]float64, n)
+	z.tab.Store(t)
+	return t
+}
+
+func newZipfTable(skew float64) *zipfTable {
+	t := &zipfTable{skew: skew}
+	t.cum.Store(new([]float64))
+	return t
+}
+
+// grow extends the table to at least n entries and returns it. The first
+// build allocates exactly n; later ones append.
+func (t *zipfTable) grow(n int) []float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cum := *t.cum.Load()
+	if len(cum) >= n {
+		return cum
+	}
 	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), z.Skew)
-		c[k-1] = sum
+	if len(cum) == 0 {
+		cum = make([]float64, 0, n)
+	} else {
+		sum = cum[len(cum)-1]
 	}
-	zipfCum[key] = c
-	return c
+	for k := len(cum) + 1; k <= n; k++ {
+		sum += 1 / math.Pow(float64(k), t.skew)
+		cum = append(cum, sum)
+	}
+	t.cum.Store(&cum)
+	return cum
 }
 
 func binarySearchFloat(cum []float64, u float64) int {

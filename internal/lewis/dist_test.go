@@ -2,6 +2,8 @@ package lewis
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,154 @@ func TestZipfMonotoneFrequencies(t *testing.T) {
 	// Allow sampling noise but the head must dominate the tail.
 	if !(counts[1] > counts[4] && counts[4] > counts[10]) {
 		t.Fatalf("zipf frequencies not decreasing: %v", counts[1:])
+	}
+}
+
+// refZipf is the sampler as it was before the shared table: for every
+// draw, a fresh normalization sum and a fresh cumulative array, then a
+// binary search for the first rank whose cumulative mass reaches u. The
+// shared table must reproduce it bit for bit.
+func refZipf(s *Source, skew float64, lo, hi int) int {
+	n := hi - lo + 1
+	if n <= 1 {
+		s.Uint32()
+		return lo
+	}
+	zeta := 0.0
+	for k := 1; k <= n; k++ {
+		zeta += 1 / math.Pow(float64(k), skew)
+	}
+	u := s.Float64() * zeta
+	cum := make([]float64, n)
+	sum := 0.0
+	for k := 1; k <= n; k++ {
+		sum += 1 / math.Pow(float64(k), skew)
+		cum[k-1] = sum
+	}
+	i, j := 0, n-1
+	for i < j {
+		mid := (i + j) / 2
+		if cum[mid] < u {
+			i = mid + 1
+		} else {
+			j = mid
+		}
+	}
+	return lo + i
+}
+
+// privateZipf returns a Zipf bound to a fresh table of its own, so a test
+// sees the table grow from empty whatever other tests drew at that skew.
+func privateZipf(skew float64) *Zipf {
+	z := NewZipf(skew)
+	z.tab.Store(newZipfTable(skew))
+	return z
+}
+
+// zipfWidths are interval widths in the three patterns callers draw
+// with: one fixed width (hot lookups), widths alternating between a few
+// values (generation over several classes), and a width that grows by one
+// (a class iterator under inserts), plus the degenerate widths n <= 1.
+func zipfWidths(grow int) []int {
+	var w []int
+	for i := 0; i < 200; i++ {
+		w = append(w, 500)
+	}
+	for i := 0; i < 300; i++ {
+		w = append(w, []int{40, 700, 3, 250}[i%4])
+	}
+	for i := 0; i < 200; i++ {
+		w = append(w, grow+i)
+	}
+	return append(w, 1, 0, 2, -5, 1)
+}
+
+func TestZipfMatchesReference(t *testing.T) {
+	for _, skew := range []float64{0.86, 1} {
+		for _, z := range []*Zipf{NewZipf(skew), privateZipf(skew)} {
+			got, want := New(42), New(42)
+			for i, n := range zipfWidths(900) {
+				lo := 7 - i%3
+				hi := lo + n - 1
+				if g, w := z.Draw(got, lo, hi, 0), refZipf(want, skew, lo, hi); g != w {
+					t.Fatalf("skew %g draw %d over [%d, %d] = %d, want %d", skew, i, lo, hi, g, w)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("skew %g: sources diverged", skew)
+			}
+		}
+	}
+}
+
+// TestZipfTableBoundedByWidestWidth draws once at each width 20000..21999,
+// the pattern of a zipf DIST4 over a class that grows with every insert:
+// the table holds one float per rank of the widest width, not one table
+// per width.
+func TestZipfTableBoundedByWidestWidth(t *testing.T) {
+	z := privateZipf(1)
+	got, want := New(5), New(5)
+	for n := 20000; n < 22000; n++ {
+		if g, w := z.Draw(got, 1, n, 0), refZipf(want, 1, 1, n); g != w {
+			t.Fatalf("width %d: draw = %d, want %d", n, g, w)
+		}
+	}
+	cum := *z.tab.Load().cum.Load()
+	if len(cum) != 21999 {
+		t.Fatalf("table holds %d floats, want 21999", len(cum))
+	}
+	// Grown 2000 times, the table is still the one left-to-right sum.
+	sum := 0.0
+	for k := 1; k <= len(cum); k++ {
+		sum += 1 / math.Pow(float64(k), 1)
+		if cum[k-1] != sum {
+			t.Fatalf("cum[%d] = %v, want %v", k-1, cum[k-1], sum)
+		}
+	}
+}
+
+// TestZipfConcurrentDraws draws from one Zipf on 8 goroutines at once while
+// its table grows; each goroutine's ranks must equal the serial reference
+// for its seed. Run it under -race.
+func TestZipfConcurrentDraws(t *testing.T) {
+	const workers = 8
+	z := privateZipf(0.86)
+	widths := zipfWidths(600)
+	want := make([][]int, workers)
+	for g := range want {
+		s := New(int64(100 + g))
+		for i, n := range widths {
+			want[g] = append(want[g], refZipf(s, 0.86, 1, n+g*(i%2)))
+		}
+	}
+	got := make([][]int, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := New(int64(100 + g))
+			for i, n := range widths {
+				got[g] = append(got[g], z.Draw(s, 1, n+g*(i%2), 0))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range want {
+		for i := range want[g] {
+			if got[g][i] != want[g][i] {
+				t.Fatalf("goroutine %d draw %d = %d, want %d", g, i, got[g][i], want[g][i])
+			}
+		}
+	}
+}
+
+func TestZipfDrawAllocFree(t *testing.T) {
+	s := New(3)
+	z := NewZipf(0.86)
+	z.Draw(s, 1, 20000, 0) // warm: bind the table and cover the width
+	if a := testing.AllocsPerRun(1000, func() { z.Draw(s, 1, 20000, 0) }); a != 0 {
+		t.Fatalf("warm Draw allocates %v times per call", a)
 	}
 }
 
@@ -213,7 +363,9 @@ func FuzzParseDistribution(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Spans stay small: zipf caches one float per value per skew.
+		// Spans stay small: zipf keeps, for the life of the process, one
+		// table per skew as long as the widest span drawn at it, and the
+		// fuzzer invents many skews.
 		l := int(lo)
 		h := l + int(span%32)
 		s := New(seed)
@@ -243,11 +395,28 @@ func BenchmarkIntn(b *testing.B) {
 func BenchmarkZipfDraw(b *testing.B) {
 	s := New(1)
 	d := NewZipf(1.0)
-	d.Draw(s, 1, 20000, 0) // warm caches
+	d.Draw(s, 1, 20000, 0) // warm the table
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Draw(s, 1, 20000, 0)
 	}
+}
+
+// BenchmarkZipfDrawParallel draws from one shared Zipf on every P, each
+// goroutine with its own Source, as concurrent clients' hot lookups do.
+func BenchmarkZipfDrawParallel(b *testing.B) {
+	d := NewZipf(1.0)
+	d.Draw(New(1), 1, 20000, 0) // warm the table
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		s := New(seed.Add(1))
+		for pb.Next() {
+			d.Draw(s, 1, 20000, 0)
+		}
+	})
 }
 
 func TestSelfSimilarEightyTwenty(t *testing.T) {
