@@ -79,7 +79,6 @@ func BenchmarkAblation(b *testing.B) {
 		{"DSTCSensitivity", exp.DSTCSensitivity},
 		{"GenericWorkload", exp.GenericWorkload},
 		{"RootSkew", exp.RootSkew},
-		{"SimulatedTestbed", exp.SimulatedTestbed},
 		{"TypeBreakdown", exp.TypeBreakdown},
 	} {
 		b.Run(e.name, func(b *testing.B) { benchTable(b, e.run) })

@@ -63,7 +63,6 @@ var experiments = []struct {
 	{"dstc-sens", "A5: DSTC parameter sensitivity", exp.DSTCSensitivity},
 	{"generic", "A6: fully generic workload (Section 5 extension)", exp.GenericWorkload},
 	{"rootskew", "A7: transaction-root distribution skew", exp.RootSkew},
-	{"sim", "A8: simulated 1992 testbed (queueing model)", exp.SimulatedTestbed},
 	{"oo1", "OO1 benchmark suite (the oo1 scenario preset)", exp.OO1Suite},
 	{"hypermodel", "HyperModel benchmark suite (the hypermodel scenario preset)", exp.HyperModelSuite},
 	{"oo7", "OO7 benchmark suite (the oo7 scenario preset)", exp.OO7Suite},

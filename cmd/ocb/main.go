@@ -184,8 +184,8 @@ func classicFlags(p *core.Params, opts *backend.OptionFlags) (fs *flag.FlagSet, 
 	fs.Float64Var(&p.PReverse, "preverse", p.PReverse, "probability of reversed transactions")
 	fs.IntVar(&p.ClientN, "clients", p.ClientN, "CLIENTN: concurrent clients")
 	fs.Int64Var(&p.Seed, "seed", p.Seed, "random seed")
-	// System under test. Backend-specific geometry (page size, buffer,
-	// replacement policy ...) travels as -backend-opt key=value pairs so a
+	// System under test. Backend-specific geometry (page size, buffer
+	// frames, lock shards ...) travels as -backend-opt key=value pairs so a
 	// backend only sees options it understands; the driver validates the
 	// keys and rejects unknown ones naming the valid set.
 	fs.StringVar(&p.Backend, "backend", backend.DefaultName,

@@ -11,7 +11,6 @@ import (
 	"syscall"
 
 	"ocb/internal/backend"
-	"ocb/internal/buffer"
 	"ocb/internal/wire"
 )
 
@@ -50,7 +49,6 @@ func serve(args []string) error {
 	b, err := backend.Open(name, backend.Config{
 		PageSize:    *pagesize,
 		BufferPages: *bufferPages,
-		Policy:      buffer.LRU,
 		Shards:      *shards,
 		Options:     opts,
 	})

@@ -14,7 +14,6 @@ import (
 	"strconv"
 
 	"ocb/internal/backend"
-	"ocb/internal/buffer"
 	"ocb/internal/store"
 )
 
@@ -40,13 +39,12 @@ func init() {
 // override the typed geometry fields; unknown keys are rejected with the
 // valid set named.
 func open(cfg backend.Config) (backend.Backend, error) {
-	if err := backend.CheckOptions(Name, cfg.Options, "pagesize", "buffer", "replacement", "shards"); err != nil {
+	if err := backend.CheckOptions(Name, cfg.Options, "pagesize", "buffer", "shards"); err != nil {
 		return nil, err
 	}
 	sc := store.Config{
 		PageSize:    cfg.PageSize,
 		BufferPages: cfg.BufferPages,
-		Policy:      cfg.Policy,
 		Shards:      cfg.Shards,
 	}
 	for key, val := range cfg.Options {
@@ -64,12 +62,6 @@ func open(cfg backend.Config) (backend.Backend, error) {
 			case "shards":
 				sc.Shards = n
 			}
-		case "replacement":
-			pol, err := buffer.ParsePolicy(val)
-			if err != nil {
-				return nil, fmt.Errorf("backend %q: %w", Name, err)
-			}
-			sc.Policy = pol
 		}
 	}
 	return store.Open(sc)

@@ -32,7 +32,7 @@ func TestConformance(t *testing.T) {
 func TestOptions(t *testing.T) {
 	b, err := backend.Open(paged.Name, backend.Config{
 		PageSize: 8192, // overridden by the explicit option below
-		Options:  map[string]string{"pagesize": "1024", "buffer": "16", "replacement": "clock", "shards": "4"},
+		Options:  map[string]string{"pagesize": "1024", "buffer": "16", "shards": "4"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +57,12 @@ func TestOptions(t *testing.T) {
 	}
 	if unknown.Key != "bogus" || len(unknown.Valid) == 0 {
 		t.Fatalf("unhelpful unknown-option error: %+v", unknown)
+	}
+
+	// LRU is the only replacement policy: there is no knob to turn.
+	_, err = backend.Open(paged.Name, backend.Config{Options: map[string]string{"replacement": "clock"}})
+	if !errors.As(err, &unknown) || unknown.Key != "replacement" {
+		t.Fatalf("replacement=clock: err = %v, want UnknownOptionError naming replacement", err)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"ocb/internal/buffer"
 )
 
 // Config parameterizes Open. The typed fields are common geometry hints
@@ -20,8 +18,6 @@ type Config struct {
 	PageSize int
 	// BufferPages is the page-cache capacity in frames (0 = driver default).
 	BufferPages int
-	// Policy is the page replacement policy for backends with a pool.
-	Policy buffer.Policy
 	// Shards is the lock-sharding degree hint for concurrent clients
 	// (0 = driver default, typically 1).
 	Shards int

@@ -71,7 +71,6 @@ func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 	hosted, err := backend.Open("paged", backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Policy:      p.BufferPolicy,
 		Shards:      1,
 	})
 	if err != nil {

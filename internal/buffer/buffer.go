@@ -3,60 +3,29 @@
 //
 // The paper's testbed faulted 4 KB pages through SunOS virtual memory into
 // 8 MB of RAM (Texas is a virtual-memory-mapped store). This pool models the
-// same behaviour explicitly: a bounded set of resident page frames, a
-// replacement policy, and exact hit/miss/eviction accounting. A miss charges
+// same behaviour explicitly: a bounded set of resident page frames, exact
+// LRU replacement, and exact hit/miss/eviction accounting. A miss charges
 // one disk read; evicting a dirty victim charges one disk write — exactly
 // the I/Os OCB reports.
 //
-// Three classic replacement policies are provided (LRU, FIFO, Clock) so the
-// benchmark can explore "optimal hardware configuration" questions (§2 of
-// the paper) such as buffer geometry sensitivity.
+// LRU is the only replacement policy. It is a stack algorithm, so the
+// misses of every capacity follow from one reference string's stack
+// distances, which is what the pool's exact oracle test checks.
 package buffer
 
 import (
 	"errors"
-	"fmt"
 
 	"ocb/internal/disk"
 )
 
-// Policy selects the page replacement algorithm.
+// Policy names a page replacement algorithm. LRU is the only one. The type
+// survives only as NewSharded's parameter, which ignores it; both go once
+// the benchmarks module stops passing buffer.LRU.
 type Policy int
 
-// Replacement policies.
-const (
-	LRU Policy = iota
-	FIFO
-	Clock
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Clock:
-		return "clock"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy converts a name to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "lru", "":
-		return LRU, nil
-	case "fifo":
-		return FIFO, nil
-	case "clock":
-		return Clock, nil
-	default:
-		return 0, fmt.Errorf("buffer: unknown replacement policy %q", s)
-	}
-}
+// LRU is exact least-recently-used replacement, the pool's only policy.
+const LRU Policy = 0
 
 // Stats counts pool events.
 type Stats struct {
@@ -76,14 +45,12 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// frame is a resident page plus its replacement bookkeeping. Frames form a
-// circular doubly-linked list around a sentinel; LRU keeps most-recently
-// used at the front, FIFO inserts at the front and never reorders, Clock
-// sweeps the ring with a hand and reference bits.
+// frame is a resident page plus its recency links. Frames form a circular
+// doubly-linked list around a sentinel, most recently used at the front;
+// the victim is the back.
 type frame struct {
 	page       *disk.Page
 	dirty      bool
-	ref        bool
 	prev, next *frame
 }
 
@@ -102,24 +69,22 @@ var ErrZeroCapacity = errors.New("buffer: pool capacity must be >= 1")
 type Pool struct {
 	d        *disk.Disk
 	capacity int
-	policy   Policy
 	shift    uint     // frames index = id >> shift (log2 of the Sharded shard count)
 	frames   []*frame // nil = not resident
 	resident int      // non-nil entries of frames
 	sentinel *frame   // circular list anchor
-	hand     *frame   // clock hand; nil when list empty
 	spare    *frame   // the last victim, reused by the next admit
 	stats    Stats
 }
 
 // New returns a pool over d holding at most capacity pages.
-func New(d *disk.Disk, capacity int, policy Policy) (*Pool, error) {
-	return newPool(d, capacity, policy, 0)
+func New(d *disk.Disk, capacity int) (*Pool, error) {
+	return newPool(d, capacity, 0)
 }
 
 // newPool is New for one of 1<<shift sub-pools of a Sharded: the ids it is
 // handed agree in their low shift bits, so id >> shift indexes them densely.
-func newPool(d *disk.Disk, capacity int, policy Policy, shift uint) (*Pool, error) {
+func newPool(d *disk.Disk, capacity int, shift uint) (*Pool, error) {
 	if capacity < 1 {
 		return nil, ErrZeroCapacity
 	}
@@ -128,7 +93,6 @@ func newPool(d *disk.Disk, capacity int, policy Policy, shift uint) (*Pool, erro
 	return &Pool{
 		d:        d,
 		capacity: capacity,
-		policy:   policy,
 		shift:    shift,
 		sentinel: s,
 	}, nil
@@ -147,9 +111,6 @@ func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the current number of resident pages.
 func (p *Pool) Len() int { return p.resident }
-
-// Policy returns the replacement policy.
-func (p *Pool) Policy() Policy { return p.policy }
 
 // Contains reports residency without touching replacement state.
 func (p *Pool) Contains(id disk.PageID) bool {
@@ -239,7 +200,6 @@ func (p *Pool) DropAll() {
 	}
 	p.resident = 0
 	p.sentinel.prev, p.sentinel.next = p.sentinel, p.sentinel
-	p.hand = nil
 }
 
 // Resize changes the capacity, evicting pages if it shrinks.
@@ -262,8 +222,8 @@ func (p *Pool) Stats() Stats { return p.stats }
 // ResetStats zeroes the pool counters.
 func (p *Pool) ResetStats() { p.stats = Stats{} }
 
-// ResidentPages returns ids of all resident pages in ring order from the
-// front (for LRU, most recently used first).
+// ResidentPages returns ids of all resident pages in recency order, most
+// recently used first.
 func (p *Pool) ResidentPages() []disk.PageID {
 	ids := make([]disk.PageID, 0, p.resident)
 	for f := p.sentinel.next; f != p.sentinel; f = f.next {
@@ -272,17 +232,10 @@ func (p *Pool) ResidentPages() []disk.PageID {
 	return ids
 }
 
-// touch applies the policy's hit behaviour.
+// touch moves a hit frame to the front of the recency list.
 func (p *Pool) touch(f *frame) {
-	switch p.policy {
-	case LRU:
-		p.unlink(f)
-		p.pushFront(f)
-	case FIFO:
-		// no movement on hit
-	case Clock:
-		f.ref = true
-	}
+	p.unlink(f)
+	p.pushFront(f)
 }
 
 // admit inserts pg, evicting if full. The evicted victim's frame is the one
@@ -298,7 +251,7 @@ func (p *Pool) admit(pg *disk.Page, dirty bool) error {
 		f = &frame{}
 	}
 	p.spare = nil
-	*f = frame{page: pg, dirty: dirty, ref: true}
+	*f = frame{page: pg, dirty: dirty}
 	p.pushFront(f)
 	i := int(pg.ID >> p.shift)
 	if n := i + 1 - len(p.frames); n > 0 {
@@ -306,31 +259,15 @@ func (p *Pool) admit(pg *disk.Page, dirty bool) error {
 	}
 	p.frames[i] = f
 	p.resident++
-	if p.hand == nil {
-		p.hand = f
-	}
 	return nil
 }
 
-// evictOne removes one victim per the policy, writing it back if dirty.
+// evictOne removes the least recently used frame, writing it back if
+// dirty.
 func (p *Pool) evictOne() error {
-	var victim *frame
-	switch p.policy {
-	case LRU, FIFO:
-		victim = p.sentinel.prev // back of the list
-		if victim == p.sentinel {
-			return errors.New("buffer: evict on empty pool")
-		}
-	case Clock:
-		if p.hand == nil {
-			return errors.New("buffer: evict on empty pool")
-		}
-		for p.hand.ref {
-			p.hand.ref = false
-			p.hand = p.nextFrame(p.hand)
-		}
-		victim = p.hand
-		p.hand = p.nextFrame(p.hand)
+	victim := p.sentinel.prev // back of the list
+	if victim == p.sentinel {
+		return errors.New("buffer: evict on empty pool")
 	}
 	if victim.dirty {
 		if err := p.d.Write(victim.page); err != nil {
@@ -360,24 +297,9 @@ func (p *Pool) pushFront(f *frame) {
 	p.sentinel.next = f
 }
 
-// unlink removes f from the ring, fixing the clock hand if needed.
+// unlink removes f from the ring.
 func (p *Pool) unlink(f *frame) {
-	if p.hand == f {
-		p.hand = p.nextFrame(f)
-		if p.hand == f { // f was the only frame
-			p.hand = nil
-		}
-	}
 	f.prev.next = f.next
 	f.next.prev = f.prev
 	f.prev, f.next = nil, nil
-}
-
-// nextFrame advances around the ring, skipping the sentinel.
-func (p *Pool) nextFrame(f *frame) *frame {
-	n := f.next
-	if n == p.sentinel {
-		n = n.next
-	}
-	return n
 }

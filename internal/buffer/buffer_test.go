@@ -27,14 +27,14 @@ func newDisk(t *testing.T, n int) (*disk.Disk, []disk.PageID) {
 
 func TestNewRejectsZeroCapacity(t *testing.T) {
 	d := disk.New(0)
-	if _, err := New(d, 0, LRU); err == nil {
+	if _, err := New(d, 0); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
 }
 
 func TestGetMissThenHit(t *testing.T) {
 	d, ids := newDisk(t, 1)
-	p, err := New(d, 4, LRU)
+	p, err := New(d, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,28 +58,26 @@ func TestGetMissThenHit(t *testing.T) {
 
 func TestCapacityNeverExceeded(t *testing.T) {
 	d, ids := newDisk(t, 50)
-	for _, pol := range []Policy{LRU, FIFO, Clock} {
-		p, err := New(d, 8, pol)
-		if err != nil {
+	p, err := New(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, err := p.Get(id); err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range ids {
-			if _, err := p.Get(id); err != nil {
-				t.Fatal(err)
-			}
-			if p.Len() > p.Capacity() {
-				t.Fatalf("%v: pool grew to %d > capacity %d", pol, p.Len(), p.Capacity())
-			}
+		if p.Len() > p.Capacity() {
+			t.Fatalf("pool grew to %d > capacity %d", p.Len(), p.Capacity())
 		}
-		if p.Stats().Evictions != 50-8 {
-			t.Fatalf("%v: evictions = %d, want 42", pol, p.Stats().Evictions)
-		}
+	}
+	if p.Stats().Evictions != 50-8 {
+		t.Fatalf("evictions = %d, want 42", p.Stats().Evictions)
 	}
 }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	d, ids := newDisk(t, 3)
-	p, _ := New(d, 2, LRU)
+	p, _ := New(d, 2)
 	mustGet(t, p, ids[0])
 	mustGet(t, p, ids[1])
 	mustGet(t, p, ids[0]) // refresh 0; 1 is now LRU
@@ -90,36 +88,9 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	}
 }
 
-func TestFIFOIgnoresHits(t *testing.T) {
-	d, ids := newDisk(t, 3)
-	p, _ := New(d, 2, FIFO)
-	mustGet(t, p, ids[0])
-	mustGet(t, p, ids[1])
-	mustGet(t, p, ids[0]) // hit does not refresh under FIFO
-	mustGet(t, p, ids[2]) // evicts 0 (oldest admission)
-	if p.Contains(ids[0]) || !p.Contains(ids[1]) || !p.Contains(ids[2]) {
-		t.Fatal("FIFO evicted wrong page")
-	}
-}
-
-func TestClockSecondChance(t *testing.T) {
-	d, ids := newDisk(t, 4)
-	p, _ := New(d, 2, Clock)
-	mustGet(t, p, ids[0])
-	mustGet(t, p, ids[1])
-	mustGet(t, p, ids[0]) // ref bit set on 0
-	mustGet(t, p, ids[2]) // someone is evicted, pool stays at 2
-	if p.Len() != 2 {
-		t.Fatalf("pool len = %d", p.Len())
-	}
-	if !p.Contains(ids[2]) {
-		t.Fatal("newly admitted page missing")
-	}
-}
-
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	d, ids := newDisk(t, 3)
-	p, _ := New(d, 1, LRU)
+	p, _ := New(d, 1)
 	mustGet(t, p, ids[0])
 	p.MarkDirty(ids[0])
 	mustGet(t, p, ids[1]) // evicts dirty 0 -> 1 disk write
@@ -138,7 +109,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 
 func TestInstallNoRead(t *testing.T) {
 	d := disk.New(0)
-	p, _ := New(d, 2, LRU)
+	p, _ := New(d, 2)
 	pg := d.Allocate()
 	if err := p.Install(pg); err != nil {
 		t.Fatal(err)
@@ -165,7 +136,7 @@ func TestInstallNoRead(t *testing.T) {
 
 func TestFlushAll(t *testing.T) {
 	d, ids := newDisk(t, 3)
-	p, _ := New(d, 4, LRU)
+	p, _ := New(d, 4)
 	for _, id := range ids {
 		mustGet(t, p, id)
 		p.MarkDirty(id)
@@ -187,7 +158,7 @@ func TestFlushAll(t *testing.T) {
 
 func TestDiscardDropsWithoutWrite(t *testing.T) {
 	d, ids := newDisk(t, 1)
-	p, _ := New(d, 2, LRU)
+	p, _ := New(d, 2)
 	mustGet(t, p, ids[0])
 	p.MarkDirty(ids[0])
 	p.Discard(ids[0])
@@ -203,7 +174,7 @@ func TestDiscardDropsWithoutWrite(t *testing.T) {
 
 func TestDropAll(t *testing.T) {
 	d, ids := newDisk(t, 5)
-	p, _ := New(d, 8, Clock)
+	p, _ := New(d, 8)
 	for _, id := range ids {
 		mustGet(t, p, id)
 	}
@@ -222,7 +193,7 @@ func TestDropAll(t *testing.T) {
 
 func TestResizeShrinksAndEvicts(t *testing.T) {
 	d, ids := newDisk(t, 6)
-	p, _ := New(d, 6, LRU)
+	p, _ := New(d, 6)
 	for _, id := range ids {
 		mustGet(t, p, id)
 	}
@@ -239,7 +210,7 @@ func TestResizeShrinksAndEvicts(t *testing.T) {
 
 func TestGetIfResident(t *testing.T) {
 	d, ids := newDisk(t, 2)
-	p, _ := New(d, 2, LRU)
+	p, _ := New(d, 2)
 	if _, ok := p.GetIfResident(ids[0]); ok {
 		t.Fatal("non-resident page reported resident")
 	}
@@ -253,58 +224,37 @@ func TestGetIfResident(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Policy
-	}{{"lru", LRU}, {"", LRU}, {"fifo", FIFO}, {"clock", Clock}} {
-		got, err := ParsePolicy(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if LRU.String() != "lru" || FIFO.String() != "fifo" || Clock.String() != "clock" {
-		t.Fatal("policy names wrong")
-	}
-}
-
 // TestPoolInvariant property-checks that under random access sequences the
 // pool never exceeds capacity, never loses accounting, and every Get
-// returns the requested page, for all three policies.
+// returns the requested page.
 func TestPoolInvariant(t *testing.T) {
-	for _, pol := range []Policy{LRU, FIFO, Clock} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			d, ids := newDisk(t, 20)
-			p, _ := New(d, 5, pol)
-			// Prime the counters: quick may generate an empty sequence
-			// first, and the liveness clause below needs at least one Get.
-			mustGet(t, p, ids[0])
-			f := func(seq []uint8) bool {
-				for _, b := range seq {
-					id := ids[int(b)%len(ids)]
-					pg, err := p.Get(id)
-					if err != nil || pg.ID != id {
-						return false
-					}
-					if b%4 == 0 {
-						p.MarkDirty(id)
-					}
-					if p.Len() > p.Capacity() {
-						return false
-					}
+	t.Run("lru", func(t *testing.T) {
+		d, ids := newDisk(t, 20)
+		p, _ := New(d, 5)
+		// Prime the counters: quick may generate an empty sequence
+		// first, and the liveness clause below needs at least one Get.
+		mustGet(t, p, ids[0])
+		f := func(seq []uint8) bool {
+			for _, b := range seq {
+				id := ids[int(b)%len(ids)]
+				pg, err := p.Get(id)
+				if err != nil || pg.ID != id {
+					return false
 				}
-				st := p.Stats()
-				return st.Hits+st.Misses > 0 && st.Misses >= uint64(p.Len())
+				if b%4 == 0 {
+					p.MarkDirty(id)
+				}
+				if p.Len() > p.Capacity() {
+					return false
+				}
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			st := p.Stats()
+			return st.Hits+st.Misses > 0 && st.Misses >= uint64(p.Len())
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func mustGet(t *testing.T, p *Pool, id disk.PageID) {
@@ -318,7 +268,7 @@ func mustGet(t *testing.T, p *Pool, id disk.PageID) {
 // the frame table; an id from outside is absent, whatever its value.
 func TestOutsideIDsNeverGrowFrameTable(t *testing.T) {
 	d, ids := newDisk(t, 4)
-	p, _ := New(d, 2, LRU)
+	p, _ := New(d, 2)
 	for _, id := range ids {
 		mustGet(t, p, id)
 	}
@@ -351,7 +301,7 @@ func TestFlushAllFailureIsRepeatable(t *testing.T) {
 	boom := errors.New("boom")
 	run := func(k int) []disk.PageID {
 		d, ids := newDisk(t, 12)
-		p, _ := New(d, 12, LRU)
+		p, _ := New(d, 12)
 		for _, id := range ids {
 			mustGet(t, p, id)
 			p.MarkDirty(id)
@@ -391,7 +341,7 @@ func fullPool(tb testing.TB, capacity int) (*Pool, []disk.PageID) {
 	for i := range ids {
 		ids[i] = d.Allocate().ID
 	}
-	p, err := New(d, capacity, LRU)
+	p, err := New(d, capacity)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -38,7 +38,6 @@ const (
 type Sharded struct {
 	shards []poolShard
 	mask   uint32
-	policy Policy
 }
 
 type poolShard struct {
@@ -50,8 +49,8 @@ type poolShard struct {
 // NewSharded returns a pool of capacity frames over d, partitioned into
 // shards sub-pools (rounded to a power of two, clamped so every shard keeps
 // at least one frame). shards <= 1 yields a single shard, byte-compatible
-// with Pool.
-func NewSharded(d *disk.Disk, capacity int, policy Policy, shards int) (*Sharded, error) {
+// with Pool. The Policy parameter is ignored: LRU is the only policy.
+func NewSharded(d *disk.Disk, capacity int, _ Policy, shards int) (*Sharded, error) {
 	if capacity < 1 {
 		return nil, ErrZeroCapacity
 	}
@@ -59,11 +58,10 @@ func NewSharded(d *disk.Disk, capacity int, policy Policy, shards int) (*Sharded
 	s := &Sharded{
 		shards: make([]poolShard, n),
 		mask:   uint32(n - 1),
-		policy: policy,
 	}
 	shift := uint(bits.TrailingZeros(uint(n)))
 	for i := range s.shards {
-		p, err := newPool(d, shardCapacity(capacity, n, i), policy, shift)
+		p, err := newPool(d, shardCapacity(capacity, n, i), shift)
 		if err != nil {
 			return nil, err
 		}
@@ -108,9 +106,6 @@ func (s *Sharded) shard(id disk.PageID) *poolShard {
 
 // NumShards returns the number of sub-pools.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Policy returns the replacement policy.
-func (s *Sharded) Policy() Policy { return s.policy }
 
 // Capacity returns the total frame capacity across shards.
 func (s *Sharded) Capacity() int {

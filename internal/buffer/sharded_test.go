@@ -35,7 +35,7 @@ func TestShardedSingleMatchesPool(t *testing.T) {
 	}
 
 	d1, ids1 := mk()
-	plain, err := New(d1, 8, LRU)
+	plain, err := New(d1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

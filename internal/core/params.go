@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ocb/internal/backend"
-	"ocb/internal/buffer"
 	"ocb/internal/lewis"
 )
 
@@ -107,8 +106,6 @@ type Params struct {
 	PageSize int
 	// BufferPages is the number of page frames of main memory. Default 512.
 	BufferPages int
-	// BufferPolicy is the page replacement policy. Default LRU.
-	BufferPolicy buffer.Policy
 	// StoreShards is the store's lock-sharding degree (object table and
 	// buffer pool). 0 selects it automatically: 1 when ClientN == 1 —
 	// bit-for-bit the original single-mutex store, keeping single-client
@@ -154,9 +151,8 @@ func DefaultParams() Params {
 		Dist5:    lewis.Uniform{},
 		ClientN:  1,
 
-		PageSize:     4096,
-		BufferPages:  512,
-		BufferPolicy: buffer.LRU,
+		PageSize:    4096,
+		BufferPages: 512,
 
 		Seed: 1998, // EDBT '98
 	}

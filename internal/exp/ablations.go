@@ -355,7 +355,7 @@ func All(c Config) ([]*report.Table, error) {
 		Table1, Table2, Table3, Fig4, Table4, Table5,
 		GenericityCheck, TypeBreakdown,
 		Policies, BufferSweep, MultiClient, Reverse, DSTCSensitivity,
-		GenericWorkload, RootSkew, SimulatedTestbed,
+		GenericWorkload, RootSkew,
 		OO1Suite, HyperModelSuite, OO7Suite, Scenarios,
 	}
 	var out []*report.Table

@@ -352,29 +352,6 @@ func TestGenericWorkloadExperiment(t *testing.T) {
 	}
 }
 
-func TestSimulatedTestbedShape(t *testing.T) {
-	tb, err := SimulatedTestbed(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
-	before := cellFloat(t, tb.Cell(0, 1))
-	after := cellFloat(t, tb.Cell(1, 1))
-	if before <= 0 || after <= 0 {
-		t.Fatalf("simulated responses: %v / %v", before, after)
-	}
-	// Reclustering must shorten the simulated response time too.
-	if after >= before {
-		t.Fatalf("simulated response did not improve: %v -> %v", before, after)
-	}
-	// The 1992 testbed is disk-bound on this workload.
-	if cellFloat(t, tb.Cell(0, 3)) < 0.5 {
-		t.Fatalf("disk utilization = %v, want disk-bound", tb.Cell(0, 3))
-	}
-}
-
 func TestRootSkewShape(t *testing.T) {
 	tb, err := RootSkew(quick)
 	if err != nil {

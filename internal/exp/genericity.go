@@ -214,7 +214,6 @@ func serveLoopback(p core.Params) (addr string, stop func(), err error) {
 	hosted, err := backend.Open(backend.DefaultName, backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Policy:      p.BufferPolicy,
 	})
 	if err != nil {
 		return "", nil, err

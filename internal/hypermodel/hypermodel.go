@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"ocb/internal/backend"
-	"ocb/internal/buffer"
 	"ocb/internal/cluster"
 	"ocb/internal/lewis"
 	"ocb/internal/workload"
@@ -62,7 +61,6 @@ type Params struct {
 	BackendOptions map[string]string
 	PageSize       int
 	BufferPages    int
-	Policy         buffer.Policy
 	Seed           int64
 }
 
@@ -141,7 +139,6 @@ func Generate(p Params) (*Database, error) {
 	st, err := backend.Open(p.Backend, backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Policy:      p.Policy,
 		Options:     p.BackendOptions,
 	})
 	if err != nil {

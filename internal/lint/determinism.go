@@ -18,7 +18,6 @@ var deterministicPackages = map[string]bool{
 	"oo7":        true,
 	"hypermodel": true,
 	"club":       true,
-	"sim":        true,
 	"lewis":      true,
 	"scenarios":  true,
 	"query":      true,

@@ -1,6 +1,12 @@
 package lint_test
 
 import (
+	"bytes"
+	"go/format"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ocb/internal/lint"
@@ -46,5 +52,53 @@ func TestModuleClean(t *testing.T) {
 		for _, f := range findings {
 			t.Errorf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 		}
+	}
+}
+
+// TestModuleGofmt: every .go file of the root module outside testdata is
+// gofmt-clean, as CI's `gofmt -l .` demands. Nested modules (a directory
+// with its own go.mod), testdata and directories the go tool ignores
+// (leading "." or "_", such as build caches) are skipped.
+func TestModuleGofmt(t *testing.T) {
+	const root = "../.."
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path == root {
+				return nil
+			}
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files++
+		formatted, err := format.Source(src)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(src, formatted) {
+			t.Errorf("%s is not gofmt-clean", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no .go files found under the module root")
 	}
 }

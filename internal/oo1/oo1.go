@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"ocb/internal/backend"
-	"ocb/internal/buffer"
 	"ocb/internal/cluster"
 	"ocb/internal/lewis"
 	"ocb/internal/workload"
@@ -65,7 +64,6 @@ type Params struct {
 	BackendOptions map[string]string
 	PageSize       int
 	BufferPages    int
-	Policy         buffer.Policy
 
 	// Seed drives all generation and workload randomness.
 	Seed int64
@@ -158,7 +156,6 @@ func Generate(p Params) (*Database, error) {
 	st, err := backend.Open(p.Backend, backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Policy:      p.Policy,
 		Options:     p.BackendOptions,
 	})
 	if err != nil {

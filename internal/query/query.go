@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"ocb/internal/backend"
-	"ocb/internal/buffer"
 	"ocb/internal/lewis"
 	"ocb/internal/workload"
 )
@@ -72,7 +71,6 @@ type Params struct {
 	BackendOptions map[string]string
 	PageSize       int
 	BufferPages    int
-	Policy         buffer.Policy
 
 	// Seed drives all generation and workload randomness.
 	Seed int64
@@ -149,7 +147,6 @@ func Generate(p Params) (*Database, error) {
 	st, err := backend.Open(p.Backend, backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Policy:      p.Policy,
 		Options:     p.BackendOptions,
 	})
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 // Clustering is the paper's clustering experiment (§3.3, Tables 4 and 5),
 // written once: measure a pass, let the policy observe passes, reorganize,
 // measure the same pass again. Every clustering figure in the repository
-// — the Table 4/5 rows, the policy and DSTC ablations, the simulated
-// testbed, the dstc preset — is a Clustering with its own pass factory.
+// — the Table 4/5 rows, the policy and DSTC ablations, the dstc preset —
+// is a Clustering with its own pass factory.
 type Clustering struct {
 	// Backend is the system under test every pass runs against and the
 	// reorganization rearranges.

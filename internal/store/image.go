@@ -31,7 +31,6 @@ func (s *Store) Image() (*Image, error) {
 		Config: backend.Config{
 			PageSize:    s.disk.PageSize(),
 			BufferPages: s.pool.Capacity(),
-			Policy:      s.pool.Policy(),
 			Shards:      len(s.tables),
 		},
 		Disk:    s.disk.Export(),

@@ -95,8 +95,6 @@ type Config struct {
 	// cache reproduces the paper's cache-pressure regime for the default
 	// 20000-object database.)
 	BufferPages int
-	// Policy is the replacement policy; default LRU.
-	Policy buffer.Policy
 	// Shards is the lock-sharding degree for the object table and the
 	// buffer pool (rounded to a power of two). Default 1, which reproduces
 	// the original single-mutex behaviour exactly; multi-client runs want
@@ -213,7 +211,7 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	d := disk.New(cfg.PageSize)
-	p, err := buffer.NewSharded(d, cfg.BufferPages, cfg.Policy, cfg.Shards)
+	p, err := buffer.NewSharded(d, cfg.BufferPages, buffer.LRU, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}

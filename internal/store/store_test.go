@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ocb/internal/buffer"
 	"ocb/internal/disk"
 )
 
@@ -517,9 +516,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if s.Pool().Capacity() != 512 {
 		t.Fatalf("default buffer pages = %d", s.Pool().Capacity())
-	}
-	if s.Pool().Policy() != buffer.LRU {
-		t.Fatalf("default policy = %v", s.Pool().Policy())
 	}
 }
 

@@ -111,11 +111,10 @@ package workload
 // # Reading single operations
 //
 // The Result aggregates; a consumer that needs each operation's own
-// figures — a queueing simulation's per-transaction demands — sets
-// OnOp. The engine calls it after every recorded successful op with the
-// op's index in Ops, its objects, transaction I/Os and response time,
-// the same values it folds into PerOp; warmup, skips and tolerated
-// errors never reach it. Under Clients > 1 it runs on every client's
+// figures — a per-operation trace or recorder — sets OnOp. The engine
+// calls it after every recorded successful op with the op's index in Ops,
+// its objects, transaction I/Os and response time, the same values it
+// folds into PerOp; warmup, skips and tolerated errors never reach it. Under Clients > 1 it runs on every client's
 // goroutine at once, and the I/O figure carries the same interleaving
 // caveat as the per-op IOs aggregates. Left nil, it costs the measured
 // loop one nil check.

@@ -142,7 +142,8 @@ type Spec struct {
 	Ops []Op
 	// Lock, when set, serializes mutating ops against read-only ones
 	// (suites whose in-memory dictionaries are not concurrency-safe set
-	// it; suites that synchronize internally leave it nil).
+	// it; suites that synchronize internally leave it nil). The time an op
+	// waits for it counts in the op's recorded latency.
 	Lock *sync.RWMutex
 	// Source, when set, supplies each client's random source; the default
 	// is lewis.New(Seed + client*104729). Suites use it to hand client 0
@@ -680,6 +681,11 @@ func (s *Spec) weightedSampler() func(*Ctx) int {
 // Run with the I/O delta sampled around it, then metric recording. A skip
 // (ErrSkip or a missing backend capability) is recorded, not failed.
 //
+// The wait for Spec.Lock is response time: it is timed on its own and
+// added to the op's latency, so a client queued behind another client's
+// op carries that wait. The disk-counter reads between the two windows
+// stay untimed.
+//
 // A non-zero arrival is the operation's scheduled arrival under open-loop
 // pacing: the recorded latency is time.Since(arrival) at completion, so an
 // operation issued late (the runner stuck behind a slow predecessor)
@@ -716,19 +722,24 @@ func (r *Runner) step(ctx *Ctx, cm *clientResult, idx, seq int, record bool, arr
 			return 0, r.wrap(ctx, seq, op, err)
 		}
 	}
+	var wait time.Duration
 	if s.Lock != nil {
+		//ocblint:allow determinism -- harness timing, not op logic
+		w0 := time.Now()
 		if op.Mutating {
 			s.Lock.Lock()
 		} else {
 			s.Lock.RLock()
 		}
+		//ocblint:allow determinism -- harness timing, not op logic
+		wait = time.Since(w0)
 	}
 	ioBefore := s.Backend.DiskStats().TransactionIOs()
 	//ocblint:allow determinism -- harness timing, not op logic
 	t0 := time.Now()
 	objects, err := op.Run(ctx)
 	//ocblint:allow determinism -- harness timing, not op logic
-	d := time.Since(t0) + late
+	d := time.Since(t0) + late + wait
 	ios := s.Backend.DiskStats().TransactionIOs() - ioBefore
 	if s.Lock != nil {
 		if op.Mutating {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -234,6 +235,46 @@ func TestPreRunsUntimed(t *testing.T) {
 	}
 	if res.PerOp[0].Count != 3 {
 		t.Fatalf("count = %d", res.PerOp[0].Count)
+	}
+}
+
+// TestLockWaitIsResponseTime: an op queued on Spec.Lock behind another
+// holder carries the wait in its recorded latency. The holder keeps its
+// read lock for hold after the op's writer is seen pending (TryRLock fails
+// once a writer waits), so the wait is at least hold however the host
+// schedules the goroutines.
+func TestLockWaitIsResponseTime(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	var mu sync.RWMutex
+	var got time.Duration
+	spec := &Spec{
+		Name:    "lockwait",
+		Backend: testBackend(t, 1),
+		Lock:    &mu,
+		Ops: []Op{{
+			Name:     "insert",
+			Mutating: true,
+			Run:      func(*Ctx) (int, error) { return 1, nil },
+		}},
+		OnOp: func(_, _ int, _ uint64, d time.Duration) { got = d },
+	}
+	mu.RLock()
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		for mu.TryRLock() {
+			mu.RUnlock()
+			time.Sleep(50 * time.Microsecond)
+		}
+		time.Sleep(hold)
+		mu.RUnlock()
+	}()
+	if _, err := Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	<-released
+	if got < hold {
+		t.Fatalf("latency %v leaves out a lock wait of at least %v", got, hold)
 	}
 }
 
