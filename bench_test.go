@@ -1,11 +1,11 @@
 // Package ocb_test hosts the repository-level benchmark suite: one
-// testing.B benchmark per table and figure of the paper's evaluation
-// (regenerating the artefact through internal/exp), plus micro-benchmarks
-// for the substrates the results rest on.
+// sub-benchmark per registered experiment (regenerating its table through
+// internal/exp), plus micro-benchmarks for the substrates the results rest
+// on.
 //
-// Table/figure benches run the Quick geometry so `go test -bench=.` stays
-// tractable; cmd/ocb-experiments (without -quick) regenerates the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// The experiment benches run the Quick geometry so `go test -bench=.`
+// stays tractable; cmd/ocb-experiments (without -quick) regenerates the
+// full-scale numbers.
 package ocb_test
 
 import (
@@ -21,81 +21,28 @@ import (
 	"ocb/internal/exp"
 	"ocb/internal/lewis"
 	"ocb/internal/oo1"
-	"ocb/internal/report"
 	"ocb/internal/store"
 	"ocb/internal/workload"
 )
 
-var quick = exp.Config{Quick: true}
-
-// benchTable runs one experiment per iteration and defeats dead-code
-// elimination through the row count.
-func benchTable(b *testing.B, run func(exp.Config) (*report.Table, error)) {
-	b.Helper()
-	rows := 0
-	for i := 0; i < b.N; i++ {
-		t, err := run(quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows += t.NumRows()
-	}
-	if rows == 0 {
-		b.Fatal("no rows produced")
-	}
-}
-
-// BenchmarkTable1_DatabaseParams regenerates paper Table 1.
-func BenchmarkTable1_DatabaseParams(b *testing.B) { benchTable(b, exp.Table1) }
-
-// BenchmarkTable2_WorkloadParams regenerates paper Table 2.
-func BenchmarkTable2_WorkloadParams(b *testing.B) { benchTable(b, exp.Table2) }
-
-// BenchmarkTable3_CluBApproximation regenerates paper Table 3.
-func BenchmarkTable3_CluBApproximation(b *testing.B) { benchTable(b, exp.Table3) }
-
-// BenchmarkFig4_CreationTime regenerates paper Figure 4 (database average
-// creation time vs size and class count).
-func BenchmarkFig4_CreationTime(b *testing.B) { benchTable(b, exp.Fig4) }
-
-// BenchmarkTable4_DSTCGain regenerates paper Table 4 (DSTC measured with
-// DSTC-CluB and with OCB approximating CluB).
-func BenchmarkTable4_DSTCGain(b *testing.B) { benchTable(b, exp.Table4) }
-
-// BenchmarkTable5_MixedWorkload regenerates paper Table 5 (DSTC under
-// OCB's default workload).
-func BenchmarkTable5_MixedWorkload(b *testing.B) { benchTable(b, exp.Table5) }
-
-// BenchmarkAblation benchmarks every DESIGN.md ablation experiment.
-func BenchmarkAblation(b *testing.B) {
-	for _, e := range []struct {
-		name string
-		run  func(exp.Config) (*report.Table, error)
-	}{
-		{"Policies", exp.Policies},
-		{"BufferSweep", exp.BufferSweep},
-		{"MultiClient", exp.MultiClient},
-		{"Reverse", exp.Reverse},
-		{"DSTCSensitivity", exp.DSTCSensitivity},
-		{"GenericWorkload", exp.GenericWorkload},
-		{"RootSkew", exp.RootSkew},
-		{"TypeBreakdown", exp.TypeBreakdown},
-	} {
-		b.Run(e.name, func(b *testing.B) { benchTable(b, e.run) })
-	}
-}
-
-// BenchmarkRelatedWork benchmarks the three comparator benchmark suites.
-func BenchmarkRelatedWork(b *testing.B) {
-	for _, e := range []struct {
-		name string
-		run  func(exp.Config) (*report.Table, error)
-	}{
-		{"OO1", exp.OO1Suite},
-		{"HyperModel", exp.HyperModelSuite},
-		{"OO7", exp.OO7Suite},
-	} {
-		b.Run(e.name, func(b *testing.B) { benchTable(b, e.run) })
+// BenchmarkExperiments regenerates every exp.Experiments entry on the
+// Quick geometry, one sub-benchmark each; the row count defeats dead-code
+// elimination.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run(exp.Config{Quick: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += t.NumRows()
+			}
+			if rows == 0 {
+				b.Fatal("no rows produced")
+			}
+		})
 	}
 }
 
@@ -387,10 +334,6 @@ func BenchmarkStoreUpdateParallel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkScalabilitySweep regenerates the tentpole scalability table on
-// the quick geometry.
-func BenchmarkScalabilitySweep(b *testing.B) { benchTable(b, exp.Scalability) }
 
 // residentDB builds the fully resident database the fast-path benchmarks
 // run on: with the whole working set cached, time/op measures the

@@ -1,6 +1,6 @@
 // Command ocb-experiments regenerates every table and figure of the OCB
-// paper's evaluation (Section 4), plus the ablations catalogued in
-// DESIGN.md.
+// paper's evaluation (Section 4), plus the ablations: every entry of
+// exp.Experiments.
 //
 // Usage:
 //
@@ -12,11 +12,8 @@
 // mostly) print a skip line instead of failing.
 //
 // -run (or positional experiment names, e.g. `ocb-experiments compare`)
-// selects a comma-separated subset of:
-//
-//	table1 table2 table3 fig4 table4 table5 genericity compare types
-//	policies buffer clients scale scenarios load reverse dstc-sens oo1
-//	hypermodel oo7 all
+// selects a comma-separated subset of the experiments -list shows, or
+// "all".
 //
 // `compare` is the cross-backend genericity table: the same workload seed
 // aimed at every registered backend driver, one row per backend. `oo1`,
@@ -36,37 +33,7 @@ import (
 
 	"ocb/internal/backend"
 	"ocb/internal/exp"
-	"ocb/internal/report"
 )
-
-var experiments = []struct {
-	name string
-	desc string
-	run  func(exp.Config) (*report.Table, error)
-}{
-	{"table1", "OCB database parameters (paper Table 1)", exp.Table1},
-	{"table2", "OCB workload parameters (paper Table 2)", exp.Table2},
-	{"table3", "OCB parameters approximating DSTC-CluB (paper Table 3)", exp.Table3},
-	{"fig4", "database creation time vs size (paper Figure 4)", exp.Fig4},
-	{"table4", "DSTC via DSTC-CluB vs OCB (paper Table 4)", exp.Table4},
-	{"table5", "DSTC under the default mixed workload (paper Table 5)", exp.Table5},
-	{"genericity", "OO1 traversal shape from OCB parameters", exp.GenericityCheck},
-	{"compare", "cross-backend comparison: same workload seed, one row per registered backend", exp.Genericity},
-	{"types", "per-transaction-type metrics", exp.TypeBreakdown},
-	{"policies", "A1: clustering policy shoot-out", exp.Policies},
-	{"buffer", "A2: buffer size sweep", exp.BufferSweep},
-	{"clients", "A3: multi-client scaling", exp.MultiClient},
-	{"scale", "multi-client scalability sweep (sharded store, shared database)", exp.Scalability},
-	{"scenarios", "every scenario preset through the unified workload engine", exp.Scenarios},
-	{"load", "latency under load: open-loop arrival-rate ladder + max sustainable rate per local backend", exp.Load},
-	{"reverse", "A4: forward vs reversed traversals", exp.Reverse},
-	{"dstc-sens", "A5: DSTC parameter sensitivity", exp.DSTCSensitivity},
-	{"generic", "A6: fully generic workload (Section 5 extension)", exp.GenericWorkload},
-	{"rootskew", "A7: transaction-root distribution skew", exp.RootSkew},
-	{"oo1", "OO1 benchmark suite (the oo1 scenario preset)", exp.OO1Suite},
-	{"hypermodel", "HyperModel benchmark suite (the hypermodel scenario preset)", exp.HyperModelSuite},
-	{"oo7", "OO7 benchmark suite (the oo7 scenario preset)", exp.OO7Suite},
-}
 
 func main() {
 	quick := flag.Bool("quick", false, "scaled-down geometry (seconds instead of minutes)")
@@ -100,15 +67,15 @@ func main() {
 	}
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("%-12s %s\n", e.name, e.desc)
+		for _, e := range exp.Experiments {
+			fmt.Printf("%-12s %s\n", e.Name, e.Desc)
 		}
 		return
 	}
 
 	known := map[string]bool{"all": true}
-	for _, e := range experiments {
-		known[e.name] = true
+	for _, e := range exp.Experiments {
+		known[e.Name] = true
 	}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*run, ",") {
@@ -130,21 +97,21 @@ func main() {
 	cfg := exp.Config{Quick: *quick, Seed: *seed, Backend: *backendName, BackendOptions: opts}
 
 	ran := 0
-	for _, e := range experiments {
-		if !selected["all"] && !selected[e.name] {
+	for _, e := range exp.Experiments {
+		if !selected["all"] && !selected[e.Name] {
 			continue
 		}
 		ran++
 		start := time.Now()
-		tb, err := e.run(cfg)
+		tb, err := e.Run(cfg)
 		if errors.Is(err, backend.ErrNotSupported) {
 			// The selected backend lacks a capability this experiment
 			// needs (physical relocation, mostly): report, move on.
-			fmt.Printf("  [%s skipped on backend %q: %v]\n\n", e.name, *backendName, err)
+			fmt.Printf("  [%s skipped on backend %q: %v]\n\n", e.Name, *backendName, err)
 			continue
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ocb-experiments: %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "ocb-experiments: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		if *csv {
@@ -160,7 +127,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ocb-experiments: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  [%s in %s]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("  [%s in %s]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "ocb-experiments: nothing selected by -run=%s (try -list)\n", *run)

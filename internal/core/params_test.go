@@ -9,7 +9,7 @@ import (
 )
 
 // TestDefaultParamsMatchTable1 pins the database defaults to the paper's
-// Table 1 (experiment T1 of DESIGN.md).
+// Table 1 (experiment table1 of ocb-experiments).
 func TestDefaultParamsMatchTable1(t *testing.T) {
 	p := DefaultParams()
 	if p.NC != 20 {

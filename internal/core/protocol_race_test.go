@@ -162,7 +162,7 @@ func TestRunPhaseConcurrentGenericWorkload(t *testing.T) {
 }
 
 // TestSweepPointMatchesRunPhase pins the "same streams at every point"
-// property the scalability sweep relies on: a workload.Sweep point at one
+// property the clients experiment relies on: a workload.Sweep point at one
 // client over a PhaseSpec — here visited after a 4-client point, on a
 // database generated for 4 clients — reports exactly what RunPhase
 // reports on an identically generated single-client database. A point's

@@ -111,42 +111,6 @@ func generateWithCacheBudget(p core.Params, pages int) (*core.Database, error) {
 	return core.Generate(p)
 }
 
-// MultiClient reproduces ablation A3: OCB's multi-user mode (CLIENTN > 1),
-// almost unique among the period's benchmarks per Section 3.1.
-func MultiClient(c Config) (*report.Table, error) {
-	clients := []int{1, 2, 4, 8}
-	perClient := 100
-	if c.Quick {
-		clients = []int{1, 2, 4}
-		perClient = 40
-	}
-	t := report.New("A3 — multi-client scaling",
-		"Clients", "Transactions", "Mean I/Os per tx", "Wall time", "Tx/s")
-	for _, cl := range clients {
-		p := c.mimicParams()
-		d := core.DefaultParams()
-		p.PSet, p.PSimple, p.PHier, p.PStoch = d.PSet, d.PSimple, d.PHier, d.PStoch
-		p.SetDepth, p.SimDepth, p.HieDepth, p.StoDepth = d.SetDepth, d.SimDepth, d.HieDepth, d.StoDepth
-		p.ClientN = cl
-		db, err := core.Generate(p)
-		if err != nil {
-			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
-		}
-		db.Store.DropCache()
-		r := core.NewRunner(db, nil)
-		m, err := r.RunPhase("clients", perClient, 31337+c.Seed)
-		_ = backend.Shutdown(db.Store)
-		if err != nil {
-			return nil, fmt.Errorf("multiclient %d: %w", cl, err)
-		}
-		tps := float64(m.Executed) / m.Duration.Seconds()
-		t.AddRow(report.Int(cl), report.I64(m.Executed),
-			report.F1(m.MeanIOsPerOp()), report.Dur(m.Duration), report.F1(tps))
-	}
-	t.AddNote("shared store and buffer: clients pollute each other's cache")
-	return t, nil
-}
-
 // Reverse reproduces ablation A4: forward vs reversed transactions
 // ("ascending the graphs" through backward references, Section 3.3).
 func Reverse(c Config) (*report.Table, error) {
@@ -234,10 +198,7 @@ func DSTCSensitivity(c Config) (*report.Table, error) {
 // accessed objects, I/Os) for the default mixed workload — the
 // measurement surface Section 3.3 defines.
 func TypeBreakdown(c Config) (*report.Table, error) {
-	p := c.mimicParams()
-	d := core.DefaultParams()
-	p.PSet, p.PSimple, p.PHier, p.PStoch = d.PSet, d.PSimple, d.PHier, d.PStoch
-	p.SetDepth, p.SimDepth, p.HieDepth, p.StoDepth = d.SetDepth, d.SimDepth, d.HieDepth, d.StoDepth
+	p := c.mixedParams()
 	n := 800
 	if c.Quick {
 		n = 200
@@ -347,24 +308,4 @@ func GenericityCheck(c Config) (*report.Table, error) {
 		"Traversal", "Objects visited", "OO1 reference value")
 	t.AddRow("simple traversal, depth 7, fan-out 3", report.Int(visited), "3280")
 	return t, nil
-}
-
-// All runs every experiment and returns the tables in presentation order.
-func All(c Config) ([]*report.Table, error) {
-	runners := []func(Config) (*report.Table, error){
-		Table1, Table2, Table3, Fig4, Table4, Table5,
-		GenericityCheck, TypeBreakdown,
-		Policies, BufferSweep, MultiClient, Reverse, DSTCSensitivity,
-		GenericWorkload, RootSkew,
-		OO1Suite, HyperModelSuite, OO7Suite, Scenarios,
-	}
-	var out []*report.Table
-	for _, run := range runners {
-		tb, err := run(c)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tb)
-	}
-	return out, nil
 }

@@ -194,22 +194,6 @@ func TestBufferSweepMonotone(t *testing.T) {
 	}
 }
 
-func TestMultiClientCounts(t *testing.T) {
-	tb, err := MultiClient(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 3 {
-		t.Fatalf("rows = %d", tb.NumRows())
-	}
-	// Transactions scale with the client count.
-	t1 := cellFloat(t, tb.Cell(0, 1))
-	t4 := cellFloat(t, tb.Cell(2, 1))
-	if t4 != 4*t1 {
-		t.Fatalf("transactions: 1 client %v, 4 clients %v", t1, t4)
-	}
-}
-
 func TestReverseRuns(t *testing.T) {
 	tb, err := Reverse(quick)
 	if err != nil {

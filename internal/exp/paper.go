@@ -184,10 +184,7 @@ func Table4(c Config) (*report.Table, error) {
 // (Table 2) — the mixed four-type transaction stream — over the same
 // CluB-approximating database, with held-out measurement.
 func Table5(c Config) (*report.Table, error) {
-	p := c.mimicParams()
-	d := core.DefaultParams()
-	p.PSet, p.PSimple, p.PHier, p.PStoch = d.PSet, d.PSimple, d.PHier, d.PStoch
-	p.SetDepth, p.SimDepth, p.HieDepth, p.StoDepth = d.SetDepth, d.SimDepth, d.HieDepth, d.StoDepth
+	p := c.mixedParams()
 	db, err := core.Generate(p)
 	if err != nil {
 		return nil, fmt.Errorf("table5: %w", err)

@@ -20,8 +20,8 @@ type SweepPoint struct {
 // SweepOptions selects the grid a Sweep visits.
 type SweepOptions struct {
 	// Clients lists the client counts to visit; empty means the spec's
-	// own count. This is the engine-level generalization of the core
-	// protocol's CLIENTN scalability experiment to any Spec.
+	// own count. The clients experiment (internal/exp) sweeps the OCB
+	// phase over CLIENTN this way; any Spec can be swept the same way.
 	Clients []int
 	// Rates lists arrival-rate targets (ops/sec across all clients) to
 	// visit at each client count; empty means one pass with the spec's
