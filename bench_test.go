@@ -287,7 +287,8 @@ func parallelStore(b *testing.B, shards int) (*store.Store, []store.OID) {
 
 // BenchmarkStoreAccessParallel hammers Store.Access from GOMAXPROCS
 // goroutines: the single-shard configuration reproduces the original
-// global-mutex store, the sharded one is the tentpole concurrency path.
+// global-mutex store; shards=16 splits only the object-table locks, and
+// both share one buffer pool behind one mutex.
 func BenchmarkStoreAccessParallel(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -312,7 +313,7 @@ func BenchmarkStoreAccessParallel(b *testing.B) {
 }
 
 // BenchmarkStoreUpdateParallel is the dirty-path analogue: Access plus a
-// slot-directory dirty mark under the owning pool shard's lock.
+// slot-directory dirty mark under the pool lock.
 func BenchmarkStoreUpdateParallel(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

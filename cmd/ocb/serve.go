@@ -29,7 +29,6 @@ func serve(args []string) error {
 		"backend-specific option key=value (repeatable), passed through to the hosted driver")
 	pagesize := fs.Int("pagesize", 0, "page size hint for paged backends (0 = driver default)")
 	bufferPages := fs.Int("buffer", 0, "buffer pool frames for paged backends (0 = driver default)")
-	shards := fs.Int("shards", 0, "lock-sharding degree hint (0 = driver default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,7 +48,6 @@ func serve(args []string) error {
 	b, err := backend.Open(name, backend.Config{
 		PageSize:    *pagesize,
 		BufferPages: *bufferPages,
-		Shards:      *shards,
 		Options:     opts,
 	})
 	if err != nil {

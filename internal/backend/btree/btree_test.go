@@ -57,7 +57,7 @@ func TestOptions(t *testing.T) {
 	}
 	// The typed page-size hint sizes the default fanout and is never an
 	// error, like every other driver's treatment of the geometry hints.
-	if _, err := backend.Open(btree.Name, backend.Config{PageSize: 256, BufferPages: 64, Shards: 8}); err != nil {
+	if _, err := backend.Open(btree.Name, backend.Config{PageSize: 256, BufferPages: 64}); err != nil {
 		t.Fatalf("typed geometry hints must be accepted: %v", err)
 	}
 }

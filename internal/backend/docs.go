@@ -227,7 +227,7 @@
 //
 // # Options
 //
-// Config's typed fields (PageSize, BufferPages, Policy, Shards) are
+// Config's typed fields (PageSize, BufferPages) are
 // common geometry hints — ignore the ones without meaning for the store.
 // Config.Options is the strict part: it carries the user's explicit
 // -backend-opt key=value flags, and the driver must reject unknown keys

@@ -29,7 +29,7 @@ func TestConformance(t *testing.T) {
 func TestNoOptions(t *testing.T) {
 	// The typed geometry hints are ignored, not rejected: a Params-driven
 	// open passes its paged geometry everywhere.
-	if _, err := backend.Open(flatmem.Name, backend.Config{PageSize: 4096, BufferPages: 512, Shards: 8}); err != nil {
+	if _, err := backend.Open(flatmem.Name, backend.Config{PageSize: 4096, BufferPages: 512}); err != nil {
 		t.Fatalf("typed geometry hints must be ignored: %v", err)
 	}
 	_, err := backend.Open(flatmem.Name, backend.Config{Options: map[string]string{"pagesize": "4096"}})

@@ -45,7 +45,6 @@ func open(cfg backend.Config) (backend.Backend, error) {
 	sc := store.Config{
 		PageSize:    cfg.PageSize,
 		BufferPages: cfg.BufferPages,
-		Shards:      cfg.Shards,
 	}
 	for key, val := range cfg.Options {
 		switch key {

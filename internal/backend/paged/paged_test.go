@@ -44,6 +44,19 @@ func TestOptions(t *testing.T) {
 	if st.Shards() != 4 {
 		t.Fatalf("shards option ignored: %d shards", st.Shards())
 	}
+	// The image carries the shard count, so a saved database reopens with
+	// the object table it was built on.
+	img, err := st.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := backend.Restore(paged.Name, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rb.(*store.Store).Shards(); got != 4 {
+		t.Fatalf("restored store has %d shards, want 4", got)
+	}
 
 	_, err = backend.Open(paged.Name, backend.Config{Options: map[string]string{"pagesize": "zero"}})
 	if err == nil {

@@ -18,9 +18,6 @@ type Config struct {
 	PageSize int
 	// BufferPages is the page-cache capacity in frames (0 = driver default).
 	BufferPages int
-	// Shards is the lock-sharding degree hint for concurrent clients
-	// (0 = driver default, typically 1).
-	Shards int
 	// Options are driver-specific key=value settings, validated by the
 	// driver at Open; unknown keys are rejected with the valid set named.
 	Options map[string]string

@@ -67,11 +67,10 @@ func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 	want := runOCB(t, local)
 
 	// Host a paged store opened exactly as core.Generate opens the
-	// in-process one (ClientN=1 resolves to a single shard).
+	// in-process one.
 	hosted, err := backend.Open("paged", backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Shards:      1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -381,7 +381,6 @@ func (s *Store) Reopen() (backend.Backend, error) {
 		Policy:       s.policy,
 		SegmentSize:  s.segSize,
 		PageSize:     s.pageSize,
-		Shards:       s.shards,
 		Gather:       s.gather,
 		CompactEvery: s.compactEvery,
 	}

@@ -88,8 +88,7 @@ const DefaultSegmentSize = 4 << 20
 // option nor the Config.CachePages geometry hint says otherwise.
 const DefaultCachePages = 512
 
-// DefaultCacheShards is the read cache's lock-sharding degree when no
-// hint overrides it.
+// DefaultCacheShards is the read cache's lock-sharding degree.
 const DefaultCacheShards = 8
 
 // Compile-time proof of the driver's capability surface.
@@ -108,15 +107,14 @@ func init() {
 		// (default DefaultCachePages), NOT by the generic BufferPages
 		// frame budget: that budget is the simulated page pool's geometry,
 		// and a log-structured file store has no page abstraction for it
-		// to mean anything. The typed PageSize and Shards hints still
-		// apply — they are the cache's byte unit and sharding degree.
+		// to mean anything. The typed PageSize hint still applies — it is
+		// the cache's byte unit.
 		if err := backend.CheckOptions(Name, cfg.Options, "dir", "fsync", "segsize", "cachepages", "gather", "compact", "compactevery"); err != nil {
 			return nil, err
 		}
 		c := Config{
 			Dir:      cfg.Options["dir"],
 			PageSize: cfg.PageSize,
-			Shards:   cfg.Shards,
 		}
 		if v, ok := cfg.Options["fsync"]; ok {
 			p, err := ParsePolicy(v)
@@ -235,9 +233,6 @@ type Config struct {
 	// PageSize is the byte unit CachePages is denominated in
 	// (0: disk.DefaultPageSize).
 	PageSize int
-	// Shards is the read cache's lock-sharding degree
-	// (0: DefaultCacheShards).
-	Shards int
 	// Gather is the group-commit gather window: after a round's first
 	// request arrives, the committer keeps collecting requests for this
 	// long before the append + fsync (0: no window — serve whatever has
@@ -340,11 +335,10 @@ type Store struct {
 	// cache is the sharded read cache over committed records; nil when
 	// disabled. cachePages is its configured capacity, reported as
 	// Stats.Pages so the buffer-sweep ablations see a real knob; pageSize
-	// and shards are kept so Reopen reconstructs the same geometry.
+	// is kept so Reopen reconstructs the same geometry.
 	cache      *buffer.ObjectCache
 	cachePages int
 	pageSize   int
-	shards     int
 
 	// index is recovery scratch: openSegments/loadCheckpoint/recoverLog
 	// build the committed table here single-threaded, then Open moves it
@@ -453,10 +447,6 @@ func Open(c Config) (*Store, error) {
 	if pageSize <= 0 {
 		pageSize = disk.DefaultPageSize
 	}
-	shards := c.Shards
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
 	compactRatio := c.CompactRatio
 	if compactRatio == 0 {
 		compactRatio = DefaultCompactRatio
@@ -475,7 +465,6 @@ func Open(c Config) (*Store, error) {
 		gather:       c.Gather,
 		cachePages:   cachePages,
 		pageSize:     pageSize,
-		shards:       shards,
 		compactRatio: compactRatio,
 		compactEvery: compactEvery,
 		pending:      make(map[backend.OID]pend),
@@ -488,7 +477,7 @@ func Open(c Config) (*Store, error) {
 		spanPool:     sync.Pool{New: func() any { b := make([]byte, spanReadSize); return &b }},
 	}
 	if cachePages > 0 {
-		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), shards)
+		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), DefaultCacheShards)
 		if err != nil {
 			return nil, fmt.Errorf("waldisk: sizing read cache: %w", err)
 		}

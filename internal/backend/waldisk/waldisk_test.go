@@ -127,9 +127,9 @@ func TestOptions(t *testing.T) {
 		bb := openAt(t, t.TempDir(), ok)
 		bb.(*waldisk.Store).Close()
 	}
-	// The typed geometry hints are not rejected: PageSize and Shards size
-	// the read cache, BufferPages is the paged pool's knob and is ignored.
-	if bb, err := backend.Open(waldisk.Name, backend.Config{PageSize: 4096, BufferPages: 512, Shards: 8,
+	// The typed geometry hints are not rejected: PageSize sizes the read
+	// cache, BufferPages is the paged pool's knob and is ignored.
+	if bb, err := backend.Open(waldisk.Name, backend.Config{PageSize: 4096, BufferPages: 512,
 		Options: map[string]string{"dir": t.TempDir()}}); err != nil {
 		t.Fatalf("typed geometry hints must be accepted: %v", err)
 	} else {

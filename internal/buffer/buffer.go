@@ -69,7 +69,6 @@ var ErrZeroCapacity = errors.New("buffer: pool capacity must be >= 1")
 type Pool struct {
 	d        *disk.Disk
 	capacity int
-	shift    uint     // frames index = id >> shift (log2 of the Sharded shard count)
 	frames   []*frame // nil = not resident
 	resident int      // non-nil entries of frames
 	sentinel *frame   // circular list anchor
@@ -79,12 +78,6 @@ type Pool struct {
 
 // New returns a pool over d holding at most capacity pages.
 func New(d *disk.Disk, capacity int) (*Pool, error) {
-	return newPool(d, capacity, 0)
-}
-
-// newPool is New for one of 1<<shift sub-pools of a Sharded: the ids it is
-// handed agree in their low shift bits, so id >> shift indexes them densely.
-func newPool(d *disk.Disk, capacity int, shift uint) (*Pool, error) {
 	if capacity < 1 {
 		return nil, ErrZeroCapacity
 	}
@@ -93,14 +86,13 @@ func newPool(d *disk.Disk, capacity int, shift uint) (*Pool, error) {
 	return &Pool{
 		d:        d,
 		capacity: capacity,
-		shift:    shift,
 		sentinel: s,
 	}, nil
 }
 
 // lookup returns id's frame, nil when the page is not resident.
 func (p *Pool) lookup(id disk.PageID) *frame {
-	if i := uint64(id >> p.shift); i < uint64(len(p.frames)) {
+	if i := uint64(id); i < uint64(len(p.frames)) {
 		return p.frames[i]
 	}
 	return nil
@@ -196,7 +188,7 @@ func (p *Pool) Discard(id disk.PageID) {
 // cold start (e.g. system restart between benchmark phases).
 func (p *Pool) DropAll() {
 	for f := p.sentinel.next; f != p.sentinel; f = f.next {
-		p.frames[f.page.ID>>p.shift] = nil
+		p.frames[f.page.ID] = nil
 	}
 	p.resident = 0
 	p.sentinel.prev, p.sentinel.next = p.sentinel, p.sentinel
@@ -253,7 +245,7 @@ func (p *Pool) admit(pg *disk.Page, dirty bool) error {
 	p.spare = nil
 	*f = frame{page: pg, dirty: dirty}
 	p.pushFront(f)
-	i := int(pg.ID >> p.shift)
+	i := int(pg.ID)
 	if n := i + 1 - len(p.frames); n > 0 {
 		p.frames = append(p.frames, make([]*frame, n)...)
 	}
@@ -285,7 +277,7 @@ func (p *Pool) evictOne() error {
 // remove takes a resident frame off the ring and out of the frame table.
 func (p *Pool) remove(f *frame) {
 	p.unlink(f)
-	p.frames[f.page.ID>>p.shift] = nil
+	p.frames[f.page.ID] = nil
 	p.resident--
 }
 

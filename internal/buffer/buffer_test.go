@@ -30,6 +30,9 @@ func TestNewRejectsZeroCapacity(t *testing.T) {
 	if _, err := New(d, 0); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
+	if _, err := NewSharded(d, 0, LRU, 1); err == nil {
+		t.Fatal("Sharded capacity 0 accepted")
+	}
 }
 
 func TestGetMissThenHit(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 type modelPool struct {
 	capacity int
 	onDisk   func(disk.PageID) bool
-	io       *[]ioEvent // shared by the sub-pool models of one Sharded
+	io       *[]ioEvent
 	frames   map[disk.PageID]*modelFrame
 	order    []disk.PageID // recency order, most recent first
 	stats    Stats
@@ -161,9 +161,10 @@ type pooler interface {
 
 // TestPoolMatchesModel drives a lone Pool and a Sharded of 1 and 4 shards
 // through a seeded random mix of every mutating call, ids that are not on
-// the disk included. After every step each sub-pool must agree with its
-// model, and the disk must have been asked for the same reads and writes in
-// the same order — which pins the victim sequence and the flush order.
+// the disk included. After every step the pool must agree with one model
+// of the full capacity, and the disk must have been asked for the same
+// reads and writes in the same order — which pins the victim sequence and
+// the flush order.
 func TestPoolMatchesModel(t *testing.T) {
 	const pages, steps = 40, 4000
 	for _, shards := range []int{0, 1, 4} { // 0 = a lone Pool
@@ -181,35 +182,25 @@ func TestPoolMatchesModel(t *testing.T) {
 
 			capacity := 9
 			var (
-				sut    pooler
-				pools  []*Pool
-				models []*modelPool
+				sut  pooler
+				pool *Pool
 			)
 			if shards == 0 {
 				p, err := New(d, capacity)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sut, pools = p, []*Pool{p}
+				sut, pool = p, p
 			} else {
 				s, err := NewSharded(d, capacity, LRU, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sut = s
-				for i := range s.shards {
-					pools = append(pools, s.shards[i].pool)
-				}
+				sut, pool = s, s.pool
 			}
-			n := len(pools)
-			for i := range pools {
-				models = append(models, newModelPool(shardCapacity(capacity, n, i), onDisk, &want))
-			}
-			model := func(id disk.PageID) *modelPool { return models[int(id)&(n-1)] }
-			owned := make([][]disk.PageID, n) // a sub-pool only ever sees its own shard's ids
-			for _, id := range universe {
-				owned[int(id)&(n-1)] = append(owned[int(id)&(n-1)], id)
-			}
+			// One model of the full capacity at every shard count: the
+			// shard argument never splits the buffer.
+			model := newModelPool(capacity, onDisk, &want)
 
 			rng := rand.New(rand.NewSource(int64(shards)))
 			for step := 0; step < steps; step++ {
@@ -219,7 +210,7 @@ func TestPoolMatchesModel(t *testing.T) {
 				case r < 55:
 					op = fmt.Sprintf("Get(%d)", id)
 					_, err := sut.Get(id)
-					if ok := model(id).get(id); ok != (err == nil) {
+					if ok := model.get(id); ok != (err == nil) {
 						t.Fatalf("step %d %s: err = %v, model ok = %v", step, op, err, ok)
 					}
 				case r < 70:
@@ -231,54 +222,42 @@ func TestPoolMatchesModel(t *testing.T) {
 					if err := sut.Install(pg); err != nil {
 						t.Fatal(err)
 					}
-					model(id).install(id)
+					model.install(id)
 				case r < 82:
 					op = fmt.Sprintf("MarkDirty(%d)", id)
 					sut.MarkDirty(id)
-					model(id).markDirty(id)
+					model.markDirty(id)
 				case r < 92:
 					op = fmt.Sprintf("Discard(%d)", id)
 					sut.Discard(id)
-					model(id).discard(id)
+					model.discard(id)
 				case r < 95:
-					capacity = n + rng.Intn(12)
+					capacity = 1 + rng.Intn(12)
 					op = fmt.Sprintf("Resize(%d)", capacity)
 					if err := sut.Resize(capacity); err != nil {
 						t.Fatal(err)
 					}
-					for i, m := range models {
-						m.resize(shardCapacity(capacity, n, i))
-					}
+					model.resize(capacity)
 				case r < 96:
 					op = "DropAll"
 					sut.DropAll()
-					for _, m := range models {
-						m.dropAll()
-					}
+					model.dropAll()
 				default:
 					op = "FlushAll"
 					if err := sut.FlushAll(); err != nil {
 						t.Fatal(err)
 					}
-					for _, m := range models {
-						m.flushAll()
-					}
+					model.flushAll()
 				}
-				for i, m := range models {
-					if err := m.agrees(pools[i], owned[i]); err != nil {
-						t.Fatalf("step %d %s: sub-pool %d: %v", step, op, i, err)
-					}
+				if err := model.agrees(pool, universe); err != nil {
+					t.Fatalf("step %d %s: %v", step, op, err)
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d %s: disk I/O %v, model %v", step, op, got, want)
 				}
 				got, want = got[:0], want[:0]
 			}
-			var evictions uint64
-			for _, m := range models {
-				evictions += m.stats.Evictions
-			}
-			if evictions < steps/20 {
+			if evictions := model.stats.Evictions; evictions < steps/20 {
 				t.Fatalf("only %d evictions in %d steps: the mix does not exercise replacement", evictions, steps)
 			}
 		})

@@ -69,6 +69,32 @@ func NewObjectCache(budget int64, shards int) (*ObjectCache, error) {
 	return c, nil
 }
 
+// normalizeShards rounds n down into [1, capacity] and then down to a
+// power of two, so shard selection can mask instead of divide.
+func normalizeShards(n, capacity int) int {
+	if n < 1 {
+		n = 1
+	}
+	if n > capacity {
+		n = capacity
+	}
+	p := 1
+	for p*2 <= n {
+		p *= 2
+	}
+	return p
+}
+
+// shardCapacity splits capacity as evenly as possible: the first
+// capacity%n shards get one extra.
+func shardCapacity(capacity, n, i int) int {
+	c := capacity / n
+	if i < capacity%n {
+		c++
+	}
+	return c
+}
+
 // shard returns the shard owning a key.
 //
 //ocblint:allocfree -- steady-state hot path

@@ -56,32 +56,6 @@ func TestShardedSingleMatchesPool(t *testing.T) {
 	}
 }
 
-func TestShardedCapacitySplit(t *testing.T) {
-	d := disk.New(256)
-	for _, tc := range []struct{ capacity, shards, wantShards int }{
-		{16, 4, 4},
-		{17, 4, 4},
-		{3, 8, 2},  // clamped to capacity, rounded down to a power of two
-		{16, 5, 4}, // rounded down to a power of two
-		{16, 0, 1},
-	} {
-		s, err := NewSharded(d, tc.capacity, LRU, tc.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.NumShards() != tc.wantShards {
-			t.Errorf("capacity %d shards %d: got %d shards, want %d",
-				tc.capacity, tc.shards, s.NumShards(), tc.wantShards)
-		}
-		if s.Capacity() != tc.capacity {
-			t.Errorf("capacity %d shards %d: total capacity %d", tc.capacity, tc.shards, s.Capacity())
-		}
-	}
-	if _, err := NewSharded(d, 0, LRU, 1); err == nil {
-		t.Fatal("zero capacity accepted")
-	}
-}
-
 func TestShardedMutateFates(t *testing.T) {
 	d := disk.New(256)
 	pg := d.Allocate()

@@ -85,7 +85,6 @@ func Generate(p Params) (*Database, error) {
 	st, err := backend.Open(p.Backend, backend.Config{
 		PageSize:    p.PageSize,
 		BufferPages: p.BufferPages,
-		Shards:      p.storeShards(),
 		Options:     p.BackendOptions,
 	})
 	if err != nil {

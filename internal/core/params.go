@@ -106,12 +106,6 @@ type Params struct {
 	PageSize int
 	// BufferPages is the number of page frames of main memory. Default 512.
 	BufferPages int
-	// StoreShards is the store's lock-sharding degree (object table and
-	// buffer pool). 0 selects it automatically: 1 when ClientN == 1 —
-	// bit-for-bit the original single-mutex store, keeping single-client
-	// runs exactly reproducible — and 16 otherwise, so multi-client phases
-	// scale with cores instead of serializing on one mutex.
-	StoreShards int
 
 	// Seed drives all random generation. Runs with equal Params (including
 	// Seed) are identical bit for bit.
@@ -250,9 +244,6 @@ func (p Params) Validate() error {
 	if p.PageSize < 0 || p.BufferPages < 0 {
 		return fmt.Errorf("ocb: negative testbed geometry")
 	}
-	if p.StoreShards < 0 {
-		return fmt.Errorf("ocb: StoreShards = %d, need >= 0", p.StoreShards)
-	}
 	return nil
 }
 
@@ -262,18 +253,6 @@ func (p Params) backendName() string {
 		return backend.DefaultName
 	}
 	return p.Backend
-}
-
-// storeShards resolves the effective lock-sharding degree (see the
-// StoreShards field for the auto rule).
-func (p Params) storeShards() int {
-	if p.StoreShards > 0 {
-		return p.StoreShards
-	}
-	if p.ClientN > 1 {
-		return 16
-	}
-	return 1
 }
 
 // MaxNRefOf returns MAXNREF(class).

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"ocb/internal/backend"
+	"ocb/internal/buffer"
 	"ocb/internal/core"
 	"ocb/internal/report"
 	"ocb/internal/workload"
@@ -31,9 +32,6 @@ func (c Config) clientsTxPerClient() int {
 // efficiency (speedup per usable CPU) and response-time quantiles.
 func Clients(c Config) (*report.Table, error) {
 	p := c.mixedParams()
-	// Generate for the grid's largest client count: the store is sharded
-	// at build time, and every point then runs on the same store.
-	p.ClientN = clientsGrid[len(clientsGrid)-1]
 	txPerClient := c.clientsTxPerClient()
 	db, err := core.Generate(p)
 	if err != nil {
@@ -60,12 +58,12 @@ func Clients(c Config) (*report.Table, error) {
 			report.F1(r.MeanIOsPerOp()),
 			report.F1(r.P50()), report.F1(r.P95()), report.F1(r.P99()))
 	}
-	shards := fmt.Sprintf("backend %q reports no shard count", c.backendName())
-	if s, ok := db.Store.(interface{ Shards() int }); ok {
-		shards = fmt.Sprintf("a store of %d lock shards, each with its own LRU buffer pool, which moves the I/O column against a 1-shard store", s.Shards())
+	pool := fmt.Sprintf("backend %q has no page buffer", c.backendName())
+	if s, ok := db.Store.(interface{ Pool() *buffer.Sharded }); ok {
+		pool = fmt.Sprintf("every client faults into one LRU buffer of %d frames", s.Pool().Capacity())
 	}
-	t.AddNote("think time 0 (closed loop), GOMAXPROCS = %d, %d tx per client; database generated at CLIENTN = %d: %s",
-		procs, txPerClient, p.ClientN, shards)
+	t.AddNote("think time 0 (closed loop), GOMAXPROCS = %d, %d tx per client; %s",
+		procs, txPerClient, pool)
 	t.AddNote("identical per-client streams and a cold cache at every point; speedup is tx/s vs 1 client, efficiency is speedup / min(clients, GOMAXPROCS)")
 	t.AddNote("mean I/Os per tx are approximate at CLIENTN > 1: concurrent clients fault into each other's windows (phase totals are exact)")
 	return t, nil

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"ocb/internal/backend"
+	"ocb/internal/core"
 	"ocb/internal/report"
 )
 
@@ -73,5 +75,26 @@ func TestClientsShape(t *testing.T) {
 	}
 	if len(tb.Notes) == 0 || !strings.Contains(tb.Notes[0], "think time 0") {
 		t.Fatalf("first note does not name think time 0: %q", tb.Notes)
+	}
+}
+
+// TestClientsOneClientRowMatchesRunPhase checks that the sweep's 1-client
+// row measures the I/O of the recipe's own database: its mean I/Os per tx
+// equal a plain RunPhase of the same phase and seed, from a cold cache, on
+// a freshly generated database of the same parameters.
+func TestClientsOneClientRowMatchesRunPhase(t *testing.T) {
+	tb := quickClients(t)
+	db, err := core.Generate(quick.mixedParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Shutdown(db.Store)
+	db.Store.DropCache()
+	r, err := core.NewRunner(db, nil).RunPhase("clients", quick.clientsTxPerClient(), 8191+quick.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tb.Rows()[0][6], report.F1(r.MeanIOsPerOp()); got != want {
+		t.Fatalf("1-client row: %s mean I/Os per tx, RunPhase on a fresh database: %s", got, want)
 	}
 }

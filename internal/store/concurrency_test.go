@@ -13,7 +13,7 @@ import (
 // shard runs them under -race. Each goroutine owns the objects it creates
 // and deletes, while a shared prefix of objects is read by everyone, so
 // the tests exercise every lock layer (structural RWMutex, table shards,
-// pool shards, placement mutex) without relying on cross-goroutine
+// pool lock, placement mutex) without relying on cross-goroutine
 // delete/access ordering.
 
 func TestConcurrentCreateAccessDelete(t *testing.T) {
@@ -185,11 +185,12 @@ func TestConcurrentAccessCounts(t *testing.T) {
 
 // TestShardedMatchesSingle replays one deterministic workload on a
 // single-shard store and a sharded store and checks that the object-level
-// outcomes (live set, sizes, integrity) agree — sharding changes locking
-// and cache partitioning, never the stored state.
+// outcomes (live set, sizes, integrity) and the buffer's I/O agree —
+// sharding changes table locking, never the stored state or the one
+// buffer's replacement order.
 func TestShardedMatchesSingle(t *testing.T) {
 	run := func(shards int) *Store {
-		s := MustOpen(Config{PageSize: 512, BufferPages: 64, Shards: shards})
+		s := MustOpen(Config{PageSize: 512, BufferPages: 16, Shards: shards})
 		var live []OID
 		for i := 0; i < 300; i++ {
 			oid, err := s.Create(20 + i%150)
@@ -214,6 +215,9 @@ func TestShardedMatchesSingle(t *testing.T) {
 	sharded := run(8)
 	if single.NumObjects() != sharded.NumObjects() {
 		t.Fatalf("live objects: single %d vs sharded %d", single.NumObjects(), sharded.NumObjects())
+	}
+	if st1, st2 := single.Stats(), sharded.Stats(); st1.Pool != st2.Pool || st1.Disk != st2.Disk {
+		t.Fatalf("I/O: single pool %+v disk %+v vs sharded pool %+v disk %+v", st1.Pool, st1.Disk, st2.Pool, st2.Disk)
 	}
 	for oid := OID(1); oid < 300; oid++ {
 		s1, ok1 := single.SizeOf(oid)

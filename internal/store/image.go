@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"ocb/internal/backend"
 	"ocb/internal/disk"
@@ -31,7 +32,7 @@ func (s *Store) Image() (*Image, error) {
 		Config: backend.Config{
 			PageSize:    s.disk.PageSize(),
 			BufferPages: s.pool.Capacity(),
-			Shards:      len(s.tables),
+			Options:     map[string]string{"shards": strconv.Itoa(len(s.tables))},
 		},
 		Disk:    s.disk.Export(),
 		NextOID: OID(s.next.Load()),

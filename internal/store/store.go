@@ -35,19 +35,19 @@
 //   - The OID→location table is striped by the low bits of the OID, one
 //     mutex per shard; each shard is a slice indexed by the remaining bits
 //     (OIDs are issued densely from 1 and never reused).
-//   - The buffer pool is a buffer.Sharded: the low bits of a page id pick
-//     an independently locked sub-pool, the remaining bits index its frame
-//     table; all slot-directory edits happen under the owning pool shard's
-//     lock.
+//   - The buffer pool is a buffer.Sharded: one exact-LRU buffer of
+//     BufferPages frames behind one mutex, at every shard count, so the
+//     I/O count is that of one buffer whatever CLIENTN is; all
+//     slot-directory edits happen under the pool lock.
 //   - Creation-order placement (the shared fill page) serializes creators
 //     and deleters on one placement mutex; accessors are unaffected.
 //   - Global counters (objects accessed, disk I/O, pool hit/miss) are
 //     atomic or per-shard.
 //
-// With Config.Shards <= 1 every data structure collapses to its
-// single-shard form and the store behaves bit-for-bit like the original
-// globally locked implementation, which keeps single-client runs exactly
-// reproducible.
+// Config.Shards partitions only the object-table locks, never the buffer's
+// frames. With Config.Shards <= 1 the table collapses to its single-shard
+// form and the store behaves bit-for-bit like the original globally
+// locked implementation.
 package store
 
 import (
@@ -95,10 +95,9 @@ type Config struct {
 	// cache reproduces the paper's cache-pressure regime for the default
 	// 20000-object database.)
 	BufferPages int
-	// Shards is the lock-sharding degree for the object table and the
-	// buffer pool (rounded to a power of two). Default 1, which reproduces
-	// the original single-mutex behaviour exactly; multi-client runs want
-	// a small multiple of the client count.
+	// Shards is the lock-sharding degree of the object table (rounded
+	// down to a power of two). Default 1. It never splits the buffer
+	// pool, which is one LRU order of BufferPages frames at every value.
 	Shards int
 }
 
@@ -382,8 +381,8 @@ func (s *Store) placeLarge(oid OID, size int) ([]disk.PageID, error) {
 
 // place appends the object to the current fill page, starting a new page
 // when it does not fit. Caller holds s.mu (shared); placeMu serializes the
-// fill page, and the slot edit itself happens under the owning pool
-// shard's lock so it cannot race a concurrent eviction or delete.
+// fill page, and the slot edit itself happens under the pool lock so it
+// cannot race a concurrent eviction or delete.
 func (s *Store) place(oid OID, size int) error {
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
@@ -458,8 +457,8 @@ func (s *Store) Access(oid OID) error {
 // taken once for the whole batch, object locations resolve with one table
 // shard lock acquisition per run of same-shard OIDs (one for the whole
 // batch in the single-shard geometry), and the page
-// faults are issued through the pool's batched getter, which serves runs of
-// same-shard pages under a single pool-shard lock. It returns how many
+// faults are issued through the pool's batched getter under a single pool
+// lock acquisition. It returns how many
 // objects of the batch were fully accessed; on error the count covers the
 // prefix that completed, exactly as sequential Access calls would have.
 func (s *Store) AccessBatch(oids []OID) (int, error) {
