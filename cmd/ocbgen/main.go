@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"ocb/internal/backend"
 	"ocb/internal/core"
 	"ocb/internal/report"
 )
@@ -116,16 +117,16 @@ func main() {
 	// Aggregate shape statistics.
 	totalRefs, nilRefs, backRefs := 0, 0, 0
 	minSize, maxSize := 1<<31, 0
-	for i := 1; i <= p.NO; i++ {
-		obj := db.Objects[i]
-		for _, r := range obj.ORef {
+	for _, oid := range db.LiveOIDs() {
+		for k := 0; k < db.NumRefs(oid); k++ {
 			totalRefs++
-			if r == 0 {
+			if db.ORef(oid, k) == backend.NilOID {
 				nilRefs++
 			}
 		}
-		backRefs += len(obj.BackRef)
-		c := db.Schema.Class(obj.Class)
+		backRefs += len(db.BackRef(oid))
+		class, _ := db.ClassOf(oid)
+		c := db.Schema.Class(class)
 		if s := c.DiskSize(); s < minSize {
 			minSize = s
 		}

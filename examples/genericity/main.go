@@ -112,8 +112,9 @@ func main() {
 	db := lastDB
 	local, total := 0, 0
 	for i := 1; i <= p.NO; i++ {
-		obj := db.Objects[i]
-		for _, r := range obj.ORef {
+		oid := backend.OID(i)
+		for k := 0; k < db.NumRefs(oid); k++ {
+			r := db.ORef(oid, k)
 			if r == backend.NilOID {
 				continue
 			}

@@ -11,8 +11,8 @@
 // simulation. Three mechanisms make it a real storage engine rather than
 // a WAL-with-preads:
 //
-//   - A sharded, byte-budgeted read cache (buffer.ObjectCache) fronts the
-//     pread path: committed hot reads stop paying one pread each, cache
+//   - A byte-budgeted read cache (buffer.ObjectCache, one LRU over the
+//     whole budget) fronts the pread path: committed hot reads stop paying one pread each, cache
 //     residency is invalidated when an update or delete commits (fully
 //     coherent with group commit), DropCache genuinely drops something,
 //     and the buffer-sweep ablations apply to the durable driver. Sized
@@ -87,9 +87,6 @@ const DefaultSegmentSize = 4 << 20
 // DefaultCachePages sizes the read cache when neither the "cachepages"
 // option nor the Config.CachePages geometry hint says otherwise.
 const DefaultCachePages = 512
-
-// DefaultCacheShards is the read cache's lock-sharding degree.
-const DefaultCacheShards = 8
 
 // Compile-time proof of the driver's capability surface.
 var (
@@ -332,7 +329,7 @@ type Store struct {
 	// segment file only after everyone who could hold its handle drains.
 	gate readGate
 
-	// cache is the sharded read cache over committed records; nil when
+	// cache is the read cache over committed records; nil when
 	// disabled. cachePages is its configured capacity, reported as
 	// Stats.Pages so the buffer-sweep ablations see a real knob; pageSize
 	// is kept so Reopen reconstructs the same geometry.
@@ -477,7 +474,9 @@ func Open(c Config) (*Store, error) {
 		spanPool:     sync.Pool{New: func() any { b := make([]byte, spanReadSize); return &b }},
 	}
 	if cachePages > 0 {
-		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), DefaultCacheShards)
+		// One shard: its hits and misses are those of one LRU over the
+		// budget, as the paged store's buffer pool's are.
+		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), 1)
 		if err != nil {
 			return nil, fmt.Errorf("waldisk: sizing read cache: %w", err)
 		}

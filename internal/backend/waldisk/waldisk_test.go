@@ -11,6 +11,8 @@ import (
 	"ocb/internal/backend"
 	"ocb/internal/backend/backendtest"
 	"ocb/internal/backend/waldisk"
+	"ocb/internal/buffer"
+	"ocb/internal/lewis"
 )
 
 // removeCheckpoint deletes the clean-close checkpoint so the next open
@@ -46,6 +48,54 @@ func openAt(t *testing.T, dir string, opts map[string]string) backend.Backend {
 // section included (waldisk is the first driver that does not skip it).
 func TestConformance(t *testing.T) {
 	backendtest.Conformance(t, open)
+}
+
+// TestReadCacheIsOneLRU: a seeded access sequence through the driver
+// counts the read-cache hits, misses and evictions of one LRU over the
+// whole budget (a one-shard buffer.ObjectCache fed the same probes and
+// adds), not those of a budget split across lock shards.
+func TestReadCacheIsOneLRU(t *testing.T) {
+	const pageSize, cachePages = 1024, 8
+	b, err := backend.Open(waldisk.Name, backend.Config{PageSize: pageSize,
+		Options: map[string]string{"dir": t.TempDir(), "cachepages": "8"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.(*waldisk.Store).Close() })
+	src := lewis.New(5)
+	var oids []backend.OID
+	for i := 0; i < 400; i++ {
+		oid, err := b.Create(src.IntRange(60, 140))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	b.DropCache()
+	b.ResetStats()
+	one, err := buffer.NewObjectCache(pageSize*cachePages, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		oid := oids[src.Intn(len(oids))]
+		if src.Bernoulli(0.5) {
+			oid = oids[src.Intn(40)]
+		}
+		if err := b.Access(oid); err != nil {
+			t.Fatal(err)
+		}
+		if !one.Probe(uint64(oid)) {
+			size, _ := b.SizeOf(oid)
+			one.Add(uint64(oid), int64(size))
+		}
+	}
+	if got, want := b.Stats().Pool, one.Stats(); got != want {
+		t.Fatalf("read cache counted %+v, one LRU over the budget %+v", got, want)
+	}
 }
 
 // TestConformancePolicies runs the suite under each fsync policy: the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,38 +11,39 @@ import (
 	"ocb/internal/lewis"
 )
 
-// Object is one instance of an OCB class (the OBJECT side of Fig. 1).
-// Navigation metadata (ORef, BackRef) lives in memory — what the paper
-// keeps as swizzled pointers — while the object's pages live in the store;
-// every visit faults through the executor's access stream, so I/O
-// accounting is exact.
-type Object struct {
-	// OID is the store identity; object #i of the generation algorithm
-	// has OID i.
-	OID backend.OID
-	// Class is the ClassPtr of Fig. 1 (class id, 1..NC).
-	Class int
-	// ORef are the typed forward references (NilOID allowed).
-	ORef []backend.OID
-	// BackRef are the reverse references, maintained symmetrically to the
-	// ORef arrays pointing at this object.
-	BackRef []backend.OID
-}
-
 // Database is a fully generated OCB object base bound to its store.
+//
+// The object graph (the OBJECT side of Fig. 1) lives in memory as one
+// object table: columns indexed by OID, which hold what the paper keeps as
+// swizzled pointers, while the objects' pages live in the store. Every
+// visit faults through the executor's access stream, so I/O accounting is
+// exact. Code outside this package reads the table through Live, ClassOf,
+// NumRefs, ORef and BackRef.
 type Database struct {
 	// P are the parameters the database was generated with.
 	P Params
 	// Schema is the generated class graph.
 	Schema *Schema
-	// Objects is indexed by OID (Objects[0] is nil).
-	Objects []*Object
 	// Store is the system under test: any registered backend driver.
 	// Placement and I/O accounting live behind its interface.
 	Store backend.Backend
 	// GenTime is the wall-clock duration of Generate, the metric of the
 	// paper's Fig. 4 (database average creation time).
 	GenTime time.Duration
+
+	// class[oid] is the object's ClassPtr (class id, 1..NC); 0 marks an
+	// OID never issued (0 itself) or deleted. len(class) is the highest
+	// OID issued plus one.
+	class []int32
+	// refs holds every object's MAXNREF(class) typed forward slots in OID
+	// order: object oid's slots are refs[refAt[oid]:refAt[oid+1]], each an
+	// OID or NIL (0). refAt has len(class)+1 entries. A deleted object's
+	// slots stay in place, all NIL.
+	refs  []uint32
+	refAt []uint32
+	// backRefs[oid] are the reverse references, maintained symmetrically
+	// to the forward slots pointing at oid.
+	backRefs [][]backend.OID
 
 	// live counts the live objects under the generic workload's
 	// insertions and deletions.
@@ -57,13 +59,18 @@ type Database struct {
 	liveSnap   []backend.OID
 	liveSnapOK atomic.Bool
 
-	// mu guards the in-memory object graph (Objects, class iterators,
-	// BackRefs, the live set) against the generic workload's structural
+	// mu guards the in-memory object graph (the object table, class
+	// iterators, the live set) against the generic workload's structural
 	// mutations: Executor.Exec share-locks it for read-only transaction
 	// types and takes it exclusively for insertions and deletions, so
 	// CLIENTN > 1 stays safe even under the Section 5 mutating workload.
 	mu sync.RWMutex
 }
+
+// slotLimit bounds the object table: OIDs and slot offsets are uint32, so
+// neither the highest OID nor the total slot count may pass it. Tests
+// lower it to reach the bound without a 4-billion-slot table.
+var slotLimit uint64 = math.MaxUint32
 
 // Generate runs the full database generation algorithm of Fig. 2 and
 // returns a ready-to-benchmark database. Generation is deterministic in
@@ -92,10 +99,12 @@ func Generate(p Params) (*Database, error) {
 	}
 
 	db := &Database{
-		P:       p,
-		Schema:  schema,
-		Objects: make([]*Object, p.NO+1),
-		Store:   st,
+		P:        p,
+		Schema:   schema,
+		Store:    st,
+		class:    make([]int32, p.NO+1),
+		refAt:    make([]uint32, p.NO+2),
+		backRefs: make([][]backend.OID, p.NO+1),
 	}
 
 	// Instances — objects: class drawn via DIST3, object created in
@@ -111,14 +120,13 @@ func Generate(p Params) (*Database, error) {
 		if oid != backend.OID(i) {
 			return nil, fmt.Errorf("ocb: store issued OID %d for object %d", oid, i)
 		}
-		obj := &Object{
-			OID:   oid,
-			Class: classID,
-			ORef:  make([]backend.OID, class.MaxNRef),
-		}
-		db.Objects[i] = obj
+		db.class[i] = int32(classID)
+		db.refAt[i+1] = db.refAt[i] + uint32(class.MaxNRef)
 		class.Iterator = append(class.Iterator, oid)
 	}
+	// Validate bounds the slot total by slotLimit, so the offsets above
+	// did not wrap.
+	db.refs = make([]uint32, db.refAt[p.NO+1])
 
 	// Instances — inter-object references: the Fig. 2 loop iterates
 	// class by class over each class's iterator, drawing the referenced
@@ -129,12 +137,11 @@ func Generate(p Params) (*Database, error) {
 	for ci := 1; ci <= p.NC; ci++ {
 		class := schema.Class(ci)
 		for _, oid := range class.Iterator {
-			obj := db.Objects[oid]
-			for k := 0; k < class.MaxNRef; k++ {
+			slots := db.slots(oid)
+			for k := range slots {
 				targetClass := schema.Class(class.CRef[k])
 				if targetClass == nil || len(targetClass.Iterator) == 0 {
-					obj.ORef[k] = backend.NilOID
-					continue
+					continue // the slot stays NIL
 				}
 				count := len(targetClass.Iterator)
 				lo := clampInt(p.InfRef, 1, count)
@@ -142,8 +149,8 @@ func Generate(p Params) (*Database, error) {
 				center := scaleIndex(int(oid), p.NO, count)
 				l := p.Dist4.Draw(src, lo, hi, center)
 				target := targetClass.Iterator[l-1]
-				obj.ORef[k] = target
-				db.Objects[target].BackRef = append(db.Objects[target].BackRef, oid)
+				slots[k] = uint32(target)
+				db.backRefs[target] = append(db.backRefs[target], oid)
 			}
 		}
 	}
@@ -173,25 +180,52 @@ func MustGenerate(p Params) *Database {
 // database owns closing it; the database is unusable afterwards.
 func (db *Database) Close() error { return backend.Shutdown(db.Store) }
 
-// Object returns the object with the given OID, or nil.
-func (db *Database) Object(oid backend.OID) *Object {
-	if oid == backend.NilOID || int(oid) >= len(db.Objects) {
-		return nil
-	}
-	return db.Objects[oid]
-}
+// NO returns the highest OID issued: the number of objects generated plus
+// those inserted since.
+func (db *Database) NO() int { return len(db.class) - 1 }
 
-// NO returns the number of objects.
-func (db *Database) NO() int { return len(db.Objects) - 1 }
+// Live reports whether oid names a live object.
+func (db *Database) Live(oid backend.OID) bool {
+	return oid < backend.OID(len(db.class)) && db.class[oid] != 0
+}
 
 // ClassOf returns the class id of an object (0 if unknown), in the shape
 // clustering policies want for type-based grouping.
 func (db *Database) ClassOf(oid backend.OID) (int, bool) {
-	o := db.Object(oid)
-	if o == nil {
+	if !db.Live(oid) {
 		return 0, false
 	}
-	return o.Class, true
+	return int(db.class[oid]), true
+}
+
+// NumRefs returns the number of forward slots of a live object,
+// MAXNREF(class), or 0 for an OID that names none.
+func (db *Database) NumRefs(oid backend.OID) int {
+	if !db.Live(oid) {
+		return 0
+	}
+	return len(db.slots(oid))
+}
+
+// ORef returns forward slot k (0 <= k < NumRefs(oid)) of a live object:
+// the referenced OID, or NilOID.
+func (db *Database) ORef(oid backend.OID, k int) backend.OID {
+	return backend.OID(db.slots(oid)[k])
+}
+
+// BackRef returns the objects whose forward slots point at oid, one entry
+// per pointing slot. The slice is the table's own: callers must not
+// modify it, and it is only current until the next structural mutation.
+func (db *Database) BackRef(oid backend.OID) []backend.OID {
+	if !db.Live(oid) {
+		return nil
+	}
+	return db.backRefs[oid]
+}
+
+// slots returns oid's forward slots in the table. oid must be in range.
+func (db *Database) slots(oid backend.OID) []uint32 {
+	return db.refs[db.refAt[oid]:db.refAt[oid+1]]
 }
 
 // AllOIDs enumerates every live object id in ascending order, the
@@ -201,21 +235,36 @@ func (db *Database) AllOIDs() []backend.OID {
 	return append([]backend.OID(nil), db.LiveOIDs()...)
 }
 
-// CheckDatabase verifies the object-graph invariants: reference targets
-// exist and belong to the class the schema dictates, reference arrays have
-// MAXNREF slots, and BackRef is exactly symmetric to ORef. Databases that
-// have seen generic-workload insertions and deletions are checked over
-// their live object set.
+// CheckDatabase verifies the object-graph invariants: the object table is
+// well formed, reference targets exist and belong to the class the schema
+// dictates, every object has MAXNREF slots, and BackRef is exactly
+// symmetric to the forward slots. Databases that have seen
+// generic-workload insertions and deletions are checked over their live
+// object set; a deleted object must keep neither forward nor backward
+// references.
 func CheckDatabase(db *Database) error {
 	p := db.P
-	mutated := len(db.Objects)-1 != p.NO || db.NumLive() != p.NO
-	// Live-set invariant: the ascending snapshot lists exactly the non-nil
-	// Objects, in order, and the live count agrees with it, the store and
+	n := len(db.class)
+	if n == 0 || len(db.refAt) != n+1 || len(db.backRefs) != n || int(db.refAt[n]) != len(db.refs) {
+		return fmt.Errorf("ocb: object table has %d classes, %d offsets, %d back-reference lists, %d slots",
+			n, len(db.refAt), len(db.backRefs), len(db.refs))
+	}
+	for i := 0; i < n; i++ {
+		if db.refAt[i+1] < db.refAt[i] {
+			return fmt.Errorf("ocb: slot offsets decrease at object %d", i)
+		}
+	}
+	if db.class[0] != 0 || db.refAt[1] != 0 || len(db.backRefs[0]) != 0 {
+		return fmt.Errorf("ocb: the NIL OID holds an object")
+	}
+	mutated := n-1 != p.NO || db.NumLive() != p.NO
+	// Live-set invariant: the ascending snapshot lists exactly the live
+	// OIDs, in order, and the live count agrees with it, the store and
 	// the class iterators.
 	snap := db.LiveOIDs()
 	k := 0
-	for i, obj := range db.Objects {
-		if obj == nil {
+	for i := 1; i < n; i++ {
+		if db.class[i] == 0 {
 			continue
 		}
 		if k == len(snap) || snap[k] != backend.OID(i) {
@@ -224,7 +273,7 @@ func CheckDatabase(db *Database) error {
 		k++
 	}
 	if k != len(snap) || k != db.NumLive() {
-		return fmt.Errorf("ocb: live snapshot holds %d entries, Objects %d, live count %d", len(snap), k, db.NumLive())
+		return fmt.Errorf("ocb: live snapshot holds %d entries, object table %d, live count %d", len(snap), k, db.NumLive())
 	}
 	if n := db.Store.Stats().Objects; n != db.NumLive() {
 		return fmt.Errorf("ocb: store holds %d objects, live count says %d",
@@ -241,25 +290,35 @@ func CheckDatabase(db *Database) error {
 		from, to backend.OID
 	}
 	forward := make(map[link]int)
-	for i := 1; i < len(db.Objects); i++ {
-		obj := db.Objects[i]
-		if obj == nil {
+	for i := 1; i < n; i++ {
+		oid := backend.OID(i)
+		slots := db.slots(oid)
+		if db.class[i] == 0 {
 			if !mutated {
 				return fmt.Errorf("ocb: object %d missing", i)
 			}
+			for _, r := range slots {
+				if r != 0 {
+					return fmt.Errorf("ocb: deleted object %d still references %d", i, r)
+				}
+			}
+			if len(db.backRefs[i]) != 0 {
+				return fmt.Errorf("ocb: deleted object %d still has %d back-references", i, len(db.backRefs[i]))
+			}
 			continue
 		}
-		class := db.Schema.Class(obj.Class)
+		class := db.Schema.Class(int(db.class[i]))
 		if class == nil {
-			return fmt.Errorf("ocb: object %d has bad class %d", i, obj.Class)
+			return fmt.Errorf("ocb: object %d has bad class %d", i, db.class[i])
 		}
-		if len(obj.ORef) != class.MaxNRef {
-			return fmt.Errorf("ocb: object %d has %d ref slots, want %d", i, len(obj.ORef), class.MaxNRef)
+		if len(slots) != class.MaxNRef {
+			return fmt.Errorf("ocb: object %d has %d ref slots, want %d", i, len(slots), class.MaxNRef)
 		}
-		if !db.Store.Exists(obj.OID) {
+		if !db.Store.Exists(oid) {
 			return fmt.Errorf("ocb: object %d not in store", i)
 		}
-		for k, target := range obj.ORef {
+		for k, r := range slots {
+			target := backend.OID(r)
 			if target == backend.NilOID {
 				if class.CRef[k] != NilClass && !mutated {
 					// A NIL object reference with a non-NIL class target can
@@ -273,25 +332,22 @@ func CheckDatabase(db *Database) error {
 				}
 				continue
 			}
-			tobj := db.Object(target)
-			if tobj == nil {
+			tclass, ok := db.ClassOf(target)
+			if !ok {
 				return fmt.Errorf("ocb: object %d ref %d dangles (%d)", i, k, target)
 			}
-			if tobj.Class != class.CRef[k] {
+			if tclass != class.CRef[k] {
 				return fmt.Errorf("ocb: object %d ref %d targets class %d, schema says %d",
-					i, k, tobj.Class, class.CRef[k])
+					i, k, tclass, class.CRef[k])
 			}
-			forward[link{obj.OID, target}]++
+			forward[link{oid, target}]++
 		}
 	}
 	// BackRef symmetry: the multiset of (from, to) forward links must
 	// equal the multiset of (from, to) reconstructed from BackRefs.
 	backward := make(map[link]int)
-	for i := 1; i < len(db.Objects); i++ {
-		if db.Objects[i] == nil {
-			continue
-		}
-		for _, from := range db.Objects[i].BackRef {
+	for i := 1; i < n; i++ {
+		for _, from := range db.backRefs[i] {
 			backward[link{from, backend.OID(i)}]++
 		}
 	}

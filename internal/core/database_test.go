@@ -42,13 +42,16 @@ func TestGenerateDeterministic(t *testing.T) {
 	a := MustGenerate(p)
 	b := MustGenerate(p)
 	for i := 1; i <= p.NO; i++ {
-		oa, ob := a.Objects[i], b.Objects[i]
-		if oa.Class != ob.Class {
+		oid := backend.OID(i)
+		ca, _ := a.ClassOf(oid)
+		cb, _ := b.ClassOf(oid)
+		if ca != cb {
 			t.Fatalf("object %d class differs", i)
 		}
-		for k := range oa.ORef {
-			if oa.ORef[k] != ob.ORef[k] {
-				t.Fatalf("object %d ref %d differs: %d vs %d", i, k, oa.ORef[k], ob.ORef[k])
+		ra, rb := refsOf(a, oid), refsOf(b, oid)
+		for k := range ra {
+			if ra[k] != rb[k] {
+				t.Fatalf("object %d ref %d differs: %d vs %d", i, k, ra[k], rb[k])
 			}
 		}
 	}
@@ -69,7 +72,8 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	b := MustGenerate(p)
 	same := 0
 	for i := 1; i <= p.NO; i++ {
-		if a.Objects[i].Class == b.Objects[i].Class {
+		ca, _ := a.ClassOf(backend.OID(i))
+		if cb, _ := b.ClassOf(backend.OID(i)); ca == cb {
 			same++
 		}
 	}
@@ -118,8 +122,7 @@ func TestCluBDatabaseGenerates(t *testing.T) {
 	}
 	// All references target class 1 (parts), per Table 3's constant DIST2.
 	for i := 1; i <= p.NO; i++ {
-		obj := db.Objects[i]
-		for _, r := range obj.ORef {
+		for _, r := range refsOf(db, backend.OID(i)) {
 			if r == backend.NilOID {
 				continue
 			}
@@ -144,7 +147,7 @@ func TestRefZoneLocalityInDatabase(t *testing.T) {
 	db := MustGenerate(p)
 	local, total := 0, 0
 	for i := 1; i <= p.NO; i++ {
-		for _, r := range db.Objects[i].ORef {
+		for _, r := range refsOf(db, backend.OID(i)) {
 			if r == backend.NilOID {
 				continue
 			}
@@ -170,11 +173,11 @@ func TestRefZoneLocalityInDatabase(t *testing.T) {
 func TestObjectAccessors(t *testing.T) {
 	p := smallParams()
 	db := MustGenerate(p)
-	if db.Object(backend.NilOID) != nil {
-		t.Fatal("NilOID returned an object")
+	if db.Live(backend.NilOID) || db.NumRefs(backend.NilOID) != 0 || db.BackRef(backend.NilOID) != nil {
+		t.Fatal("NilOID names an object")
 	}
-	if db.Object(backend.OID(p.NO+5)) != nil {
-		t.Fatal("out-of-range OID returned an object")
+	if db.Live(backend.OID(p.NO+5)) || db.NumRefs(backend.OID(p.NO+5)) != 0 || db.BackRef(backend.OID(p.NO+5)) != nil {
+		t.Fatal("out-of-range OID names an object")
 	}
 	if c, ok := db.ClassOf(1); !ok || c < 1 || c > p.NC {
 		t.Fatalf("ClassOf(1) = %d, %v", c, ok)
@@ -224,23 +227,18 @@ func TestCheckDatabaseCatchesCorruption(t *testing.T) {
 
 	db := MustGenerate(p)
 	// Find an object with at least one non-NIL reference and corrupt it.
-	var victim *Object
-	for i := 1; i <= p.NO && victim == nil; i++ {
-		for _, r := range db.Objects[i].ORef {
+	corrupted := false
+	for i := 1; i <= p.NO && !corrupted; i++ {
+		for k, r := range refsOf(db, backend.OID(i)) {
 			if r != backend.NilOID {
-				victim = db.Objects[i]
+				db.slots(backend.OID(i))[k] = 0
+				corrupted = true
 				break
 			}
 		}
 	}
-	if victim == nil {
+	if !corrupted {
 		t.Skip("no references in this configuration")
-	}
-	for k, r := range victim.ORef {
-		if r != backend.NilOID {
-			victim.ORef[k] = backend.NilOID
-			break
-		}
 	}
 	if err := CheckDatabase(db); err == nil {
 		t.Fatal("broken BackRef symmetry accepted")
@@ -280,4 +278,13 @@ func TestDatabaseCloseIdempotent(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close: %v, want nil", err)
 	}
+}
+
+// refsOf returns a copy of a live object's forward slots.
+func refsOf(db *Database, oid backend.OID) []backend.OID {
+	refs := make([]backend.OID, db.NumRefs(oid))
+	for k := range refs {
+		refs[k] = db.ORef(oid, k)
+	}
+	return refs
 }

@@ -296,13 +296,13 @@ func TestLiveSnapshotMaintenance(t *testing.T) {
 	}
 
 	// Insertion extends the snapshot in place (ascending OIDs).
-	obj, err := db.InsertObject(src)
+	added, err := db.InsertObject(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap = db.LiveOIDs()
-	if snap[len(snap)-1] != obj.OID {
-		t.Fatalf("snapshot tail = %d, want inserted %d", snap[len(snap)-1], obj.OID)
+	if snap[len(snap)-1] != added {
+		t.Fatalf("snapshot tail = %d, want inserted %d", snap[len(snap)-1], added)
 	}
 
 	// Deletion invalidates; the next call rebuilds without the victim.
@@ -327,7 +327,7 @@ func TestLiveSnapshotMaintenance(t *testing.T) {
 	if got, ok := db.ResolveLive(5); !ok || got != 6 {
 		t.Fatalf("ResolveLive(5) = %d, %v; want 6", got, ok)
 	}
-	if got, ok := db.ResolveLive(obj.OID + 1); !ok || got != snap[0] {
+	if got, ok := db.ResolveLive(added + 1); !ok || got != snap[0] {
 		t.Fatalf("ResolveLive(past top) = %d, %v; want wrap to %d", got, ok, snap[0])
 	}
 	if err := CheckDatabase(db); err != nil {

@@ -46,9 +46,9 @@ func (db *Database) LiveOIDs() []backend.OID {
 		// Rebuild into a fresh slice: snapshots handed out earlier stay
 		// intact for their holders.
 		snap := make([]backend.OID, 0, db.live)
-		for i := 1; i < len(db.Objects); i++ {
-			if db.Objects[i] != nil {
-				snap = append(snap, db.Objects[i].OID)
+		for i, c := range db.class {
+			if c != 0 {
+				snap = append(snap, backend.OID(i))
 			}
 		}
 		db.liveSnap = snap
@@ -97,78 +97,85 @@ func (db *Database) trackDelete() {
 // class is drawn via DIST3, its references via DIST4 within the reference
 // interval of each target class's iterator, and BackRefs are maintained.
 // The new object is placed in creation order (at the end of the heap, as
-// Texas allocates) and the change is committed.
-func (db *Database) InsertObject(src *lewis.Source) (*Object, error) {
+// Texas allocates), appended to the object table, and the change is
+// committed. An insertion that would take the table past its uint32 OIDs
+// and slot offsets fails before the store creates anything.
+func (db *Database) InsertObject(src *lewis.Source) (backend.OID, error) {
 	p := db.P
-	classID := p.Dist3.Draw(src, 1, p.NC, len(db.Objects))
+	want := backend.OID(len(db.class))
+	classID := p.Dist3.Draw(src, 1, p.NC, int(want))
 	class := db.Schema.Class(classID)
 	if class == nil {
-		return nil, fmt.Errorf("ocb: insert drew class %d", classID)
+		return backend.NilOID, fmt.Errorf("ocb: insert drew class %d", classID)
+	}
+	if uint64(want) > slotLimit || uint64(len(db.refs))+uint64(class.MaxNRef) > slotLimit {
+		return backend.NilOID, fmt.Errorf("ocb: inserting object %d with %d slots passes the object table's %d slots",
+			want, class.MaxNRef, slotLimit)
 	}
 	oid, err := db.Store.Create(class.DiskSize())
 	if err != nil {
-		return nil, err
+		return backend.NilOID, err
 	}
-	if int(oid) != len(db.Objects) {
-		return nil, fmt.Errorf("ocb: insert got OID %d, want %d", oid, len(db.Objects))
+	if oid != want {
+		return backend.NilOID, fmt.Errorf("ocb: insert got OID %d, want %d", oid, want)
 	}
-	obj := &Object{OID: oid, Class: classID, ORef: make([]backend.OID, class.MaxNRef)}
-	db.Objects = append(db.Objects, obj)
+	db.class = append(db.class, int32(classID))
+	db.refs = append(db.refs, make([]uint32, class.MaxNRef)...)
+	db.refAt = append(db.refAt, uint32(len(db.refs)))
+	db.backRefs = append(db.backRefs, nil)
 	class.Iterator = append(class.Iterator, oid)
 	db.trackInsert(oid)
 
-	for k := 0; k < class.MaxNRef; k++ {
+	slots := db.slots(oid)
+	for k := range slots {
 		targetClass := db.Schema.Class(class.CRef[k])
 		if targetClass == nil || len(targetClass.Iterator) == 0 {
-			obj.ORef[k] = backend.NilOID
-			continue
+			continue // the slot stays NIL
 		}
 		count := len(targetClass.Iterator)
 		lo := clampInt(p.InfRef, 1, count)
 		hi := clampInt(p.SupRef, 1, count)
-		center := scaleIndex(int(oid), len(db.Objects)-1, count)
+		center := scaleIndex(int(oid), int(oid), count)
 		l := p.Dist4.Draw(src, lo, hi, center)
 		target := targetClass.Iterator[l-1]
-		obj.ORef[k] = target
-		db.Objects[target].BackRef = append(db.Objects[target].BackRef, oid)
+		slots[k] = uint32(target)
+		db.backRefs[target] = append(db.backRefs[target], oid)
 	}
-	return obj, db.Store.Commit()
+	return oid, db.Store.Commit()
 }
 
-// DeleteObject removes an object and repairs the graph: referrers' ORef
-// slots become NIL, targets lose the matching BackRef entries, the class
-// iterator shrinks, and the store page is updated. The change is
+// DeleteObject removes an object and repairs the graph: referrers' slots
+// become NIL in place, targets lose the matching BackRef entries, the
+// class iterator shrinks, and the store page is updated. The object's own
+// slots are cleared and its class column entry zeroed. The change is
 // committed.
 func (db *Database) DeleteObject(oid backend.OID) error {
-	obj := db.Object(oid)
-	if obj == nil {
+	if !db.Live(oid) {
 		return fmt.Errorf("%w: %d", backend.ErrNoSuchObject, oid)
 	}
 	// Forward references: drop this object from each target's BackRef.
-	for _, target := range obj.ORef {
-		if target == backend.NilOID {
+	for _, r := range db.slots(oid) {
+		target := backend.OID(r)
+		if !db.Live(target) {
 			continue
 		}
-		tobj := db.Object(target)
-		if tobj == nil {
-			continue
-		}
-		for i, b := range tobj.BackRef {
+		back := db.backRefs[target]
+		for i, b := range back {
 			if b == oid {
-				tobj.BackRef = append(tobj.BackRef[:i], tobj.BackRef[i+1:]...)
+				db.backRefs[target] = append(back[:i], back[i+1:]...)
 				break
 			}
 		}
 	}
 	// Backward references: NIL out one matching slot per referring entry.
-	for _, from := range obj.BackRef {
-		fobj := db.Object(from)
-		if fobj == nil {
+	for _, from := range db.backRefs[oid] {
+		if !db.Live(from) {
 			continue
 		}
-		for k, r := range fobj.ORef {
-			if r == oid {
-				fobj.ORef[k] = backend.NilOID
+		slots := db.slots(from)
+		for k, r := range slots {
+			if backend.OID(r) == oid {
+				slots[k] = 0 // NIL
 				break
 			}
 		}
@@ -177,7 +184,7 @@ func (db *Database) DeleteObject(oid backend.OID) error {
 		}
 	}
 	// Class iterator.
-	class := db.Schema.Class(obj.Class)
+	class := db.Schema.Class(int(db.class[oid]))
 	for i, it := range class.Iterator {
 		if it == oid {
 			class.Iterator = append(class.Iterator[:i], class.Iterator[i+1:]...)
@@ -187,7 +194,9 @@ func (db *Database) DeleteObject(oid backend.OID) error {
 	if err := db.Store.Delete(oid); err != nil {
 		return err
 	}
-	db.Objects[oid] = nil
+	clear(db.slots(oid))
+	db.class[oid] = 0
+	db.backRefs[oid] = nil
 	db.trackDelete()
 	return db.Store.Commit()
 }

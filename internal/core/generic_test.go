@@ -36,18 +36,18 @@ func TestInsertObjectMaintainsInvariants(t *testing.T) {
 	db := MustGenerate(p)
 	src := lewis.New(99)
 	before := db.NumLive()
-	obj, err := db.InsertObject(src)
+	oid, err := db.InsertObject(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db.NumLive() != before+1 {
 		t.Fatalf("live = %d, want %d", db.NumLive(), before+1)
 	}
-	if obj.OID != backend.OID(p.NO+1) {
-		t.Fatalf("new OID = %d", obj.OID)
+	if oid != backend.OID(p.NO+1) {
+		t.Fatalf("new OID = %d", oid)
 	}
-	if obj.Class < 1 || obj.Class > p.NC {
-		t.Fatalf("new class = %d", obj.Class)
+	if class, _ := db.ClassOf(oid); class < 1 || class > p.NC {
+		t.Fatalf("new class = %d", class)
 	}
 	if err := CheckDatabase(db); err != nil {
 		t.Fatal(err)
@@ -60,11 +60,11 @@ func TestDeleteObjectRepairsGraph(t *testing.T) {
 	// Pick a victim with both in- and out-links.
 	var victim backend.OID
 	for i := 1; i <= p.NO; i++ {
-		obj := db.Objects[i]
-		if len(obj.BackRef) > 0 {
-			for _, r := range obj.ORef {
+		oid := backend.OID(i)
+		if len(db.BackRef(oid)) > 0 {
+			for _, r := range refsOf(db, oid) {
 				if r != backend.NilOID {
-					victim = obj.OID
+					victim = oid
 					break
 				}
 			}
@@ -76,11 +76,11 @@ func TestDeleteObjectRepairsGraph(t *testing.T) {
 	if victim == backend.NilOID {
 		t.Skip("no suitable victim")
 	}
-	referrers := append([]backend.OID(nil), db.Object(victim).BackRef...)
+	referrers := append([]backend.OID(nil), db.BackRef(victim)...)
 	if err := db.DeleteObject(victim); err != nil {
 		t.Fatal(err)
 	}
-	if db.Object(victim) != nil {
+	if db.Live(victim) {
 		t.Fatal("victim still reachable")
 	}
 	if db.Store.Exists(victim) {
@@ -88,11 +88,7 @@ func TestDeleteObjectRepairsGraph(t *testing.T) {
 	}
 	// No referrer may still point at the victim.
 	for _, from := range referrers {
-		fobj := db.Object(from)
-		if fobj == nil {
-			continue
-		}
-		for _, r := range fobj.ORef {
+		for _, r := range refsOf(db, from) {
 			if r == victim {
 				t.Fatalf("object %d still references deleted %d", from, victim)
 			}
@@ -117,11 +113,11 @@ func TestResolveLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := db.ResolveLive(5)
-	if !ok || got == 5 || db.Object(got) == nil {
+	if !ok || got == 5 || !db.Live(got) {
 		t.Fatalf("deleted OID resolved to %d, %v", got, ok)
 	}
 	// Out-of-range input still resolves somewhere live.
-	if got, ok := db.ResolveLive(backend.OID(p.NO + 500)); !ok || db.Object(got) == nil {
+	if got, ok := db.ResolveLive(backend.OID(p.NO + 500)); !ok || !db.Live(got) {
 		t.Fatalf("out-of-range resolved to %d, %v", got, ok)
 	}
 }
@@ -206,7 +202,7 @@ func TestGenericWorkloadDeterministic(t *testing.T) {
 		if _, err := r.RunPhase("gen", 80, 11); err != nil {
 			t.Fatal(err)
 		}
-		return db.NumLive(), len(db.Objects)
+		return db.NumLive(), db.NO()
 	}
 	l1, o1 := run()
 	l2, o2 := run()

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ocb/internal/backend"
@@ -214,6 +215,14 @@ func (p Params) Validate() error {
 	}
 	if p.BaseSizePerClass != nil && len(p.BaseSizePerClass) != p.NC+1 {
 		return fmt.Errorf("ocb: BaseSizePerClass needs length NC+1 = %d, got %d", p.NC+1, len(p.BaseSizePerClass))
+	}
+	// The object table indexes OIDs and reference slots with uint32.
+	maxNRef := p.MaxNRef
+	if p.MaxNRefPerClass != nil {
+		maxNRef = slices.Max(p.MaxNRefPerClass[1:])
+	}
+	if uint64(p.NO) > slotLimit || maxNRef > 0 && uint64(maxNRef) > slotLimit/uint64(p.NO) {
+		return fmt.Errorf("ocb: NO = %d objects of up to MAXNREF = %d slots pass the object table's %d slots", p.NO, maxNRef, slotLimit)
 	}
 	if p.Dist1 == nil || p.Dist2 == nil || p.Dist3 == nil || p.Dist4 == nil || p.Dist5 == nil {
 		return fmt.Errorf("ocb: all five distributions must be set (use DefaultParams as base)")

@@ -26,7 +26,7 @@ func TestSaveLoadAfterChurn(t *testing.T) {
 		}
 	}
 	wantLive := db.NumLive()
-	wantMax := len(db.Objects) - 1
+	wantMax := db.NO()
 
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
@@ -39,14 +39,14 @@ func TestSaveLoadAfterChurn(t *testing.T) {
 	if loaded.NumLive() != wantLive {
 		t.Fatalf("live = %d, want %d", loaded.NumLive(), wantLive)
 	}
-	if len(loaded.Objects)-1 != wantMax {
-		t.Fatalf("max OID = %d, want %d", len(loaded.Objects)-1, wantMax)
+	if loaded.NO() != wantMax {
+		t.Fatalf("max OID = %d, want %d", loaded.NO(), wantMax)
 	}
 	// Deleted slots stay deleted; inserted objects stay present.
-	if loaded.Object(10) != nil {
+	if loaded.Live(10) {
 		t.Fatal("deleted object resurrected")
 	}
-	if loaded.Object(backend.OID(p.NO+1)) == nil {
+	if !loaded.Live(backend.OID(p.NO + 1)) {
 		t.Fatal("inserted object lost")
 	}
 	if err := CheckDatabase(loaded); err != nil {

@@ -46,12 +46,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Object graph identical.
 	for i := 1; i <= p.NO; i++ {
-		a, b := orig.Objects[i], loaded.Objects[i]
-		if a.Class != b.Class || len(a.ORef) != len(b.ORef) {
+		oid := backend.OID(i)
+		ca, _ := orig.ClassOf(oid)
+		cb, _ := loaded.ClassOf(oid)
+		a, b := refsOf(orig, oid), refsOf(loaded, oid)
+		if ca != cb || len(a) != len(b) {
 			t.Fatalf("object %d differs", i)
 		}
-		for k := range a.ORef {
-			if a.ORef[k] != b.ORef[k] {
+		for k := range a {
+			if a[k] != b[k] {
 				t.Fatalf("object %d ref %d differs", i, k)
 			}
 		}

@@ -71,12 +71,11 @@ func (p *orderPolicy) ObserveRoot(root backend.OID) {
 // successors lists the objects a traversal may step to from oid: the
 // non-NIL forward references in slot order, or the backward references.
 func successors(db *Database, oid backend.OID, reverse bool) []backend.OID {
-	obj := db.Object(oid)
 	if reverse {
-		return obj.BackRef
+		return db.BackRef(oid)
 	}
 	var out []backend.OID
-	for _, r := range obj.ORef {
+	for _, r := range refsOf(db, oid) {
 		if r != backend.NilOID {
 			out = append(out, r)
 		}
@@ -91,7 +90,7 @@ func refWalk(db *Database, tx Transaction, seed int64) []crossing {
 	if tx.Type == RangeOp {
 		var window []crossing
 		for i := 0; i < db.P.NO/100; i++ {
-			if oid := tx.Root + backend.OID(i); db.Object(oid) != nil {
+			if oid := tx.Root + backend.OID(i); db.Live(oid) {
 				window = append(window, crossing{unobserved, oid})
 			}
 		}
@@ -158,9 +157,9 @@ func linkedBy(db *Database, oid, succ backend.OID, refType int, reverse bool) bo
 	if reverse {
 		owner, target = succ, oid
 	}
-	obj := db.Object(owner)
-	class := db.Schema.Class(obj.Class)
-	for k, r := range obj.ORef {
+	classID, _ := db.ClassOf(owner)
+	class := db.Schema.Class(classID)
+	for k, r := range refsOf(db, owner) {
 		if r == target && class.TRef[k] == refType {
 			return true
 		}

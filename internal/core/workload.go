@@ -18,8 +18,8 @@ type TxType int
 // same reference type, stochastic traversals choosing the next reference at
 // random with p(N) = 1/2^N (Markov-chain-like, after Tsangaris & Naughton).
 //
-// The object graph is client-resident (Database.Objects) and the store
-// only charges the fault, so no type's visit order depends on a store
+// The object graph is client-resident (the Database's object table) and
+// the store only charges the fault, so no type's visit order depends on a store
 // reply: all four, and RangeOp, fault through the executor's one access
 // stream (see Executor) in visit order, duplicates included.
 const (
@@ -129,8 +129,8 @@ func (tx Transaction) mutating() bool {
 //
 // Concurrency: read-only transaction types share-lock the database's graph
 // lock, so traversals from many clients proceed in parallel; insertions
-// and deletions take it exclusively (they restructure Objects, iterators
-// and BackRefs). Store-level faulting is internally sharded.
+// and deletions take it exclusively (they restructure the object table
+// and the iterators). Store-level faulting is internally sharded.
 func (e *Executor) Exec(tx Transaction) (int, error) {
 	if tx.mutating() {
 		e.DB.mu.Lock()
@@ -151,10 +151,10 @@ func (e *Executor) execLocked(tx Transaction) (int, error) {
 	// sampled root; an in-range but deleted root resolves onto the live
 	// object set. Out-of-range roots remain errors.
 	if tx.Type != InsertOp && tx.Type != ScanOp {
-		if tx.Root == backend.NilOID || uint64(tx.Root) >= uint64(len(e.DB.Objects)) {
+		if tx.Root == backend.NilOID || uint64(tx.Root) >= uint64(len(e.DB.class)) {
 			return 0, fmt.Errorf("ocb: bad root %d", tx.Root)
 		}
-		if e.DB.Objects[tx.Root] == nil {
+		if e.DB.class[tx.Root] == 0 {
 			root, ok := e.DB.ResolveLive(tx.Root)
 			if !ok {
 				return 0, fmt.Errorf("ocb: no live objects left")
@@ -216,14 +216,13 @@ func (e *Executor) discover(from, to backend.OID) error {
 // references, up to depth hops, with set semantics (each object accessed
 // once — the breadth-first result is a set of qualifying objects). The
 // faults are queued in discovery order; the frontier buffers and seen-set
-// are the executor's reusable scratch.
+// are the executor's reusable scratch. Like every walk below, it takes a
+// live root, which execLocked resolved.
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) error {
-	if e.DB.Object(root) == nil {
-		return fmt.Errorf("ocb: bad root %d", root)
-	}
-	e.seen.Reset(len(e.DB.Objects))
+	db := e.DB
+	e.seen.Reset(len(db.class))
 	e.seen.Add(root)
 	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
@@ -232,20 +231,19 @@ func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) error {
 	for level := 0; level < depth && len(e.frontier) > 0; level++ {
 		e.next = e.next[:0]
 		for _, oid := range e.frontier {
-			obj := e.DB.Object(oid)
 			if reverse {
-				for _, succ := range obj.BackRef {
+				for _, succ := range db.backRefs[oid] {
 					if err := e.discover(oid, succ); err != nil {
 						return err
 					}
 				}
 				continue
 			}
-			for _, succ := range obj.ORef {
-				if succ == backend.NilOID {
+			for _, r := range db.slots(oid) {
+				if r == 0 {
 					continue
 				}
-				if err := e.discover(oid, succ); err != nil {
+				if err := e.discover(oid, backend.OID(r)); err != nil {
 					return err
 				}
 			}
@@ -260,9 +258,6 @@ func (e *Executor) setAccess(root backend.OID, depth int, reverse bool) error {
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) simple(root backend.OID, depth int, reverse bool) error {
-	if e.DB.Object(root) == nil {
-		return fmt.Errorf("ocb: bad root %d", root)
-	}
 	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
@@ -278,9 +273,8 @@ func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error
 	if remaining == 0 {
 		return nil
 	}
-	obj := e.DB.Object(oid)
 	if reverse {
-		for _, succ := range obj.BackRef {
+		for _, succ := range e.DB.backRefs[oid] {
 			if err := e.stream.Visit(oid, succ); err != nil {
 				return err
 			}
@@ -290,10 +284,11 @@ func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error
 		}
 		return nil
 	}
-	for _, succ := range obj.ORef {
-		if succ == backend.NilOID {
+	for _, r := range e.DB.slots(oid) {
+		if r == 0 {
 			continue
 		}
+		succ := backend.OID(r)
 		if err := e.stream.Visit(oid, succ); err != nil {
 			return err
 		}
@@ -309,9 +304,6 @@ func (e *Executor) simpleDFS(oid backend.OID, remaining int, reverse bool) error
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) hierarchy(root backend.OID, depth, refType int, reverse bool) error {
-	if e.DB.Object(root) == nil {
-		return fmt.Errorf("ocb: bad root %d", root)
-	}
 	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
@@ -329,14 +321,13 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 	if remaining == 0 {
 		return nil
 	}
-	obj := e.DB.Object(oid)
+	db := e.DB
 	if reverse {
-		for _, from := range obj.BackRef {
-			fobj := e.DB.Object(from)
-			fclass := e.DB.Schema.Class(fobj.Class)
+		for _, from := range db.backRefs[oid] {
+			tref := db.Schema.Class(int(db.class[from])).TRef
 			matched := false
-			for k, r := range fobj.ORef {
-				if r == obj.OID && fclass.TRef[k] == refType {
+			for k, r := range db.slots(from) {
+				if backend.OID(r) == oid && tref[k] == refType {
 					matched = true
 					break
 				}
@@ -353,11 +344,12 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 		}
 		return nil
 	}
-	class := e.DB.Schema.Class(obj.Class)
-	for k, succ := range obj.ORef {
-		if succ == backend.NilOID || class.TRef[k] != refType {
+	tref := db.Schema.Class(int(db.class[oid])).TRef
+	for k, r := range db.slots(oid) {
+		if r == 0 || tref[k] != refType {
 			continue
 		}
+		succ := backend.OID(r)
 		if err := e.stream.Visit(oid, succ); err != nil {
 			return err
 		}
@@ -377,22 +369,22 @@ func (e *Executor) hierarchyDFS(oid backend.OID, remaining, refType int, reverse
 //
 //ocblint:allocfree -- steady-state hot path
 func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) error {
-	if e.DB.Object(root) == nil {
-		return fmt.Errorf("ocb: bad root %d", root)
-	}
 	if err := e.stream.Visit(backend.NilOID, root); err != nil {
 		return err
 	}
+	db := e.DB
 	cur := root
 	for step := 0; step < depth; step++ {
-		obj := e.DB.Object(cur)
 		// Count the successors in place (non-NIL forward slots, or the
 		// whole BackRef list reversed) instead of materializing them.
-		count := len(obj.BackRef)
-		if !reverse {
-			count = 0
-			for _, r := range obj.ORef {
-				if r != backend.NilOID {
+		var slots []uint32
+		var count int
+		if reverse {
+			count = len(db.backRefs[cur])
+		} else {
+			slots = db.slots(cur)
+			for _, r := range slots {
+				if r != 0 {
 					count++
 				}
 			}
@@ -408,15 +400,15 @@ func (e *Executor) stochastic(root backend.OID, depth int, reverse bool) error {
 		k := (n - 1) % count
 		var next backend.OID
 		if reverse {
-			next = obj.BackRef[k]
+			next = db.backRefs[cur][k]
 		} else {
 			// k-th non-NIL forward slot, in slot order.
-			for _, r := range obj.ORef {
-				if r == backend.NilOID {
+			for _, r := range slots {
+				if r == 0 {
 					continue
 				}
 				if k == 0 {
-					next = r
+					next = backend.OID(r)
 					break
 				}
 				k--
@@ -445,18 +437,18 @@ func (e *Executor) update(root backend.OID) (int, error) {
 
 // insert creates one new object per the generation rules and commits.
 func (e *Executor) insert() (int, error) {
-	obj, err := e.DB.InsertObject(e.Src)
+	oid, err := e.DB.InsertObject(e.Src)
 	if err != nil {
 		return 0, err
 	}
 	if e.Policy != nil {
-		e.Policy.ObserveRoot(obj.OID)
+		e.Policy.ObserveRoot(oid)
 	}
 	// The new object plus each referenced object touched for BackRef
 	// maintenance.
 	n := 1
-	for _, r := range obj.ORef {
-		if r != backend.NilOID {
+	for _, r := range e.DB.slots(oid) {
+		if r != 0 {
 			n++
 		}
 	}
@@ -465,8 +457,7 @@ func (e *Executor) insert() (int, error) {
 
 // delete removes the root object, repairing the graph, and commits.
 func (e *Executor) delete(root backend.OID) (int, error) {
-	obj := e.DB.Object(root)
-	touched := 1 + len(obj.BackRef)
+	touched := 1 + len(e.DB.backRefs[root])
 	if e.Policy != nil {
 		e.Policy.ObserveRoot(root)
 	}
@@ -512,7 +503,7 @@ func (e *Executor) rangeLookup(root backend.OID) error {
 	}
 	for i := 0; i < width; i++ {
 		oid := root + backend.OID(i)
-		if e.DB.Object(oid) == nil {
+		if !e.DB.Live(oid) {
 			continue
 		}
 		if err := e.stream.VisitUnobserved(oid); err != nil {

@@ -130,8 +130,7 @@ func TestStochasticPrefersFirstReference(t *testing.T) {
 	}
 	firstRef, otherRef := 0, 0
 	for _, cr := range rec.crossings {
-		obj := db.Object(cr.src)
-		if obj.ORef[0] == cr.dst {
+		if db.ORef(cr.src, 0) == cr.dst {
 			firstRef++
 		} else {
 			otherRef++
@@ -151,7 +150,7 @@ func TestReverseTraversalUsesBackRefs(t *testing.T) {
 	// any object and comparing forward vs reverse from the same root.
 	var root backend.OID
 	for i := 1; i <= p.NO; i++ {
-		if len(db.Objects[i].BackRef) > 0 {
+		if len(db.BackRef(backend.OID(i))) > 0 {
 			root = backend.OID(i)
 			break
 		}
@@ -165,14 +164,14 @@ func TestReverseTraversalUsesBackRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1 + len(db.Object(root).BackRef)
+	want := 1 + len(db.BackRef(root))
 	if res != want {
 		t.Fatalf("reverse accessed %d, want %d", res, want)
 	}
 	// Every crossing must be a real backward link: dst references src.
 	for _, cr := range rec.crossings {
 		found := false
-		for _, r := range db.Object(cr.dst).ORef {
+		for _, r := range refsOf(db, cr.dst) {
 			if r == cr.src {
 				found = true
 				break
@@ -194,11 +193,11 @@ func TestReverseHierarchyTypeFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := db.Object(10)
-	class := db.Schema.Class(obj.Class)
+	classID, _ := db.ClassOf(10)
+	class := db.Schema.Class(classID)
 	wantFwd := 1
 	for k, tr := range class.TRef {
-		if tr == 2 && obj.ORef[k] != backend.NilOID {
+		if tr == 2 && db.ORef(10, k) != backend.NilOID {
 			wantFwd++
 		}
 	}
@@ -210,11 +209,11 @@ func TestReverseHierarchyTypeFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRev := 1
-	for _, from := range obj.BackRef {
-		fobj := db.Object(from)
-		fclass := db.Schema.Class(fobj.Class)
-		for k, r := range fobj.ORef {
-			if r == obj.OID && fclass.TRef[k] == 2 {
+	for _, from := range db.BackRef(10) {
+		fclassID, _ := db.ClassOf(from)
+		fclass := db.Schema.Class(fclassID)
+		for k, r := range refsOf(db, from) {
+			if r == 10 && fclass.TRef[k] == 2 {
 				wantRev++
 				break
 			}
