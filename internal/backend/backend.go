@@ -102,7 +102,8 @@ type Backend interface {
 	Stats() Stats
 	// DiskStats returns the disk I/O counters alone, without locking; the
 	// executors sample it before and after every transaction, so it must
-	// be cheap. Backends without disks return the zero value.
+	// be cheap — the remote driver answers it from the newest reply, with
+	// no call. Backends without disks return the zero value.
 	DiskStats() disk.Stats
 	// ResetStats zeroes every counter (placement is untouched).
 	ResetStats()

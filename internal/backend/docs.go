@@ -168,7 +168,7 @@
 // doc has the full design):
 //
 //   - A read cache. Track which objects are resident (buffer.ObjectCache
-//     is the shared sharded, byte-budgeted LRU built for this) and skip
+//     is the shared byte-budgeted LRU built for this) and skip
 //     the disk read on a hit; invalidate on Update/Delete no later than
 //     commit publish, so a resident copy can never outlive or shadow its
 //     object. Size it with a "cachepages" option — that exact key is a
@@ -202,10 +202,12 @@
 // Any registered local driver can be hosted behind a TCP listener (`ocb
 // serve`, internal/wire) and measured through the "remote" driver
 // (internal/backend/remote, -backend-opt addr=host:port). The wire
-// protocol mirrors the core contract exactly — every Backend method has
-// an op code, AccessBatch stays one round trip, and the sentinel errors
-// above round-trip as status codes so errors.Is behaves identically
-// in-process and remote. Capabilities split into forwarded and degraded:
+// protocol mirrors the core contract exactly — every Backend method but
+// DiskStats has an op code, AccessBatch stays one round trip, and the
+// sentinel errors above round-trip as status codes so errors.Is behaves
+// identically in-process and remote. DiskStats makes no call: every reply
+// ends in a trailer with the hosted store's disk counters, and the client
+// answers from the newest one. Capabilities split into forwarded and degraded:
 //
 //   - Forwarded: IOClassifier, Checker and Ranger relay to the hosted
 //     store when the Hello handshake reports it has them (a remote

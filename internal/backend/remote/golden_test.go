@@ -54,11 +54,12 @@ func runOCB(t *testing.T, p core.Params) ocbRun {
 // TestGoldenOCBOverRemoteMatchesInProcess pins the transparency of the
 // wire layer: a CLIENTN=1 OCB protocol run against a paged store served
 // over loopback must produce bit-identical workload metrics — phase
-// transaction counts, per-type counts and accessed-object statistics —
-// to the same run against an in-process paged store. Only the I/O
-// attribution and latency columns are allowed to differ (the engine
-// samples shared disk counters around each op, and the wire adds
-// latency), so they are deliberately not compared.
+// transaction counts, per-type counts, accessed-object statistics, per-op
+// I/O statistics and each phase's disk delta — to the same run against an
+// in-process paged store. The I/O columns hold because at one client the
+// newest reply's trailer carries exactly the counters an in-process
+// DiskStats read would. Only latency differs (the wire adds it), so it is
+// deliberately not compared.
 func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 	p := goldenParams()
 
@@ -90,6 +91,9 @@ func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 	rp.Backend = "remote"
 	rp.BackendOptions = map[string]string{"addr": ln.Addr().String()}
 	got := runOCB(t, rp)
+	if want.Cold.Total.IOsTotal == 0 || want.Warm.DiskDelta.TransactionIOs() == 0 {
+		t.Fatal("the in-process run made no I/O, so the I/O columns compare zeros")
+	}
 
 	for _, phase := range []struct {
 		name      string
@@ -105,6 +109,9 @@ func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 		if g, w := phase.got.Total.Objects, phase.want.Total.Objects; g != w {
 			t.Errorf("%s: global objects welford diverges: got %+v, want %+v", phase.name, g, w)
 		}
+		if g, w := phase.got.DiskDelta, phase.want.DiskDelta; g != w {
+			t.Errorf("%s: disk delta %+v over remote, %+v in process", phase.name, g, w)
+		}
 		for ty := range phase.want.PerOp {
 			g, w := &phase.got.PerOp[ty], &phase.want.PerOp[ty]
 			if g.Count != w.Count {
@@ -112,6 +119,10 @@ func TestGoldenOCBOverRemoteMatchesInProcess(t *testing.T) {
 			}
 			if g.Objects != w.Objects {
 				t.Errorf("%s type %d: objects welford diverges: got %+v, want %+v", phase.name, ty, g.Objects, w.Objects)
+			}
+			if g.IOs != w.IOs || g.IOsTotal != w.IOsTotal {
+				t.Errorf("%s type %d: I/Os diverge: got %+v (total %d), want %+v (total %d)",
+					phase.name, ty, g.IOs, g.IOsTotal, w.IOs, w.IOsTotal)
 			}
 		}
 	}

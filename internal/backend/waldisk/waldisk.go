@@ -474,8 +474,8 @@ func Open(c Config) (*Store, error) {
 		spanPool:     sync.Pool{New: func() any { b := make([]byte, spanReadSize); return &b }},
 	}
 	if cachePages > 0 {
-		// One shard: its hits and misses are those of one LRU over the
-		// budget, as the paged store's buffer pool's are.
+		// One LRU over the budget: its hits and misses are counted as the
+		// paged store's buffer pool's are.
 		cache, err := buffer.NewObjectCache(int64(cachePages)*int64(pageSize), 1)
 		if err != nil {
 			return nil, fmt.Errorf("waldisk: sizing read cache: %w", err)

@@ -52,8 +52,7 @@ func TestConformance(t *testing.T) {
 
 // TestReadCacheIsOneLRU: a seeded access sequence through the driver
 // counts the read-cache hits, misses and evictions of one LRU over the
-// whole budget (a one-shard buffer.ObjectCache fed the same probes and
-// adds), not those of a budget split across lock shards.
+// whole budget (a buffer.ObjectCache fed the same probes and adds).
 func TestReadCacheIsOneLRU(t *testing.T) {
 	const pageSize, cachePages = 1024, 8
 	b, err := backend.Open(waldisk.Name, backend.Config{PageSize: pageSize,

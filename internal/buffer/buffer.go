@@ -71,6 +71,7 @@ type Pool struct {
 	capacity int
 	frames   []*frame // nil = not resident
 	resident int      // non-nil entries of frames
+	dirty    int      // resident frames with the dirty bit set
 	sentinel *frame   // circular list anchor
 	spare    *frame   // the last victim, reused by the next admit
 	stats    Stats
@@ -144,7 +145,7 @@ func (p *Pool) GetIfResident(id disk.PageID) (*disk.Page, bool) {
 // creation-order placement of new objects.
 func (p *Pool) Install(pg *disk.Page) error {
 	if f := p.lookup(pg.ID); f != nil {
-		f.dirty = true
+		p.setDirty(f)
 		p.touch(f)
 		return nil
 	}
@@ -155,14 +156,24 @@ func (p *Pool) Install(pg *disk.Page) error {
 // non-resident pages.
 func (p *Pool) MarkDirty(id disk.PageID) {
 	if f := p.lookup(id); f != nil {
+		p.setDirty(f)
+	}
+}
+
+// setDirty flags a resident frame dirty, keeping the dirty count.
+func (p *Pool) setDirty(f *frame) {
+	if !f.dirty {
 		f.dirty = true
+		p.dirty++
 	}
 }
 
 // FlushAll writes every dirty resident page to disk (commit), in ring order
 // from the front, so which pages a failed flush left dirty is repeatable.
+// It stops at the last dirty frame: a commit after one update visits the
+// frames in front of that page, not the whole pool.
 func (p *Pool) FlushAll() error {
-	for f := p.sentinel.next; f != p.sentinel; f = f.next {
+	for f := p.sentinel.next; p.dirty > 0; f = f.next {
 		if !f.dirty {
 			continue
 		}
@@ -170,6 +181,7 @@ func (p *Pool) FlushAll() error {
 			return err
 		}
 		f.dirty = false
+		p.dirty--
 		p.stats.Flushes++
 	}
 	return nil
@@ -191,6 +203,7 @@ func (p *Pool) DropAll() {
 		p.frames[f.page.ID] = nil
 	}
 	p.resident = 0
+	p.dirty = 0
 	p.sentinel.prev, p.sentinel.next = p.sentinel, p.sentinel
 }
 
@@ -244,6 +257,9 @@ func (p *Pool) admit(pg *disk.Page, dirty bool) error {
 	}
 	p.spare = nil
 	*f = frame{page: pg, dirty: dirty}
+	if dirty {
+		p.dirty++
+	}
 	p.pushFront(f)
 	i := int(pg.ID)
 	if n := i + 1 - len(p.frames); n > 0 {
@@ -279,6 +295,9 @@ func (p *Pool) remove(f *frame) {
 	p.unlink(f)
 	p.frames[f.page.ID] = nil
 	p.resident--
+	if f.dirty {
+		p.dirty--
+	}
 }
 
 // pushFront inserts f right after the sentinel.

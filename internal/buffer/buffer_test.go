@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -383,5 +384,25 @@ func BenchmarkPoolGetMiss(b *testing.B) {
 		if _, err := p.Get(ids[i%len(ids)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFlushOneDirty is a commit after one update: a full pool of n
+// clean frames, the most recently used page dirtied, then FlushAll. The
+// dirty count stops the flush at that page, so ns/op does not grow with n.
+func BenchmarkFlushOneDirty(b *testing.B) {
+	for _, n := range []int{512, 8192} {
+		b.Run(fmt.Sprintf("frames=%d", n), func(b *testing.B) {
+			p, _ := fullPool(b, n)
+			front := p.ResidentPages()[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.MarkDirty(front)
+				if err := p.FlushAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

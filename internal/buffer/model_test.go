@@ -120,7 +120,8 @@ func (m *modelPool) flushAll() {
 }
 
 // agrees compares everything that decides the pool's future behaviour: the
-// counters, the recency order and each frame's dirty bit. ids is every page
+// counters, the recency order, each frame's dirty bit and the pool's count
+// of dirty frames (where FlushAll stops). ids is every page
 // id the test ever hands this pool.
 func (m *modelPool) agrees(p *Pool, ids []disk.PageID) error {
 	if p.Stats() != m.stats {
@@ -131,6 +132,15 @@ func (m *modelPool) agrees(p *Pool, ids []disk.PageID) error {
 	}
 	if got := p.ResidentPages(); !slices.Equal(got, m.order) {
 		return fmt.Errorf("recency %v, model %v", got, m.order)
+	}
+	dirty := 0
+	for _, f := range m.frames {
+		if f.dirty {
+			dirty++
+		}
+	}
+	if p.Dirty() != dirty {
+		return fmt.Errorf("dirty count %d, model has %d dirty frames", p.Dirty(), dirty)
 	}
 	for _, id := range ids {
 		mf, ok := m.frames[id]

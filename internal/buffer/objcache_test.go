@@ -7,36 +7,20 @@ import (
 )
 
 // TestObjectCacheConstruction pins the constructor contract: non-positive
-// budgets are refused (callers disable caching by not building one), the
-// shard count rounds down to a power of two, and the per-shard budgets sum
-// back to the requested total.
+// budgets are refused (callers disable caching by not building one), and
+// the cache holds the whole requested budget.
 func TestObjectCacheConstruction(t *testing.T) {
 	for _, bad := range []int64{0, -1} {
-		if _, err := NewObjectCache(bad, 4); !errors.Is(err, ErrZeroCapacity) {
+		if _, err := NewObjectCache(bad, 1); !errors.Is(err, ErrZeroCapacity) {
 			t.Fatalf("NewObjectCache(%d): err = %v, want ErrZeroCapacity", bad, err)
 		}
 	}
-	for _, tc := range []struct {
-		shards, want int
-	}{{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 2}, {7, 4}, {8, 8}} {
-		c, err := NewObjectCache(1<<20, tc.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.NumShards(); got != tc.want {
-			t.Fatalf("shards=%d normalized to %d, want %d", tc.shards, got, tc.want)
-		}
-		if got := c.Budget(); got != 1<<20 {
-			t.Fatalf("shard budgets sum to %d, want %d", got, 1<<20)
-		}
-	}
-	// A budget smaller than the shard count caps the shard count.
-	c, err := NewObjectCache(3, 8)
+	c, err := NewObjectCache(1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.NumShards(); got != 2 {
-		t.Fatalf("budget=3 shards=8 normalized to %d shards, want 2", got)
+	if got := c.Budget(); got != 1<<20 {
+		t.Fatalf("budget %d, want %d", got, 1<<20)
 	}
 }
 
@@ -75,7 +59,7 @@ func TestObjectCacheProbeAdd(t *testing.T) {
 	}
 }
 
-// TestObjectCacheLRU drives a single shard past its budget and checks
+// TestObjectCacheLRU drives the cache past its budget and checks
 // strict LRU order: the coldest key goes first, and a probe refreshes
 // recency so the probed key survives the next eviction.
 func TestObjectCacheLRU(t *testing.T) {
@@ -105,7 +89,7 @@ func TestObjectCacheLRU(t *testing.T) {
 }
 
 // TestObjectCacheOversized pins the anti-thrash rule: a record larger
-// than the whole shard budget evicts everything else but stays resident
+// than the whole budget evicts everything else but stays resident
 // itself rather than bouncing in and out.
 func TestObjectCacheOversized(t *testing.T) {
 	c, err := NewObjectCache(100, 1)
@@ -126,7 +110,7 @@ func TestObjectCacheOversized(t *testing.T) {
 // without counting an eviction, tolerates absent keys, and frees the
 // entry's bytes for future admissions.
 func TestObjectCacheInvalidate(t *testing.T) {
-	c, err := NewObjectCache(1<<20, 2)
+	c, err := NewObjectCache(1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +133,7 @@ func TestObjectCacheInvalidate(t *testing.T) {
 // entry vanishes, bytes go to zero, and the counters survive so a report
 // spanning a DropCache still adds up.
 func TestObjectCacheDropAll(t *testing.T) {
-	c, err := NewObjectCache(1<<20, 4)
+	c, err := NewObjectCache(1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +162,7 @@ func TestObjectCacheDropAll(t *testing.T) {
 // the property twin-store equivalence tests lean on.
 func TestObjectCacheDeterminism(t *testing.T) {
 	build := func() *ObjectCache {
-		c, err := NewObjectCache(4096, 4)
+		c, err := NewObjectCache(4096, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +199,7 @@ func TestObjectCacheDeterminism(t *testing.T) {
 // both hits and misses must not allocate, or every cached Access in
 // waldisk would pay the cost the cache exists to avoid.
 func TestObjectCacheProbeAllocFree(t *testing.T) {
-	c, err := NewObjectCache(1<<20, 8)
+	c, err := NewObjectCache(1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +219,7 @@ func TestObjectCacheProbeAllocFree(t *testing.T) {
 // many goroutines; with -race this is the cache's data-race gate, and the
 // invariant checked after the dust settles is bytes-never-past-budget.
 func TestObjectCacheConcurrent(t *testing.T) {
-	c, err := NewObjectCache(8192, 8)
+	c, err := NewObjectCache(8192, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

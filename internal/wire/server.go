@@ -30,6 +30,7 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
 	draining  bool
+	seq       uint64 // the last reply's trailer sequence number
 	wg        sync.WaitGroup
 }
 
@@ -43,6 +44,8 @@ func NewServer(b backend.Backend, hosted string, logger *log.Logger) *Server {
 		logger:    logger,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
+		// A restarted server's sequence continues above its predecessor's.
+		seq: uint64(time.Now().UnixNano()),
 	}
 }
 
@@ -161,13 +164,18 @@ func (s *Server) handle(conn net.Conn) {
 			s.logf("wire: %s: malformed request (op %d), dropping connection", conn.RemoteAddr(), opTag)
 			return
 		}
+		// The sequence number and the counters are taken together, so
+		// sequence order is the order the counters were read in.
+		s.mu.Lock()
+		s.seq++
+		trailer := Trailer{Seq: s.seq, Disk: s.b.DiskStats()}
+		draining := s.draining
+		s.mu.Unlock()
+		out.Trailer(trailer)
 		if err := out.Send(conn); err != nil {
 			s.logf("wire: %s: write: %v", conn.RemoteAddr(), err)
 			return
 		}
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
 		if draining {
 			return
 		}
@@ -279,9 +287,6 @@ func (s *Server) serveOp(op uint8, r *Reader, out *Buf, oids *[]backend.OID) boo
 	case OpStats:
 		out.Start(StatusOK)
 		out.Stats(s.b.Stats())
-	case OpDiskStats:
-		out.Start(StatusOK)
-		out.DiskStats(s.b.DiskStats())
 	case OpResetStats:
 		s.b.ResetStats()
 		out.Start(StatusOK)

@@ -1,7 +1,8 @@
 // Package wire is the client/server protocol that puts any registered
 // backend on the network: a length-prefixed binary framing over TCP with
-// one op code per Backend method, so the natural RPC boundary the
-// interface already defines becomes an actual wire boundary.
+// one op code per Backend method (DiskStats aside: see Trailer below), so
+// the natural RPC boundary the interface already defines becomes an
+// actual wire boundary.
 //
 // Framing. Every message — request or response — is one frame:
 //
@@ -16,6 +17,19 @@
 // response — which keeps both sides free of per-message allocation and
 // reordering machinery; concurrency comes from pooling connections, one
 // in flight per connection.
+//
+// Trailer. Every response payload — success, error status or the Hello
+// reply — ends in a fixed TrailerSize-byte trailer: the server's reply
+// sequence number, then the hosted store's disk counters (reads and writes
+// per I/O class) read right after the request was served. The server
+// draws the number and reads the counters under one lock, so a higher
+// sequence number never carries older counters, and it starts the count
+// at its start time in nanoseconds, so a server restarted on the same
+// address continues above its predecessor. A client keeps the trailer with
+// the highest sequence number and answers DiskStats from it without a
+// round trip; the engine samples DiskStats around every operation, so the
+// counters ride on replies that are sent anyway. Protocol version 2
+// introduced the trailer and retired the DiskStats request.
 //
 // Batching. AccessBatch ships all its OIDs in a single request frame and
 // returns the prefix count in a single response, so a batch of any size
@@ -42,15 +56,17 @@ import (
 
 // Version is the protocol revision, exchanged in the Hello handshake.
 // Both sides must agree exactly; there is no cross-version negotiation.
-const Version = 1
+// Version 2 ends every response in a Trailer and has no DiskStats op.
+const Version = 2
 
 // MaxFrame bounds a frame's length field (tag + payload). It is sized
 // for the largest legitimate message — an AccessBatch over millions of
 // OIDs — while keeping a garbage length prefix from allocating the moon.
 const MaxFrame = 16 << 20
 
-// Op codes, one per Backend method plus the handshake and the forwarded
-// capabilities (I/O classification and the integrity self-check).
+// Op codes, one per Backend method but DiskStats (every reply's trailer
+// carries it) plus the handshake and the forwarded capabilities (I/O
+// classification, the integrity self-check and the ordered index).
 const (
 	OpHello uint8 = 1 + iota
 	OpCreate
@@ -63,7 +79,6 @@ const (
 	OpCommit
 	OpDropCache
 	OpStats
-	OpDiskStats
 	OpResetStats
 	OpSetIOClass
 	OpCheck
@@ -217,6 +232,36 @@ func (f *Buf) DiskStats(s disk.Stats) {
 	f.U64(s.Reads[disk.Clustering])
 	f.U64(s.Writes[disk.Transaction])
 	f.U64(s.Writes[disk.Clustering])
+}
+
+// TrailerSize is the byte length of the Trailer that ends every response
+// payload: the sequence number and four disk counters, 8 bytes each.
+const TrailerSize = 40
+
+// Trailer is what every response carries after its own payload: the
+// server's sequence number for the reply and the hosted store's disk
+// counters as of that reply.
+type Trailer struct {
+	Seq  uint64
+	Disk disk.Stats
+}
+
+// Trailer appends t; the server calls it last, after the response payload.
+func (f *Buf) Trailer(t Trailer) {
+	f.U64(t.Seq)
+	f.DiskStats(t.Disk)
+}
+
+// SplitTrailer splits a response payload into the response's own fields
+// and its trailer. A payload shorter than TrailerSize comes from a broken
+// or older peer and is an error.
+func SplitTrailer(payload []byte) ([]byte, Trailer, error) {
+	n := len(payload) - TrailerSize
+	if n < 0 {
+		return nil, Trailer{}, fmt.Errorf("wire: %d-byte reply is shorter than its %d-byte trailer", len(payload), TrailerSize)
+	}
+	r := NewReader(payload[n:])
+	return payload[:n], Trailer{Seq: r.U64(), Disk: r.DiskStats()}, nil
 }
 
 // Send patches the length prefix and writes the whole frame in a
