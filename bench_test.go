@@ -9,7 +9,6 @@
 package ocb_test
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -265,9 +264,9 @@ func BenchmarkAccessVsBatchOfOne(b *testing.B) {
 }
 
 // parallelStore builds a store populated for the contention benchmarks.
-func parallelStore(b *testing.B, shards int) (*store.Store, []store.OID) {
+func parallelStore(b *testing.B) (*store.Store, []store.OID) {
 	b.Helper()
-	s, err := store.Open(store.Config{PageSize: 4096, BufferPages: 4096, Shards: shards})
+	s, err := store.Open(store.Config{PageSize: 4096, BufferPages: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,54 +285,45 @@ func parallelStore(b *testing.B, shards int) (*store.Store, []store.OID) {
 }
 
 // BenchmarkStoreAccessParallel hammers Store.Access from GOMAXPROCS
-// goroutines: the single-shard configuration reproduces the original
-// global-mutex store; shards=16 splits only the object-table locks, and
-// both share one buffer pool behind one mutex.
+// goroutines: every access takes the object-table lock and the one
+// buffer pool's lock.
 func BenchmarkStoreAccessParallel(b *testing.B) {
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, oids := parallelStore(b, shards)
-			var worker atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Distinct per-worker seeds: identical streams would hit
-				// the same shard in lockstep and overstate contention.
-				src := lewis.New(1000 + worker.Add(1))
-				for pb.Next() {
-					if err := s.Access(oids[src.Intn(len(oids))]); err != nil {
-						// Fatal must not run on a RunParallel worker.
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	s, oids := parallelStore(b)
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Distinct per-worker seeds: identical streams would touch the
+		// same objects in lockstep and overstate contention.
+		src := lewis.New(1000 + worker.Add(1))
+		for pb.Next() {
+			if err := s.Access(oids[src.Intn(len(oids))]); err != nil {
+				// Fatal must not run on a RunParallel worker.
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkStoreUpdateParallel is the dirty-path analogue: Access plus a
 // slot-directory dirty mark under the pool lock.
 func BenchmarkStoreUpdateParallel(b *testing.B) {
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, oids := parallelStore(b, shards)
-			var worker atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Distinct per-worker seeds, as in the Access benchmark.
-				src := lewis.New(2000 + worker.Add(1))
-				for pb.Next() {
-					if err := s.Update(oids[src.Intn(len(oids))]); err != nil {
-						// Fatal must not run on a RunParallel worker.
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	s, oids := parallelStore(b)
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Distinct per-worker seeds, as in the Access benchmark.
+		src := lewis.New(2000 + worker.Add(1))
+		for pb.Next() {
+			if err := s.Update(oids[src.Intn(len(oids))]); err != nil {
+				// Fatal must not run on a RunParallel worker.
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // residentDB builds the fully resident database the fast-path benchmarks
@@ -383,8 +373,8 @@ func BenchmarkWarmTraversalPhase(b *testing.B) {
 }
 
 // BenchmarkWarmTraversalParallel is the RunParallel variant: GOMAXPROCS
-// executors share one resident database (sharded store geometry), each
-// drawing its own transaction stream.
+// executors share one resident database, each drawing its own transaction
+// stream.
 func BenchmarkWarmTraversalParallel(b *testing.B) {
 	db := residentDB(b, 8)
 	p := db.P

@@ -104,13 +104,13 @@
 //     callers price the objects themselves by faulting the result
 //     (Access/AccessBatch), exactly like the query workload does.
 //     Repeated calls must return bit-identical results: an index fed
-//     from an unordered directory (a map, shards walked one by one) sorts
-//     what it reads — never expose that order.
+//     from an unordered directory (a map) sorts what it reads — never
+//     expose that order.
 //
 // One in-tree model, two users: internal/ordindex, a B+tree with chained
 // leaves that takes no lock of its own. btree is that index behind a
-// Backend shell; paged/internal/store builds one beside its sharded
-// array directory on the first ordered call and updates it on every Create,
+// Backend shell; paged/internal/store builds one beside its OID-indexed
+// object table on the first ordered call and updates it on every Create,
 // Delete and SetKey. The wire protocol forwards the whole interface (one op code
 // per method, scans one round trip) when the Hello handshake advertises
 // CapRanger, so remote-over-btree serves scans; the remote driver's

@@ -27,7 +27,7 @@ const Name = "flatmem"
 
 func init() {
 	backend.Register(Name, func(cfg backend.Config) (backend.Backend, error) {
-		// The flat heap has no pages, buffers or lock shards to configure:
+		// The flat heap has no pages or buffers to configure:
 		// the typed geometry hints are meaningless here and ignored, and
 		// any explicit option key is a user error worth naming.
 		if err := backend.CheckOptions(Name, cfg.Options); err != nil {

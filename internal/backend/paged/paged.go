@@ -1,4 +1,4 @@
-// Package paged registers the benchmark's own sharded paged store
+// Package paged registers the benchmark's own paged store
 // (internal/store) as the "paged" backend driver — the Texas-like
 // persistent heap every paper experiment runs on.
 //
@@ -38,6 +38,12 @@ func init() {
 // open maps a backend.Config onto the store's own configuration. Options
 // override the typed geometry fields; unknown keys are rejected with the
 // valid set named.
+//
+// shards=N is accepted and ignored: the store has one object table behind
+// one lock, and the option once split that lock. Saved images carry it in
+// their config, and callers still pass it, so it keeps opening a store; a
+// value that is not a positive integer is still rejected. This follows
+// buffer.NewSharded's ignored trailing arguments.
 func open(cfg backend.Config) (backend.Backend, error) {
 	if err := backend.CheckOptions(Name, cfg.Options, "pagesize", "buffer", "shards"); err != nil {
 		return nil, err
@@ -58,8 +64,6 @@ func open(cfg backend.Config) (backend.Backend, error) {
 				sc.PageSize = n
 			case "buffer":
 				sc.BufferPages = n
-			case "shards":
-				sc.Shards = n
 			}
 		}
 	}

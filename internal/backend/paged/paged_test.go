@@ -32,30 +32,14 @@ func TestConformance(t *testing.T) {
 func TestOptions(t *testing.T) {
 	b, err := backend.Open(paged.Name, backend.Config{
 		PageSize: 8192, // overridden by the explicit option below
-		Options:  map[string]string{"pagesize": "1024", "buffer": "16", "shards": "4"},
+		Options:  map[string]string{"pagesize": "1024", "buffer": "16"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := b.(*store.Store)
-	if st.PageSize() != 1024 {
-		t.Fatalf("pagesize option ignored: page size %d", st.PageSize())
-	}
-	if st.Shards() != 4 {
-		t.Fatalf("shards option ignored: %d shards", st.Shards())
-	}
-	// The image carries the shard count, so a saved database reopens with
-	// the object table it was built on.
-	img, err := st.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := backend.Restore(paged.Name, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rb.(*store.Store).Shards(); got != 4 {
-		t.Fatalf("restored store has %d shards, want 4", got)
+	if st.PageSize() != 1024 || st.Pool().Capacity() != 16 {
+		t.Fatalf("options ignored: page size %d, %d frames", st.PageSize(), st.Pool().Capacity())
 	}
 
 	_, err = backend.Open(paged.Name, backend.Config{Options: map[string]string{"pagesize": "zero"}})
@@ -76,6 +60,79 @@ func TestOptions(t *testing.T) {
 	_, err = backend.Open(paged.Name, backend.Config{Options: map[string]string{"replacement": "clock"}})
 	if !errors.As(err, &unknown) || unknown.Key != "replacement" {
 		t.Fatalf("replacement=clock: err = %v, want UnknownOptionError naming replacement", err)
+	}
+}
+
+// TestShardsOptionIgnored: shards=N, which once split the object table's
+// lock, still opens a working store, and a value that is not a positive
+// integer is still rejected.
+func TestShardsOptionIgnored(t *testing.T) {
+	b, err := backend.Open(paged.Name, backend.Config{Options: map[string]string{"shards": "16"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oids []backend.OID
+	for i := 0; i < 40; i++ {
+		oid, err := b.Create(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	if n, err := b.AccessBatch(oids); n != len(oids) || err != nil {
+		t.Fatalf("AccessBatch = %d, %v", n, err)
+	}
+	if err := b.Delete(oids[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.CheckIntegrity(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"0", "x", "-2"} {
+		if _, err := backend.Open(paged.Name, backend.Config{Options: map[string]string{"shards": bad}}); err == nil {
+			t.Fatalf("shards=%s accepted", bad)
+		}
+	}
+}
+
+// TestRestoreOlderImage: an image saved when the store still recorded its
+// shard count in Config.Options — what older .ocb files hold — restores
+// every object and passes the integrity check; a new image records no
+// options.
+func TestRestoreOlderImage(t *testing.T) {
+	b := open(t)
+	for i := 0; i < 40; i++ {
+		if _, err := b.Create(100 + i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	img, err := b.(backend.Snapshotter).Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Config.Options) != 0 {
+		t.Fatalf("Image() emits options %v, want none", img.Config.Options)
+	}
+	img.Config.Options = map[string]string{"shards": "16"}
+	restored, err := backend.Restore(paged.Name, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backend.CheckIntegrity(restored); err != nil {
+		t.Fatal(err)
+	}
+	for oid := backend.OID(1); oid <= 40; oid++ {
+		want, _ := b.SizeOf(oid)
+		got, ok := restored.SizeOf(oid)
+		if ok != (oid != 7) || got != want {
+			t.Fatalf("object %d: restored size %d (live %v), source %d", oid, got, ok, want)
+		}
+	}
+	if restored.(*store.Store).NumObjects() != 39 {
+		t.Fatalf("restored %d objects, want 39", restored.(*store.Store).NumObjects())
 	}
 }
 

@@ -15,17 +15,11 @@ package buffer
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 
 	"ocb/internal/disk"
 )
-
-// Policy names a page replacement algorithm. LRU is the only one. The type
-// survives only as NewSharded's parameter, which ignores it; both go once
-// the benchmarks module stops passing buffer.LRU.
-type Policy int
-
-// LRU is exact least-recently-used replacement, the pool's only policy.
-const LRU Policy = 0
 
 // Stats counts pool events.
 type Stats struct {
@@ -57,8 +51,14 @@ type frame struct {
 // ErrZeroCapacity is returned by New for a non-positive capacity.
 var ErrZeroCapacity = errors.New("buffer: pool capacity must be >= 1")
 
-// Pool is a bounded page cache. It is not safe for concurrent use; the
-// store serializes access (matching the single disk arm of the testbed).
+// Pool is a bounded page cache, safe for concurrent use: every exported
+// method runs under the pool's one mutex, so concurrent clients fault into
+// one buffer under one replacement order and the I/O count is the one a
+// single buffer of that size makes at any number of clients. Two clients
+// faulting the same page serialize on the lock, which keeps every page read
+// at most once per residency — the single disk arm of the testbed. The
+// compound operations (GetBatch, Update, UpdateNoFault, Mutate) each hold
+// the lock once for the whole operation.
 //
 // The frame table is a slice indexed by page id (the disk issues ids
 // densely from 1 and never reuses them), so the residency check is a bounds
@@ -67,6 +67,7 @@ var ErrZeroCapacity = errors.New("buffer: pool capacity must be >= 1")
 // admitted, resident or not. Only a page the disk handed over grows it: an
 // id from outside is bounds-checked and reported absent.
 type Pool struct {
+	mu       sync.Mutex
 	d        *disk.Disk
 	capacity int
 	frames   []*frame // nil = not resident
@@ -91,7 +92,8 @@ func New(d *disk.Disk, capacity int) (*Pool, error) {
 	}, nil
 }
 
-// lookup returns id's frame, nil when the page is not resident.
+// lookup returns id's frame, nil when the page is not resident. The
+// unexported methods below all expect p.mu held.
 func (p *Pool) lookup(id disk.PageID) *frame {
 	if i := uint64(id); i < uint64(len(p.frames)) {
 		return p.frames[i]
@@ -99,51 +101,68 @@ func (p *Pool) lookup(id disk.PageID) *frame {
 	return nil
 }
 
-// Capacity returns the maximum number of resident pages.
+// Capacity returns the maximum number of resident pages. It is fixed at
+// New, so it needs no lock.
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the current number of resident pages.
-func (p *Pool) Len() int { return p.resident }
+func (p *Pool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.resident
+}
 
 // Contains reports residency without touching replacement state.
 func (p *Pool) Contains(id disk.PageID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.lookup(id) != nil
 }
 
 // Get returns the page, faulting it in from disk on a miss. A miss charges
 // one disk read; if the pool is full, a victim is evicted first (one disk
 // write if it was dirty).
+//
+//ocblint:allocfree -- steady-state hot path
 func (p *Pool) Get(id disk.PageID) (*disk.Page, error) {
-	if f := p.lookup(id); f != nil {
-		p.stats.Hits++
-		p.touch(f)
-		return f.page, nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.get(id)
+}
+
+// GetBatch faults a run of pages in order, exactly as repeated Get calls
+// would — same hit/miss accounting, same eviction decisions — under one
+// lock acquisition. It returns how many pages were faulted successfully;
+// on error, pages past the failing one are untouched.
+//
+//ocblint:allocfree -- steady-state hot path
+func (p *Pool) GetBatch(ids []disk.PageID) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, id := range ids {
+		if _, err := p.get(id); err != nil {
+			return i, err
+		}
 	}
-	p.stats.Misses++
-	pg, err := p.d.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.admit(pg, false); err != nil {
-		return nil, err
-	}
-	return pg, nil
+	return len(ids), nil
 }
 
 // GetIfResident returns the page only if it is already resident,
 // counting neither a hit nor a miss.
+//
+//ocblint:allocfree -- steady-state hot path
 func (p *Pool) GetIfResident(id disk.PageID) (*disk.Page, bool) {
-	f := p.lookup(id)
-	if f == nil {
-		return nil, false
-	}
-	return f.page, true
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.getIfResident(id)
 }
 
 // Install places a freshly allocated page into the pool without a disk
 // read (there is nothing to read yet); it is immediately dirty. Used for
 // creation-order placement of new objects.
 func (p *Pool) Install(pg *disk.Page) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if f := p.lookup(pg.ID); f != nil {
 		p.setDirty(f)
 		p.touch(f)
@@ -155,17 +174,86 @@ func (p *Pool) Install(pg *disk.Page) error {
 // MarkDirty flags a resident page as modified. It is a no-op for
 // non-resident pages.
 func (p *Pool) MarkDirty(id disk.PageID) {
-	if f := p.lookup(id); f != nil {
-		p.setDirty(f)
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.markDirty(id)
 }
 
-// setDirty flags a resident frame dirty, keeping the dirty count.
-func (p *Pool) setDirty(f *frame) {
-	if !f.dirty {
-		f.dirty = true
-		p.dirty++
+// Update faults the page in (hit/miss accounted as in Get) and applies fn
+// to it while holding the pool lock; if fn reports a mutation the frame is
+// marked dirty before the lock is released. This is the only safe way to
+// edit a page's slot directory while other clients fault pages concurrently.
+func (p *Pool) Update(id disk.PageID, fn func(*disk.Page) bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pg, err := p.get(id)
+	if err != nil {
+		return err
 	}
+	if fn(pg) {
+		p.markDirty(id)
+	}
+	return nil
+}
+
+// UpdateNoFault applies fn to the page under the pool lock without
+// faulting it in: a resident frame is edited and marked dirty when fn
+// reports a mutation; a non-resident page is edited directly on the device
+// catalog with no I/O charge and no dirty mark — mirroring the original
+// store's creation-order placement, where the fill page could keep
+// receiving objects after an eviction without re-reading it. The pool
+// lock still serializes the edit against every pool-mediated access to
+// the page.
+func (p *Pool) UpdateNoFault(id disk.PageID, fn func(*disk.Page) bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pg, ok := p.getIfResident(id); ok {
+		if fn(pg) {
+			p.markDirty(id)
+		}
+		return nil
+	}
+	pg, ok := p.d.Peek(id)
+	if !ok {
+		return fmt.Errorf("%w: %d", disk.ErrNoSuchPage, id)
+	}
+	fn(pg)
+	return nil
+}
+
+// PageFate tells Mutate what to do with a page after an in-place edit
+// performed under the pool lock.
+type PageFate int
+
+const (
+	// KeepClean leaves the frame untouched.
+	KeepClean PageFate = iota
+	// KeepDirty marks the frame dirty (the edit must reach disk).
+	KeepDirty
+	// Drop discards the frame without write-back (the page was emptied or
+	// rewritten behind the pool's back).
+	Drop
+)
+
+// Mutate faults the page in and applies fn under the pool lock, then
+// disposes of the frame according to the returned fate: KeepDirty marks it
+// dirty, Drop discards it without write-back (the caller typically frees
+// the disk page next). It returns the fate fn chose.
+func (p *Pool) Mutate(id disk.PageID, fn func(*disk.Page) PageFate) (PageFate, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pg, err := p.get(id)
+	if err != nil {
+		return KeepClean, err
+	}
+	fate := fn(pg)
+	switch fate {
+	case KeepDirty:
+		p.markDirty(id)
+	case Drop:
+		p.discard(id)
+	}
+	return fate, nil
 }
 
 // FlushAll writes every dirty resident page to disk (commit), in ring order
@@ -173,6 +261,8 @@ func (p *Pool) setDirty(f *frame) {
 // It stops at the last dirty frame: a commit after one update visits the
 // frames in front of that page, not the whole pool.
 func (p *Pool) FlushAll() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for f := p.sentinel.next; p.dirty > 0; f = f.next {
 		if !f.dirty {
 			continue
@@ -191,14 +281,16 @@ func (p *Pool) FlushAll() error {
 // not. Used when a page has been rewritten or freed behind the pool's back
 // (physical reorganization).
 func (p *Pool) Discard(id disk.PageID) {
-	if f := p.lookup(id); f != nil {
-		p.remove(f)
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.discard(id)
 }
 
 // DropAll empties the pool without any write-back. It simulates a cache
 // cold start (e.g. system restart between benchmark phases).
 func (p *Pool) DropAll() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for f := p.sentinel.next; f != p.sentinel; f = f.next {
 		p.frames[f.page.ID] = nil
 	}
@@ -207,34 +299,79 @@ func (p *Pool) DropAll() {
 	p.sentinel.prev, p.sentinel.next = p.sentinel, p.sentinel
 }
 
-// Resize changes the capacity, evicting pages if it shrinks.
-func (p *Pool) Resize(capacity int) error {
-	if capacity < 1 {
-		return ErrZeroCapacity
-	}
-	p.capacity = capacity
-	for p.resident > p.capacity {
-		if err := p.evictOne(); err != nil {
-			return err
-		}
-	}
-	return nil
+// Stats returns a snapshot of the pool counters.
+func (p *Pool) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
-// Stats returns a snapshot of the pool counters.
-func (p *Pool) Stats() Stats { return p.stats }
-
 // ResetStats zeroes the pool counters.
-func (p *Pool) ResetStats() { p.stats = Stats{} }
+func (p *Pool) ResetStats() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stats = Stats{}
+}
 
 // ResidentPages returns ids of all resident pages in recency order, most
 // recently used first.
 func (p *Pool) ResidentPages() []disk.PageID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	ids := make([]disk.PageID, 0, p.resident)
 	for f := p.sentinel.next; f != p.sentinel; f = f.next {
 		ids = append(ids, f.page.ID)
 	}
 	return ids
+}
+
+// get is Get without the lock.
+func (p *Pool) get(id disk.PageID) (*disk.Page, error) {
+	if f := p.lookup(id); f != nil {
+		p.stats.Hits++
+		p.touch(f)
+		return f.page, nil
+	}
+	p.stats.Misses++
+	pg, err := p.d.Read(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.admit(pg, false); err != nil {
+		return nil, err
+	}
+	return pg, nil
+}
+
+// getIfResident is GetIfResident without the lock.
+func (p *Pool) getIfResident(id disk.PageID) (*disk.Page, bool) {
+	f := p.lookup(id)
+	if f == nil {
+		return nil, false
+	}
+	return f.page, true
+}
+
+// markDirty is MarkDirty without the lock.
+func (p *Pool) markDirty(id disk.PageID) {
+	if f := p.lookup(id); f != nil {
+		p.setDirty(f)
+	}
+}
+
+// discard is Discard without the lock.
+func (p *Pool) discard(id disk.PageID) {
+	if f := p.lookup(id); f != nil {
+		p.remove(f)
+	}
+}
+
+// setDirty flags a resident frame dirty, keeping the dirty count.
+func (p *Pool) setDirty(f *frame) {
+	if !f.dirty {
+		f.dirty = true
+		p.dirty++
+	}
 }
 
 // touch moves a hit frame to the front of the recency list.

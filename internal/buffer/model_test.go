@@ -98,13 +98,6 @@ func (m *modelPool) discard(id disk.PageID) {
 	}
 }
 
-func (m *modelPool) resize(capacity int) {
-	m.capacity = capacity
-	for len(m.order) > m.capacity {
-		m.evict()
-	}
-}
-
 func (m *modelPool) dropAll() {
 	m.frames, m.order = map[disk.PageID]*modelFrame{}, nil
 }
@@ -157,119 +150,78 @@ func (m *modelPool) agrees(p *Pool, ids []disk.PageID) error {
 	return nil
 }
 
-// pooler is the surface the differential test drives: *Pool and *Sharded
-// both have it.
-type pooler interface {
-	Get(disk.PageID) (*disk.Page, error)
-	Install(*disk.Page) error
-	MarkDirty(disk.PageID)
-	Discard(disk.PageID)
-	Resize(int) error
-	DropAll()
-	FlushAll() error
-}
-
-// TestPoolMatchesModel drives a lone Pool and a Sharded of 1 and 4 shards
-// through a seeded random mix of every mutating call, ids that are not on
-// the disk included. After every step the pool must agree with one model
-// of the full capacity, and the disk must have been asked for the same
-// reads and writes in the same order — which pins the victim sequence and
-// the flush order.
+// TestPoolMatchesModel drives a Pool through a seeded random mix of every
+// mutating call, ids that are not on the disk included. After every step
+// the pool must agree with the model, and the disk must have been asked
+// for the same reads and writes in the same order — which pins the victim
+// sequence and the flush order.
 func TestPoolMatchesModel(t *testing.T) {
-	const pages, steps = 40, 4000
-	for _, shards := range []int{0, 1, 4} { // 0 = a lone Pool
-		t.Run(fmt.Sprintf("lru/shards=%d", shards), func(t *testing.T) {
-			d, ids := newDisk(t, pages)
-			// A freed id, a never-issued id and the largest id there is.
-			d.Free(ids[7])
-			universe := append(slices.Clone(ids), disk.PageID(pages+9), ^disk.PageID(0))
-			onDisk := func(id disk.PageID) bool { _, ok := d.Peek(id); return ok }
-			var got, want []ioEvent
-			d.FailureHook = func(op disk.Op, id disk.PageID) error {
-				got = append(got, ioEvent{op, id})
-				return nil
-			}
+	const pages, steps, capacity = 40, 4000, 9
+	d, ids := newDisk(t, pages)
+	// A freed id, a never-issued id and the largest id there is.
+	d.Free(ids[7])
+	universe := append(slices.Clone(ids), disk.PageID(pages+9), ^disk.PageID(0))
+	onDisk := func(id disk.PageID) bool { _, ok := d.Peek(id); return ok }
+	var got, want []ioEvent
+	d.FailureHook = func(op disk.Op, id disk.PageID) error {
+		got = append(got, ioEvent{op, id})
+		return nil
+	}
+	pool, err := New(d, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := newModelPool(capacity, onDisk, &want)
 
-			capacity := 9
-			var (
-				sut  pooler
-				pool *Pool
-			)
-			if shards == 0 {
-				p, err := New(d, capacity)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sut, pool = p, p
-			} else {
-				s, err := NewSharded(d, capacity, LRU, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sut, pool = s, s.pool
+	rng := rand.New(rand.NewSource(0))
+	for step := 0; step < steps; step++ {
+		id := universe[rng.Intn(len(universe))]
+		var op string
+		switch r := rng.Intn(100); {
+		case r < 55:
+			op = fmt.Sprintf("Get(%d)", id)
+			_, err := pool.Get(id)
+			if ok := model.get(id); ok != (err == nil) {
+				t.Fatalf("step %d %s: err = %v, model ok = %v", step, op, err, ok)
 			}
-			// One model of the full capacity at every shard count: the
-			// shard argument never splits the buffer.
-			model := newModelPool(capacity, onDisk, &want)
-
-			rng := rand.New(rand.NewSource(int64(shards)))
-			for step := 0; step < steps; step++ {
-				id := universe[rng.Intn(len(universe))]
-				var op string
-				switch r := rng.Intn(100); {
-				case r < 55:
-					op = fmt.Sprintf("Get(%d)", id)
-					_, err := sut.Get(id)
-					if ok := model.get(id); ok != (err == nil) {
-						t.Fatalf("step %d %s: err = %v, model ok = %v", step, op, err, ok)
-					}
-				case r < 70:
-					pg, ok := d.Peek(id)
-					if !ok {
-						continue
-					}
-					op = fmt.Sprintf("Install(%d)", id)
-					if err := sut.Install(pg); err != nil {
-						t.Fatal(err)
-					}
-					model.install(id)
-				case r < 82:
-					op = fmt.Sprintf("MarkDirty(%d)", id)
-					sut.MarkDirty(id)
-					model.markDirty(id)
-				case r < 92:
-					op = fmt.Sprintf("Discard(%d)", id)
-					sut.Discard(id)
-					model.discard(id)
-				case r < 95:
-					capacity = 1 + rng.Intn(12)
-					op = fmt.Sprintf("Resize(%d)", capacity)
-					if err := sut.Resize(capacity); err != nil {
-						t.Fatal(err)
-					}
-					model.resize(capacity)
-				case r < 96:
-					op = "DropAll"
-					sut.DropAll()
-					model.dropAll()
-				default:
-					op = "FlushAll"
-					if err := sut.FlushAll(); err != nil {
-						t.Fatal(err)
-					}
-					model.flushAll()
-				}
-				if err := model.agrees(pool, universe); err != nil {
-					t.Fatalf("step %d %s: %v", step, op, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("step %d %s: disk I/O %v, model %v", step, op, got, want)
-				}
-				got, want = got[:0], want[:0]
+		case r < 70:
+			pg, ok := d.Peek(id)
+			if !ok {
+				continue
 			}
-			if evictions := model.stats.Evictions; evictions < steps/20 {
-				t.Fatalf("only %d evictions in %d steps: the mix does not exercise replacement", evictions, steps)
+			op = fmt.Sprintf("Install(%d)", id)
+			if err := pool.Install(pg); err != nil {
+				t.Fatal(err)
 			}
-		})
+			model.install(id)
+		case r < 82:
+			op = fmt.Sprintf("MarkDirty(%d)", id)
+			pool.MarkDirty(id)
+			model.markDirty(id)
+		case r < 92:
+			op = fmt.Sprintf("Discard(%d)", id)
+			pool.Discard(id)
+			model.discard(id)
+		case r < 93:
+			op = "DropAll"
+			pool.DropAll()
+			model.dropAll()
+		default:
+			op = "FlushAll"
+			if err := pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			model.flushAll()
+		}
+		if err := model.agrees(pool, universe); err != nil {
+			t.Fatalf("step %d %s: %v", step, op, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d %s: disk I/O %v, model %v", step, op, got, want)
+		}
+		got, want = got[:0], want[:0]
+	}
+	if evictions := model.stats.Evictions; evictions < steps/20 {
+		t.Fatalf("only %d evictions in %d steps: the mix does not exercise replacement", evictions, steps)
 	}
 }

@@ -54,8 +54,7 @@ func lruMisses(refs []disk.PageID, capacities []int) []uint64 {
 
 // TestLRUStackDistanceOracle: LRU is a stack algorithm, so one reference
 // string's stack distances give its exact miss count at every capacity.
-// The pool, alone and as a Sharded at every shard count, must reproduce
-// each of them: the shard argument never splits the buffer.
+// The pool must reproduce each of them.
 func TestLRUStackDistanceOracle(t *testing.T) {
 	const pages = 200
 	d, ids := newDisk(t, pages)
@@ -79,20 +78,6 @@ func TestLRUStackDistanceOracle(t *testing.T) {
 		}
 		if got := pool.Stats().Misses; got != want[i] {
 			t.Errorf("capacity %d: Pool misses %d, stack distances predict %d", c, got, want[i])
-		}
-		for _, shards := range []int{1, 4, 16} {
-			sharded, err := NewSharded(d, c, LRU, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range refs {
-				if _, err := sharded.Get(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := sharded.Stats().Misses; got != want[i] {
-				t.Errorf("capacity %d: %d-shard Sharded misses %d, stack distances predict %d", c, shards, got, want[i])
-			}
 		}
 	}
 }

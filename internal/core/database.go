@@ -75,8 +75,9 @@ var slotLimit uint64 = math.MaxUint32
 // Generate runs the full database generation algorithm of Fig. 2 and
 // returns a ready-to-benchmark database. Generation is deterministic in
 // p.Seed. The store's statistics are reset afterwards so that generation
-// I/O does not pollute workload measurements.
-func Generate(p Params) (*Database, error) {
+// I/O does not pollute workload measurements. A generation that fails
+// releases the store it opened.
+func Generate(p Params) (db *Database, err error) {
 	//ocblint:allow determinism -- harness timing, not op logic
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -97,8 +98,13 @@ func Generate(p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			_ = backend.Shutdown(st)
+		}
+	}()
 
-	db := &Database{
+	db = &Database{
 		P:        p,
 		Schema:   schema,
 		Store:    st,
@@ -118,7 +124,7 @@ func Generate(p Params) (*Database, error) {
 			return nil, fmt.Errorf("ocb: creating object %d (class %d): %w", i, classID, err)
 		}
 		if oid != backend.OID(i) {
-			return nil, fmt.Errorf("ocb: store issued OID %d for object %d", oid, i)
+			return nil, fmt.Errorf("ocb: store issued OID %d for object %d: the OCB generator numbers objects from OID 1 and needs an empty store", oid, i)
 		}
 		db.class[i] = int32(classID)
 		db.refAt[i+1] = db.refAt[i] + uint32(class.MaxNRef)

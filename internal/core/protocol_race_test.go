@@ -15,15 +15,14 @@ import (
 // disk-counter delta must be identical across repeated runs with the same
 // seed, no matter how the scheduler interleaves the clients.
 
-// raceParams is a small database on an 8-shard object table under a
-// buffer big enough that the pool never evicts: every page faults at most once per phase, which is
-// what makes the phase's disk delta independent of client interleaving.
+// raceParams is a small database under a buffer big enough that the pool
+// never evicts: every page faults at most once per phase, which is what
+// makes the phase's disk delta independent of client interleaving.
 func raceParams(clients int) Params {
 	p := DefaultParams()
 	p.NO = 400
 	p.SupRef = 400
 	p.BufferPages = 2048
-	p.BackendOptions = map[string]string{"shards": "8"}
 	p.ClientN = clients
 	return p
 }
@@ -144,7 +143,6 @@ func TestRunPhaseConcurrentGenericWorkload(t *testing.T) {
 	p.NO = 300
 	p.SupRef = 300
 	p.BufferPages = 1024
-	p.BackendOptions = map[string]string{"shards": "8"}
 	p.ClientN = 4
 	db, err := Generate(p)
 	if err != nil {

@@ -1,0 +1,23 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"ocb/internal/backend/backendtest"
+)
+
+// TestGenerateReleasesStoreOnError: a generation that fails after opening
+// its store closes that store exactly once; on a store that already
+// holds objects the generator refuses, naming the cause.
+func TestGenerateReleasesStoreOnError(t *testing.T) {
+	err := backendtest.GeneratorReleasesStore(t, func(backendName string) error {
+		p := smallParams()
+		p.Backend = backendName
+		_, err := Generate(p)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "needs an empty store") {
+		t.Fatalf("first OID 2: err = %v, want the empty-store diagnosis", err)
+	}
+}

@@ -130,7 +130,8 @@ func (tx Transaction) mutating() bool {
 // Concurrency: read-only transaction types share-lock the database's graph
 // lock, so traversals from many clients proceed in parallel; insertions
 // and deletions take it exclusively (they restructure the object table
-// and the iterators). Store-level faulting is internally sharded.
+// and the iterators). The store serializes its own faulting behind its
+// object-table and buffer-pool locks.
 func (e *Executor) Exec(tx Transaction) (int, error) {
 	if tx.mutating() {
 		e.DB.mu.Lock()

@@ -59,7 +59,7 @@ func Clients(c Config) (*report.Table, error) {
 			report.F1(r.P50()), report.F1(r.P95()), report.F1(r.P99()))
 	}
 	pool := fmt.Sprintf("backend %q has no page buffer", c.backendName())
-	if s, ok := db.Store.(interface{ Pool() *buffer.Sharded }); ok {
+	if s, ok := db.Store.(interface{ Pool() *buffer.Pool }); ok {
 		pool = fmt.Sprintf("every client faults into one LRU buffer of %d frames", s.Pool().Capacity())
 	}
 	t.AddNote("think time 0 (closed loop), GOMAXPROCS = %d, %d tx per client; %s",

@@ -129,8 +129,9 @@ type Database struct {
 	src       *lewis.Source
 }
 
-// Generate builds the HyperModel database level by level.
-func Generate(p Params) (*Database, error) {
+// Generate builds the HyperModel database level by level. A generation
+// that fails releases the store it opened.
+func Generate(p Params) (db *Database, err error) {
 	//ocblint:allow determinism -- harness timing, not op logic
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -144,7 +145,12 @@ func Generate(p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{
+	defer func() {
+		if err != nil {
+			_ = backend.Shutdown(st)
+		}
+	}()
+	db = &Database{
 		P:         p,
 		Store:     st,
 		Nodes:     []*Node{nil},

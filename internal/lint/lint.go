@@ -9,7 +9,7 @@
 //   - senterr: backend sentinel errors are compared with errors.Is, never
 //     == or string matching, and the wire status-code mapping stays
 //     exhaustive over the sentinel set.
-//   - locksafe: no file or network I/O while a store-shard or buffer-pool
+//   - locksafe: no file or network I/O while a store or buffer-pool
 //     lock is held, and no lock copied by value.
 //   - allocfree: functions annotated //ocblint:allocfree contain no
 //     construct that obviously heap-allocates, complementing the runtime

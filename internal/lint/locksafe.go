@@ -8,7 +8,7 @@ import (
 )
 
 // lockScopedPackages are the storage and network layers where holding a
-// store-shard or buffer-pool lock across real I/O turns the measurement
+// store or buffer-pool lock across real I/O turns the measurement
 // harness into the bottleneck it is supposed to measure.
 var lockScopedPackages = map[string]bool{
 	"paged":   true,
@@ -29,7 +29,7 @@ var lockScopedPackages = map[string]bool{
 // locks copied by value (receivers, parameters, results, range copies).
 var LockSafe = &analysis.Analyzer{
 	Name: "locksafe",
-	Doc: "no fsync/pread/file-append/network call while a store-shard or buffer-pool lock is " +
+	Doc: "no fsync/pread/file-append/network call while a store or buffer-pool lock is " +
 		"held (declare deliberate I/O-serialization locks with //ocblint:iolock), and no " +
 		"mutex copied by value",
 	Run: runLockSafe,

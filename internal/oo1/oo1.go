@@ -143,8 +143,9 @@ type Database struct {
 
 // Generate builds the OO1 database: all parts first (the "dictionary"),
 // then for each part its ConnsPerPart connections, targets drawn with the
-// reference-zone rule.
-func Generate(p Params) (*Database, error) {
+// reference-zone rule. A generation that fails releases the store it
+// opened.
+func Generate(p Params) (db *Database, err error) {
 	//ocblint:allow determinism -- harness timing, not op logic
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -161,7 +162,12 @@ func Generate(p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{
+	defer func() {
+		if err != nil {
+			_ = backend.Shutdown(st)
+		}
+	}()
+	db = &Database{
 		P:     p,
 		Store: st,
 		Parts: make(map[backend.OID]*Part, p.NumParts),

@@ -175,8 +175,9 @@ type Database struct {
 }
 
 // Generate builds the OO7 database: the composite-part library first
-// (atomic graphs, connections, documents), then the assembly hierarchy.
-func Generate(p Params) (*Database, error) {
+// (atomic graphs, connections, documents), then the assembly hierarchy. A
+// generation that fails releases the store it opened.
+func Generate(p Params) (db *Database, err error) {
 	//ocblint:allow determinism -- harness timing, not op logic
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -190,7 +191,12 @@ func Generate(p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{
+	defer func() {
+		if err != nil {
+			_ = backend.Shutdown(st)
+		}
+	}()
+	db = &Database{
 		P:       p,
 		Store:   st,
 		compIdx: make(map[backend.OID]int),

@@ -138,7 +138,7 @@ func (db *Database) Indexed() bool { return db.rg != nil }
 // consumed identically whether or not the backend keeps an ordered
 // index, so the object base is bit-identical across drivers; keys are
 // installed into the index only when the Ranger capability is present.
-func Generate(p Params) (*Database, error) {
+func Generate(p Params) (db *Database, err error) {
 	//ocblint:allow determinism -- harness timing, not op logic
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -152,7 +152,12 @@ func Generate(p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{
+	defer func() {
+		if err != nil {
+			_ = backend.Shutdown(st)
+		}
+	}()
+	db = &Database{
 		P:     p,
 		Store: st,
 		zipf:  lewis.NewZipf(p.HotSkew),
@@ -167,18 +172,15 @@ func Generate(p Params) (*Database, error) {
 		key := int64(db.src.IntRange(1, p.Classes))
 		oid, err := st.Create(size)
 		if err != nil {
-			_ = backend.Shutdown(st)
 			return nil, fmt.Errorf("query: creating object %d: %w", i, err)
 		}
 		if db.rg != nil {
 			if err := db.rg.SetKey(oid, key); err != nil {
-				_ = backend.Shutdown(st)
 				return nil, fmt.Errorf("query: keying object %d: %w", oid, err)
 			}
 		}
 	}
 	if err := st.Commit(); err != nil {
-		_ = backend.Shutdown(st)
 		return nil, err
 	}
 	//ocblint:allow determinism -- harness timing, not op logic

@@ -28,49 +28,47 @@ func populate(t *testing.T, s *Store, n, size int) []OID {
 // objects accessed — must agree, since the batch path promises the exact
 // fault schedule of the sequential path.
 func TestAccessBatchMatchesSequential(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		mk := func() (*Store, []OID) {
-			s, err := Open(Config{PageSize: 256, BufferPages: 4, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, populate(t, s, 60, 50)
+	mk := func() (*Store, []OID) {
+		s, err := Open(Config{PageSize: 256, BufferPages: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq, seqOIDs := mk()
-		bat, batOIDs := mk()
+		return s, populate(t, s, 60, 50)
+	}
+	seq, seqOIDs := mk()
+	bat, batOIDs := mk()
 
-		// A working set larger than the pool, revisits included.
-		var access []int
-		for i := 0; i < 300; i++ {
-			access = append(access, (i*13)%60)
+	// A working set larger than the pool, revisits included.
+	var access []int
+	for i := 0; i < 300; i++ {
+		access = append(access, (i*13)%60)
+	}
+	for _, i := range access {
+		if err := seq.Access(seqOIDs[i]); err != nil {
+			t.Fatal(err)
 		}
-		for _, i := range access {
-			if err := seq.Access(seqOIDs[i]); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for start := 0; start < len(access); start += 7 {
+		end := start + 7
+		if end > len(access) {
+			end = len(access)
 		}
-		for start := 0; start < len(access); start += 7 {
-			end := start + 7
-			if end > len(access) {
-				end = len(access)
-			}
-			chunk := make([]OID, 0, 7)
-			for _, i := range access[start:end] {
-				chunk = append(chunk, batOIDs[i])
-			}
-			n, err := bat.AccessBatch(chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != len(chunk) {
-				t.Fatalf("batch accessed %d of %d", n, len(chunk))
-			}
+		chunk := make([]OID, 0, 7)
+		for _, i := range access[start:end] {
+			chunk = append(chunk, batOIDs[i])
 		}
+		n, err := bat.AccessBatch(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(chunk) {
+			t.Fatalf("batch accessed %d of %d", n, len(chunk))
+		}
+	}
 
-		ss, bs := seq.Stats(), bat.Stats()
-		if ss != bs {
-			t.Fatalf("shards=%d: sequential stats %+v, batched stats %+v", shards, ss, bs)
-		}
+	ss, bs := seq.Stats(), bat.Stats()
+	if ss != bs {
+		t.Fatalf("sequential stats %+v, batched stats %+v", ss, bs)
 	}
 }
 

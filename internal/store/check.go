@@ -17,15 +17,16 @@ func (s *Store) CheckIntegrity() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Table -> pages. Build a flat copy first so page checks need no shard
-	// locks.
-	table := make(map[OID]*loc)
-	_ = s.forEachLoc(func(oid OID, l *loc) error {
-		table[oid] = l
-		return nil
-	})
+	// Table -> pages. The exclusive s.mu keeps every tableMu holder out,
+	// so the table is read directly.
 	claimed := make(map[disk.PageID]map[OID]bool)
-	for oid, l := range table {
+	live := 0
+	for i, l := range s.table {
+		if l == nil {
+			continue
+		}
+		live++
+		oid := OID(i)
 		if len(l.pages) == 0 {
 			return fmt.Errorf("store: object %d has no pages", oid)
 		}
@@ -50,6 +51,10 @@ func (s *Store) CheckIntegrity() error {
 		}
 	}
 
+	if live != s.live {
+		return fmt.Errorf("store: table holds %d objects but counts %d", live, s.live)
+	}
+
 	// Pages -> table.
 	for _, pid := range s.disk.PageIDs() {
 		pg, _ := s.disk.Peek(pid)
@@ -58,8 +63,8 @@ func (s *Store) CheckIntegrity() error {
 		for _, slot := range pg.Slots {
 			sum += slot.Size
 			oid := OID(slot.Object)
-			l, ok := table[oid]
-			if !ok {
+			l := s.get(oid)
+			if l == nil {
 				return fmt.Errorf("store: page %d holds unknown object %d", pid, oid)
 			}
 			if seen[slot.Object] {
@@ -90,12 +95,15 @@ func (s *Store) CheckIntegrity() error {
 		if err := ix.Check(); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		if ix.Len() != len(table) {
-			return fmt.Errorf("store: ordered index lists %d objects, the table %d", ix.Len(), len(table))
+		if ix.Len() != live {
+			return fmt.Errorf("store: ordered index lists %d objects, the table %d", ix.Len(), live)
 		}
-		for oid := range table {
-			if _, ok := ix.Get(oid); !ok {
-				return fmt.Errorf("store: object %d missing from the ordered index", oid)
+		for i, l := range s.table {
+			if l == nil {
+				continue
+			}
+			if _, ok := ix.Get(OID(i)); !ok {
+				return fmt.Errorf("store: object %d missing from the ordered index", i)
 			}
 		}
 	}

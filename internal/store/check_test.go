@@ -67,6 +67,11 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 	if err := s.CheckIntegrity(); err == nil {
 		t.Fatal("byte accounting drift accepted")
 	}
+	pg.Used -= 3
+	s.live++
+	if err := s.CheckIntegrity(); err == nil {
+		t.Fatal("live-object count drift accepted")
+	}
 }
 
 // TestCheckIntegrityProperty drives random create/delete/relocate/access

@@ -9,15 +9,15 @@ import (
 	"ocb/internal/disk"
 )
 
-// These tests hammer the sharded store from many goroutines; the CI race
-// shard runs them under -race. Each goroutine owns the objects it creates
-// and deletes, while a shared prefix of objects is read by everyone, so
-// the tests exercise every lock layer (structural RWMutex, table shards,
-// pool lock, placement mutex) without relying on cross-goroutine
-// delete/access ordering.
+// These tests hammer the store from many goroutines; the CI race job runs
+// them under -race. Each goroutine owns the objects it creates and
+// deletes, while a shared prefix of objects is read by everyone, so the
+// tests exercise every lock (structural RWMutex, object table, pool lock,
+// placement mutex) without relying on cross-goroutine delete/access
+// ordering.
 
 func TestConcurrentCreateAccessDelete(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 256, Shards: 8})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 256})
 
 	// A shared read-only prefix everyone accesses.
 	const sharedN = 64
@@ -128,7 +128,7 @@ func TestConcurrentCreateAccessDelete(t *testing.T) {
 // TestConcurrentAccessCounts pins the atomic counters: concurrent readers
 // must not lose object-access or I/O counts.
 func TestConcurrentAccessCounts(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 1024, Shards: 16})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 1024})
 	const n = 200
 	oids := make([]OID, n)
 	for i := range oids {
@@ -183,61 +183,11 @@ func TestConcurrentAccessCounts(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSingle replays one deterministic workload on a
-// single-shard store and a sharded store and checks that the object-level
-// outcomes (live set, sizes, integrity) and the buffer's I/O agree —
-// sharding changes table locking, never the stored state or the one
-// buffer's replacement order.
-func TestShardedMatchesSingle(t *testing.T) {
-	run := func(shards int) *Store {
-		s := MustOpen(Config{PageSize: 512, BufferPages: 16, Shards: shards})
-		var live []OID
-		for i := 0; i < 300; i++ {
-			oid, err := s.Create(20 + i%150)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, oid)
-			if i%3 == 2 {
-				victim := live[len(live)/2]
-				if err := s.Delete(victim); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live[:len(live)/2], live[len(live)/2+1:]...)
-			}
-		}
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	single := run(1)
-	sharded := run(8)
-	if single.NumObjects() != sharded.NumObjects() {
-		t.Fatalf("live objects: single %d vs sharded %d", single.NumObjects(), sharded.NumObjects())
-	}
-	if st1, st2 := single.Stats(), sharded.Stats(); st1.Pool != st2.Pool || st1.Disk != st2.Disk {
-		t.Fatalf("I/O: single pool %+v disk %+v vs sharded pool %+v disk %+v", st1.Pool, st1.Disk, st2.Pool, st2.Disk)
-	}
-	for oid := OID(1); oid < 300; oid++ {
-		s1, ok1 := single.SizeOf(oid)
-		s2, ok2 := sharded.SizeOf(oid)
-		if ok1 != ok2 || s1 != s2 {
-			t.Fatalf("object %d: single (%d,%v) vs sharded (%d,%v)", oid, s1, ok1, s2, ok2)
-		}
-	}
-	for _, s := range []*Store{single, sharded} {
-		if err := s.CheckIntegrity(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestAccessDeleteRaceErrorMapping pins the race contract: a page fault
 // that loses against a concurrent Delete surfaces as ErrNoSuchObject, as
 // if the delete had completed first, never as a raw disk error.
 func TestAccessDeleteRaceErrorMapping(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 16, Shards: 4})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 16})
 	oid, err := s.Create(40)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +212,7 @@ func TestAccessDeleteRaceErrorMapping(t *testing.T) {
 // operation of a Delete fails (fault injection), the table entry is
 // reinstated and the object stays intact and retriable.
 func TestDeleteRollbackOnFault(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 16, Shards: 4})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 16})
 	oid, err := s.Create(40)
 	if err != nil {
 		t.Fatal(err)

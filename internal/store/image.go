@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 
 	"ocb/internal/backend"
 	"ocb/internal/disk"
@@ -32,7 +30,6 @@ func (s *Store) Image() (*Image, error) {
 		Config: backend.Config{
 			PageSize:    s.disk.PageSize(),
 			BufferPages: s.pool.Capacity(),
-			Options:     map[string]string{"shards": strconv.Itoa(len(s.tables))},
 		},
 		Disk:    s.disk.Export(),
 		NextOID: OID(s.next.Load()),
@@ -45,8 +42,6 @@ func (s *Store) Image() (*Image, error) {
 		})
 		return nil
 	})
-	// The walk is shard by shard; canonicalize to one ascending order.
-	sort.Slice(img.Objects, func(i, j int) bool { return img.Objects[i].OID < img.Objects[j].OID })
 	return img, nil
 }
 

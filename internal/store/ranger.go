@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"ocb/internal/backend"
@@ -10,16 +9,14 @@ import (
 )
 
 // This file implements the backend.Ranger capability on the paged store.
-// The directory is striped over the table shards by the low OID bits and
-// knows no attribute keys, so the ordered view is an ordindex.Index — the B+tree the btree driver is made
-// of — beside it: built once, from the directory, on the first ordered
-// call (Scan, Seek, SetKey, ScanKey) and updated in place by Create,
-// Delete and SetKey from then on. A store that never receives an ordered
-// call never allocates it.
+// The object table knows no attribute keys, so the ordered view is an
+// ordindex.Index — the B+tree the btree driver is made of — beside it:
+// built once, from the table, on the first ordered call (Scan, Seek,
+// SetKey, ScanKey) and updated in place by Create, Delete and SetKey from
+// then on. A store that never receives an ordered call never allocates it.
 //
-// Lock order: s.mu (shared) → idx.mu → table-shard locks; no code path
-// acquires idx.mu while holding a shard lock, so the build may walk the
-// directory under it.
+// Lock order: s.mu (shared) → idx.mu → tableMu; no code path acquires
+// idx.mu while holding tableMu, so the build may walk the table under it.
 
 // indexFanout is the index's node width: 128 sixteen-byte entries fill a
 // 2 KB allocation size class exactly.
@@ -52,22 +49,19 @@ func (ix *rangerIndex) noteDelete(oid OID) {
 }
 
 // lockIndex returns the index with idx.mu held exclusively, building it
-// if this is the first ordered call — in OID order, so the build takes
-// the append path and packs the leaves. Caller holds s.mu (shared).
+// if this is the first ordered call — the table walk is in OID order, so
+// the build takes the append path and packs the leaves. Caller holds s.mu
+// (shared).
 func (s *Store) lockIndex() *ordindex.Index {
 	ix := &s.idx
 	ix.mu.Lock()
 	if ix.tree == nil {
-		var oids []OID
+		tree := ordindex.New(indexFanout, false)
 		_ = s.forEachLoc(func(oid OID, _ *loc) error {
-			oids = append(oids, oid)
+			tree.Insert(oid, 0)
 			return nil
 		})
-		slices.Sort(oids)
-		ix.tree = ordindex.New(indexFanout, false)
-		for _, oid := range oids {
-			ix.tree.Insert(oid, 0)
-		}
+		ix.tree = tree
 	}
 	return ix.tree
 }

@@ -31,7 +31,7 @@ func populateKeyed(t *testing.T, s *Store, n, classes int) []OID {
 // late, over a directory that already saw creates and deletes, is the
 // same as one maintained from the start.
 func TestIndexBuiltOnFirstOrderedCall(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 64, Shards: 4})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 64})
 	var want []OID
 	for i := 0; i < 300; i++ {
 		oid, err := s.Create(40)
@@ -92,7 +92,7 @@ func TestRestoreAfterOrderedRead(t *testing.T) {
 // rollback: the reinstated object is back in the ordered index under the
 // attribute key it held.
 func TestDeleteRollbackKeepsKey(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 16, Shards: 4})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 16})
 	oids := populateKeyed(t, s, 6, 2)
 	victim := oids[3] // bound to key 1
 	if err := s.Commit(); err != nil {
@@ -186,7 +186,7 @@ func TestOrderedReadsAllocFree(t *testing.T) {
 // so duplicate-free; at quiescence the index must equal the sorted
 // directory. Under -race this is the ordered index's data-race gate.
 func TestConcurrentOrderedHammer(t *testing.T) {
-	s := MustOpen(Config{PageSize: 512, BufferPages: 256, Shards: 8})
+	s := MustOpen(Config{PageSize: 512, BufferPages: 256})
 	const (
 		workers = 8
 		iters   = 300

@@ -23,37 +23,31 @@
 //
 // # Concurrency
 //
-// The store is safe for concurrent use by multiple benchmark clients and,
-// unlike the paper's single-disk testbed, actually scales with them. Locking
-// is layered:
+// The store is safe for concurrent use by multiple benchmark clients, with
+// one lock per structure:
 //
 //   - A structural read/write mutex. Per-object operations (Create, Access,
 //     Update, Delete, lookups, Stats) only share-lock it; stop-the-world
 //     operations — Relocate, Commit, DropCache, Image, Layout,
 //     CheckIntegrity, ResetStats — take it exclusively, so a
 //     physical reorganization never observes a half-applied mutation.
-//   - The OID→location table is striped by the low bits of the OID, one
-//     mutex per shard; each shard is a slice indexed by the remaining bits
-//     (OIDs are issued densely from 1 and never reused).
-//   - The buffer pool is a buffer.Sharded: one exact-LRU buffer of
-//     BufferPages frames behind one mutex, at every shard count, so the
-//     I/O count is that of one buffer whatever CLIENTN is; all
-//     slot-directory edits happen under the pool lock.
+//   - The OID→location table is one slice indexed by the OID (OIDs are
+//     issued densely from 1 and never reused) behind one mutex.
+//   - The buffer pool is one exact-LRU buffer.Pool of BufferPages frames
+//     behind its own mutex, so the I/O count is that of one buffer
+//     whatever CLIENTN is; all slot-directory edits happen under the pool
+//     lock.
 //   - Creation-order placement (the shared fill page) serializes creators
 //     and deleters on one placement mutex; accessors are unaffected.
-//   - Global counters (objects accessed, disk I/O, pool hit/miss) are
-//     atomic or per-shard.
+//   - Global counters (objects accessed, disk I/O) are atomic.
 //
-// Config.Shards partitions only the object-table locks, never the buffer's
-// frames. With Config.Shards <= 1 the table collapses to its single-shard
-// form and the store behaves bit-for-bit like the original globally
-// locked implementation.
+// Every Access, AccessBatch, Update and Delete goes through the one pool
+// lock, so splitting the table lock could add no parallelism.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,10 +89,6 @@ type Config struct {
 	// cache reproduces the paper's cache-pressure regime for the default
 	// 20000-object database.)
 	BufferPages int
-	// Shards is the lock-sharding degree of the object table (rounded
-	// down to a power of two). Default 1. It never splits the buffer
-	// pool, which is one LRU order of BufferPages frames at every value.
-	Shards int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -108,17 +98,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BufferPages < 0 {
 		return c, fmt.Errorf("store: negative buffer size %d", c.BufferPages)
 	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("store: negative shard count %d", c.Shards)
-	}
 	if c.PageSize == 0 {
 		c.PageSize = disk.DefaultPageSize
 	}
 	if c.BufferPages == 0 {
 		c.BufferPages = 512
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
 	}
 	return c, nil
 }
@@ -136,11 +120,15 @@ type Store struct {
 	// reorganization and snapshotting exclude everything.
 	mu   sync.RWMutex
 	disk *disk.Disk
-	pool *buffer.Sharded
+	pool *buffer.Pool
 
-	tables []tableShard
-	tmask  uint32
-	tshift uint // log2(len(tables))
+	// tableMu guards the object table: table[oid] is the location of a
+	// live object (nil = never created here, or deleted), 8 bytes per OID
+	// ever issued. Only setLoc grows it, and only for OIDs the store
+	// issued itself.
+	tableMu sync.Mutex
+	table   []*loc
+	live    int // non-nil entries of table
 
 	// placeMu serializes creation-order placement (the fill page) and
 	// page emptying on delete.
@@ -153,7 +141,7 @@ type Store struct {
 	// idx is the ordered-index state backing the Ranger capability: the
 	// OID and attribute-key trees, built on the first ordered call and
 	// maintained in ranger.go. idx.mu nests inside s.mu (shared) and
-	// outside the table-shard locks; the build takes them in that order.
+	// outside tableMu; the build takes them in that order.
 	idx rangerIndex
 
 	// scratch pools AccessBatch's per-call working buffers so the batched
@@ -166,27 +154,6 @@ type accessScratch struct {
 	locs   []*loc
 	pages  []disk.PageID
 	owners []int32 // owners[j] = index into the oid batch owning pages[j]
-}
-
-// tableShard is one lock-striped slice of the OID→location table. OIDs are
-// issued densely from 1 and never reused, and shard k owns the OIDs whose
-// low tshift bits are k, so the shard's directory is a slice indexed by
-// oid >> tshift (nil = never created here, or deleted): 8 bytes per OID ever
-// issued. Only setLoc grows it, and only for OIDs the store issued itself.
-type tableShard struct {
-	mu   sync.Mutex
-	m    []*loc
-	live int      // non-nil entries of m
-	_    [24]byte // pad to 64 bytes so adjacent shard locks do not false-share
-}
-
-// get returns the entry at slot (an OID shifted down by tshift), nil when
-// the slot is empty or past the end; caller holds sh.mu.
-func (sh *tableShard) get(slot uint64) *loc {
-	if slot < uint64(len(sh.m)) {
-		return sh.m[slot]
-	}
-	return nil
 }
 
 type loc struct {
@@ -210,7 +177,7 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	d := disk.New(cfg.PageSize)
-	p, err := buffer.NewSharded(d, cfg.BufferPages, buffer.LRU, cfg.Shards)
+	p, err := buffer.New(d, cfg.BufferPages)
 	if err != nil {
 		return nil, err
 	}
@@ -218,23 +185,8 @@ func Open(cfg Config) (*Store, error) {
 		disk: d,
 		pool: p,
 	}
-	s.initTables(cfg.Shards)
 	s.next.Store(1)
 	return s, nil
-}
-
-// initTables builds the table shards (n rounded down to a power of two).
-func (s *Store) initTables(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	s.tables = make([]tableShard, p)
-	s.tmask = uint32(p - 1)
-	s.tshift = uint(bits.TrailingZeros(uint(p)))
 }
 
 // MustOpen is Open for known-good configurations; it panics on error.
@@ -250,78 +202,68 @@ func MustOpen(cfg Config) *Store {
 func (s *Store) Disk() *disk.Disk { return s.disk }
 
 // Pool exposes the buffer pool (for stats and geometry experiments).
-func (s *Store) Pool() *buffer.Sharded { return s.pool }
+func (s *Store) Pool() *buffer.Pool { return s.pool }
 
 // PageSize returns the disk page size.
 func (s *Store) PageSize() int { return s.disk.PageSize() }
 
-// Shards returns the lock-sharding degree of the object table.
-func (s *Store) Shards() int { return len(s.tables) }
-
-// tableFor returns the shard owning an OID.
-func (s *Store) tableFor(oid OID) *tableShard {
-	// Sequential OIDs round-robin across shards, which balances both the
-	// directory slices and the lock load.
-	return &s.tables[uint32(oid)&s.tmask]
+// get returns oid's location, nil when the OID is not live or past the
+// end of the table; caller holds tableMu.
+func (s *Store) get(oid OID) *loc {
+	if i := uint64(oid); i < uint64(len(s.table)) {
+		return s.table[i]
+	}
+	return nil
 }
 
 // lookup returns the location of an OID.
 func (s *Store) lookup(oid OID) (*loc, bool) {
-	sh := s.tableFor(oid)
-	sh.mu.Lock()
-	l := sh.get(uint64(oid) >> s.tshift)
-	sh.mu.Unlock()
+	s.tableMu.Lock()
+	l := s.get(oid)
+	s.tableMu.Unlock()
 	return l, l != nil
 }
 
-// setLoc installs a location, growing the shard's directory to reach the
-// OID's slot. Callers pass only OIDs below s.next.
+// setLoc installs a location, growing the table to reach the OID's slot.
+// Callers pass only OIDs below s.next.
 func (s *Store) setLoc(oid OID, l *loc) {
-	sh := s.tableFor(oid)
-	slot := int(uint64(oid) >> s.tshift)
-	sh.mu.Lock()
-	if n := slot + 1 - len(sh.m); n > 0 {
-		sh.m = append(sh.m, make([]*loc, n)...)
+	i := int(oid)
+	s.tableMu.Lock()
+	if n := i + 1 - len(s.table); n > 0 {
+		s.table = append(s.table, make([]*loc, n)...)
 	}
-	if sh.m[slot] == nil {
-		sh.live++
+	if s.table[i] == nil {
+		s.live++
 	}
-	sh.m[slot] = l
-	sh.mu.Unlock()
+	s.table[i] = l
+	s.tableMu.Unlock()
 }
 
 // takeLoc removes and returns a location; a second concurrent take of the
 // same OID fails, which is what makes Delete linearizable.
 func (s *Store) takeLoc(oid OID) (*loc, bool) {
-	sh := s.tableFor(oid)
-	slot := uint64(oid) >> s.tshift
-	sh.mu.Lock()
-	l := sh.get(slot)
+	s.tableMu.Lock()
+	l := s.get(oid)
 	if l != nil {
-		sh.m[slot] = nil
-		sh.live--
+		s.table[oid] = nil
+		s.live--
 	}
-	sh.mu.Unlock()
+	s.tableMu.Unlock()
 	return l, l != nil
 }
 
-// forEachLoc visits every table entry (shard by shard, each under its
-// lock, ascending within a shard). fn must not call back into the table.
+// forEachLoc visits every table entry in ascending OID order under
+// tableMu. fn must not call back into the table.
 func (s *Store) forEachLoc(fn func(OID, *loc) error) error {
-	for i := range s.tables {
-		sh := &s.tables[i]
-		sh.mu.Lock()
-		for slot, l := range sh.m {
-			if l == nil {
-				continue
-			}
-			// The OID is the slot with the shard number as its low bits.
-			if err := fn(OID(uint64(slot)<<s.tshift|uint64(i)), l); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	for oid, l := range s.table {
+		if l == nil {
+			continue
 		}
-		sh.mu.Unlock()
+		if err := fn(OID(oid), l); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -454,11 +396,9 @@ func (s *Store) Access(oid OID) error {
 // faults, counters and replacement decisions the equivalent sequence of
 // Access calls would — it is the batched fast path traversal levels and
 // scans use. The saving is in locking, not in I/O: the structural lock is
-// taken once for the whole batch, object locations resolve with one table
-// shard lock acquisition per run of same-shard OIDs (one for the whole
-// batch in the single-shard geometry), and the page
-// faults are issued through the pool's batched getter under a single pool
-// lock acquisition. It returns how many
+// taken once for the whole batch, object locations resolve under one table
+// lock acquisition, and the page faults are issued through the pool's
+// batched getter under a single pool lock acquisition. It returns how many
 // objects of the batch were fully accessed; on error the count covers the
 // prefix that completed, exactly as sequential Access calls would have.
 func (s *Store) AccessBatch(oids []OID) (int, error) {
@@ -473,35 +413,16 @@ func (s *Store) AccessBatch(oids []OID) (int, error) {
 	}
 	defer s.scratch.Put(sc)
 
-	// Pass 1: resolve every location, batching table-shard lock
-	// acquisitions.
+	// Pass 1: resolve every location under one table lock acquisition.
 	if cap(sc.locs) < len(oids) {
 		sc.locs = make([]*loc, len(oids))
 	}
 	locs := sc.locs[:len(oids)]
-	if s.tmask == 0 {
-		sh := &s.tables[0]
-		sh.mu.Lock()
-		for i, oid := range oids {
-			locs[i] = sh.get(uint64(oid))
-		}
-		sh.mu.Unlock()
-	} else {
-		// Runs of consecutive same-shard OIDs resolve under one lock
-		// acquisition; worst case (alternating shards) matches the one
-		// acquisition per object sequential Access would have paid, and
-		// only owning shards are ever touched.
-		i := 0
-		for i < len(oids) {
-			sh := s.tableFor(oids[i])
-			sh.mu.Lock()
-			for i < len(oids) && s.tableFor(oids[i]) == sh {
-				locs[i] = sh.get(uint64(oids[i]) >> s.tshift)
-				i++
-			}
-			sh.mu.Unlock()
-		}
+	s.tableMu.Lock()
+	for i, oid := range oids {
+		locs[i] = s.get(oid)
 	}
+	s.tableMu.Unlock()
 
 	// Pass 2: assemble the batch's page run in access order. A missing
 	// object truncates the batch — everything before it is still faulted,
@@ -651,14 +572,9 @@ func (s *Store) PagesOf(oid OID) ([]disk.PageID, bool) {
 func (s *Store) NumObjects() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for i := range s.tables {
-		sh := &s.tables[i]
-		sh.mu.Lock()
-		n += sh.live
-		sh.mu.Unlock()
-	}
-	return n
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	return s.live
 }
 
 // NumPages returns the number of allocated pages.
@@ -694,19 +610,15 @@ func (s *Store) DiskStats() disk.Stats { return s.disk.Stats() }
 func (s *Store) ObjectsAccessed() uint64 { return s.objectsAccessed.Load() }
 
 // Stats returns a snapshot of all counters. Under concurrent load the
-// counters are gathered shard by shard, so the snapshot is additive rather
-// than instantaneous; phase totals taken while clients are quiescent are
-// exact.
+// counters are read one after another, each under its own lock or atomic,
+// so the snapshot is additive rather than instantaneous; phase totals
+// taken while clients are quiescent are exact.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for i := range s.tables {
-		sh := &s.tables[i]
-		sh.mu.Lock()
-		n += sh.live
-		sh.mu.Unlock()
-	}
+	s.tableMu.Lock()
+	n := s.live
+	s.tableMu.Unlock()
 	return Stats{
 		Disk:            s.disk.Stats(),
 		Pool:            s.pool.Stats(),

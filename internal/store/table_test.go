@@ -9,54 +9,43 @@ import (
 	"ocb/internal/disk"
 )
 
-// tableLens returns the length of every shard's directory slice.
-func tableLens(s *Store) []int {
-	lens := make([]int, len(s.tables))
-	for i := range s.tables {
-		lens[i] = len(s.tables[i].m)
-	}
-	return lens
-}
-
 // TestOutsideOIDsNeverGrowTable: only OIDs the store issued size the object
 // table; every lookup of an OID from outside reports it absent.
 func TestOutsideOIDsNeverGrowTable(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		s := MustOpen(Config{PageSize: 256, BufferPages: 4, Shards: shards})
-		oids := populate(t, s, 10, 20)
-		want := tableLens(s)
-		for _, oid := range []OID{NilOID, oids[9] + 1, 1 << 60, ^OID(0)} {
-			for name, err := range map[string]error{
-				"Access": s.Access(oid),
-				"Update": s.Update(oid),
-				"Delete": s.Delete(oid),
-			} {
-				if !errors.Is(err, ErrNoSuchObject) {
-					t.Fatalf("shards=%d %s(%d) = %v, want ErrNoSuchObject", shards, name, oid, err)
-				}
-			}
-			if n, err := s.AccessBatch([]OID{oids[0], oid, oids[1]}); n != 1 || !errors.Is(err, ErrNoSuchObject) {
-				t.Fatalf("shards=%d AccessBatch around %d = %d, %v; want 1, ErrNoSuchObject", shards, oid, n, err)
-			}
-			if s.Exists(oid) {
-				t.Fatalf("shards=%d Exists(%d) = true", shards, oid)
-			}
-			if _, ok := s.SizeOf(oid); ok {
-				t.Fatalf("shards=%d SizeOf(%d) found an object", shards, oid)
-			}
-			if _, ok := s.PageOf(oid); ok {
-				t.Fatalf("shards=%d PageOf(%d) found an object", shards, oid)
-			}
-			if _, ok := s.PagesOf(oid); ok {
-				t.Fatalf("shards=%d PagesOf(%d) found an object", shards, oid)
-			}
-			if got := tableLens(s); !slices.Equal(got, want) {
-				t.Fatalf("shards=%d OID %d grew the table: %v, want %v", shards, oid, got, want)
+	s := MustOpen(Config{PageSize: 256, BufferPages: 4})
+	oids := populate(t, s, 10, 20)
+	want := len(s.table)
+	for _, oid := range []OID{NilOID, oids[9] + 1, 1 << 60, ^OID(0)} {
+		for name, err := range map[string]error{
+			"Access": s.Access(oid),
+			"Update": s.Update(oid),
+			"Delete": s.Delete(oid),
+		} {
+			if !errors.Is(err, ErrNoSuchObject) {
+				t.Fatalf("%s(%d) = %v, want ErrNoSuchObject", name, oid, err)
 			}
 		}
-		if s.NumObjects() != 10 {
-			t.Fatalf("shards=%d NumObjects = %d after absent lookups, want 10", shards, s.NumObjects())
+		if n, err := s.AccessBatch([]OID{oids[0], oid, oids[1]}); n != 1 || !errors.Is(err, ErrNoSuchObject) {
+			t.Fatalf("AccessBatch around %d = %d, %v; want 1, ErrNoSuchObject", oid, n, err)
 		}
+		if s.Exists(oid) {
+			t.Fatalf("Exists(%d) = true", oid)
+		}
+		if _, ok := s.SizeOf(oid); ok {
+			t.Fatalf("SizeOf(%d) found an object", oid)
+		}
+		if _, ok := s.PageOf(oid); ok {
+			t.Fatalf("PageOf(%d) found an object", oid)
+		}
+		if _, ok := s.PagesOf(oid); ok {
+			t.Fatalf("PagesOf(%d) found an object", oid)
+		}
+		if got := len(s.table); got != want {
+			t.Fatalf("OID %d grew the table to %d slots, want %d", oid, got, want)
+		}
+	}
+	if s.NumObjects() != 10 {
+		t.Fatalf("NumObjects = %d after absent lookups, want 10", s.NumObjects())
 	}
 }
 
@@ -84,9 +73,9 @@ func TestRestoreRejectsHostileImage(t *testing.T) {
 		if err := s.Restore(img); err == nil {
 			t.Fatalf("%s: Restore accepted the image", name)
 		}
-		if s.NumObjects() != 0 || s.NumPages() != 0 || len(s.tables[0].m) != 0 {
+		if s.NumObjects() != 0 || s.NumPages() != 0 || len(s.table) != 0 {
 			t.Fatalf("%s: the refused image left %d objects, %d pages, %d table slots",
-				name, s.NumObjects(), s.NumPages(), len(s.tables[0].m))
+				name, s.NumObjects(), s.NumPages(), len(s.table))
 		}
 	}
 }
@@ -121,12 +110,13 @@ func TestAccessBatchFaultingAllocFree(t *testing.T) {
 	}
 }
 
-// TestImageRestoreRoundTripSharded: after interleaved creates and deletes at
-// 16 shards the directory walk reconstructs every live OID from its (slot,
-// shard) position, exactly once, and a restored store agrees object by
-// object.
+// TestImageRestoreRoundTripSharded: after interleaved creates and deletes
+// under buffer pressure, large objects included, the store passes its
+// integrity check, the table walk yields every live OID exactly once and in
+// ascending order, and a restored store agrees object by object. (The name
+// predates the single object table.)
 func TestImageRestoreRoundTripSharded(t *testing.T) {
-	src := MustOpen(Config{PageSize: 256, BufferPages: 8, Shards: 16})
+	src := MustOpen(Config{PageSize: 256, BufferPages: 8})
 	rng := rand.New(rand.NewSource(16))
 	live := map[OID]int{} // OID -> payload size
 	var created []OID
@@ -153,51 +143,55 @@ func TestImageRestoreRoundTripSharded(t *testing.T) {
 		live[oid], last = size, oid
 		created = append(created, oid)
 	}
+	if err := src.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 
-	seen := map[OID]bool{}
+	var walked []OID
 	_ = src.forEachLoc(func(oid OID, l *loc) error {
-		if seen[oid] {
-			t.Fatalf("forEachLoc visited %d twice", oid)
-		}
-		seen[oid] = true
+		walked = append(walked, oid)
 		if size, ok := live[oid]; !ok || l.size != size+ObjectHeaderSize {
 			t.Fatalf("forEachLoc yielded %d (size %d); live = %v, payload %d", oid, l.size, ok, size)
 		}
 		return nil
 	})
-	if len(seen) != len(live) || src.NumObjects() != len(live) {
-		t.Fatalf("forEachLoc visited %d, NumObjects %d, want %d", len(seen), src.NumObjects(), len(live))
+	if !slices.IsSorted(walked) || len(slices.Compact(slices.Clone(walked))) != len(walked) {
+		t.Fatalf("forEachLoc walked %v, want strictly ascending OIDs", walked)
+	}
+	if len(walked) != len(live) || src.NumObjects() != len(live) {
+		t.Fatalf("forEachLoc visited %d, NumObjects %d, want %d", len(walked), src.NumObjects(), len(live))
 	}
 
 	img, err := src.Image()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{16, 1} {
-		dst := MustOpen(Config{PageSize: 256, BufferPages: 8, Shards: shards})
-		if err := dst.Restore(img); err != nil {
-			t.Fatal(err)
+	if len(img.Config.Options) != 0 {
+		t.Fatalf("image carries options %v, want none", img.Config.Options)
+	}
+	dst := MustOpen(Config{PageSize: 256, BufferPages: 8})
+	if err := dst.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.NumObjects() != len(live) || dst.NumPages() != src.NumPages() {
+		t.Fatalf("restored %d objects on %d pages, want %d on %d",
+			dst.NumObjects(), dst.NumPages(), len(live), src.NumPages())
+	}
+	for oid := OID(1); oid <= last+1; oid++ {
+		wantPages, want := src.PagesOf(oid)
+		gotPages, got := dst.PagesOf(oid)
+		_, isLive := live[oid]
+		if got != isLive || want != isLive || !slices.Equal(gotPages, wantPages) {
+			t.Fatalf("OID %d: restored %v %v, source %v %v, live %v", oid, got, gotPages, want, wantPages, isLive)
 		}
-		if err := dst.CheckIntegrity(); err != nil {
-			t.Fatal(err)
+		if err := dst.Access(oid); (err == nil) != isLive {
+			t.Fatalf("Access(%d) = %v, live %v", oid, err, isLive)
 		}
-		if dst.NumObjects() != len(live) || dst.NumPages() != src.NumPages() {
-			t.Fatalf("shards=%d restored %d objects on %d pages, want %d on %d",
-				shards, dst.NumObjects(), dst.NumPages(), len(live), src.NumPages())
-		}
-		for oid := OID(1); oid <= last+1; oid++ {
-			wantPages, want := src.PagesOf(oid)
-			gotPages, got := dst.PagesOf(oid)
-			_, isLive := live[oid]
-			if got != isLive || want != isLive || !slices.Equal(gotPages, wantPages) {
-				t.Fatalf("shards=%d OID %d: restored %v %v, source %v %v, live %v", shards, oid, got, gotPages, want, wantPages, isLive)
-			}
-			if err := dst.Access(oid); (err == nil) != isLive {
-				t.Fatalf("shards=%d Access(%d) = %v, live %v", shards, oid, err, isLive)
-			}
-		}
-		if next, err := dst.Create(10); err != nil || next != last+1 {
-			t.Fatalf("shards=%d restored store issued OID %d (%v), want %d", shards, next, err, last+1)
-		}
+	}
+	if next, err := dst.Create(10); err != nil || next != last+1 {
+		t.Fatalf("restored store issued OID %d (%v), want %d", next, err, last+1)
 	}
 }
