@@ -156,72 +156,75 @@ func (m *modelPool) agrees(p *Pool, ids []disk.PageID) error {
 // for the same reads and writes in the same order — which pins the victim
 // sequence and the flush order.
 func TestPoolMatchesModel(t *testing.T) {
-	const pages, steps, capacity = 40, 4000, 9
-	d, ids := newDisk(t, pages)
-	// A freed id, a never-issued id and the largest id there is.
-	d.Free(ids[7])
-	universe := append(slices.Clone(ids), disk.PageID(pages+9), ^disk.PageID(0))
-	onDisk := func(id disk.PageID) bool { _, ok := d.Peek(id); return ok }
-	var got, want []ioEvent
-	d.FailureHook = func(op disk.Op, id disk.PageID) error {
-		got = append(got, ioEvent{op, id})
-		return nil
-	}
-	pool, err := New(d, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := newModelPool(capacity, onDisk, &want)
+	// One exact-LRU Pool: no shards.
+	t.Run("lru/shards=0", func(t *testing.T) {
+		const pages, steps, capacity = 40, 4000, 9
+		d, ids := newDisk(t, pages)
+		// A freed id, a never-issued id and the largest id there is.
+		d.Free(ids[7])
+		universe := append(slices.Clone(ids), disk.PageID(pages+9), ^disk.PageID(0))
+		onDisk := func(id disk.PageID) bool { _, ok := d.Peek(id); return ok }
+		var got, want []ioEvent
+		d.FailureHook = func(op disk.Op, id disk.PageID) error {
+			got = append(got, ioEvent{op, id})
+			return nil
+		}
+		pool, err := New(d, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := newModelPool(capacity, onDisk, &want)
 
-	rng := rand.New(rand.NewSource(0))
-	for step := 0; step < steps; step++ {
-		id := universe[rng.Intn(len(universe))]
-		var op string
-		switch r := rng.Intn(100); {
-		case r < 55:
-			op = fmt.Sprintf("Get(%d)", id)
-			_, err := pool.Get(id)
-			if ok := model.get(id); ok != (err == nil) {
-				t.Fatalf("step %d %s: err = %v, model ok = %v", step, op, err, ok)
+		rng := rand.New(rand.NewSource(0))
+		for step := 0; step < steps; step++ {
+			id := universe[rng.Intn(len(universe))]
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 55:
+				op = fmt.Sprintf("Get(%d)", id)
+				_, err := pool.Get(id)
+				if ok := model.get(id); ok != (err == nil) {
+					t.Fatalf("step %d %s: err = %v, model ok = %v", step, op, err, ok)
+				}
+			case r < 70:
+				pg, ok := d.Peek(id)
+				if !ok {
+					continue
+				}
+				op = fmt.Sprintf("Install(%d)", id)
+				if err := pool.Install(pg); err != nil {
+					t.Fatal(err)
+				}
+				model.install(id)
+			case r < 82:
+				op = fmt.Sprintf("MarkDirty(%d)", id)
+				pool.MarkDirty(id)
+				model.markDirty(id)
+			case r < 92:
+				op = fmt.Sprintf("Discard(%d)", id)
+				pool.Discard(id)
+				model.discard(id)
+			case r < 93:
+				op = "DropAll"
+				pool.DropAll()
+				model.dropAll()
+			default:
+				op = "FlushAll"
+				if err := pool.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				model.flushAll()
 			}
-		case r < 70:
-			pg, ok := d.Peek(id)
-			if !ok {
-				continue
+			if err := model.agrees(pool, universe); err != nil {
+				t.Fatalf("step %d %s: %v", step, op, err)
 			}
-			op = fmt.Sprintf("Install(%d)", id)
-			if err := pool.Install(pg); err != nil {
-				t.Fatal(err)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d %s: disk I/O %v, model %v", step, op, got, want)
 			}
-			model.install(id)
-		case r < 82:
-			op = fmt.Sprintf("MarkDirty(%d)", id)
-			pool.MarkDirty(id)
-			model.markDirty(id)
-		case r < 92:
-			op = fmt.Sprintf("Discard(%d)", id)
-			pool.Discard(id)
-			model.discard(id)
-		case r < 93:
-			op = "DropAll"
-			pool.DropAll()
-			model.dropAll()
-		default:
-			op = "FlushAll"
-			if err := pool.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			model.flushAll()
+			got, want = got[:0], want[:0]
 		}
-		if err := model.agrees(pool, universe); err != nil {
-			t.Fatalf("step %d %s: %v", step, op, err)
+		if evictions := model.stats.Evictions; evictions < steps/20 {
+			t.Fatalf("only %d evictions in %d steps: the mix does not exercise replacement", evictions, steps)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d %s: disk I/O %v, model %v", step, op, got, want)
-		}
-		got, want = got[:0], want[:0]
-	}
-	if evictions := model.stats.Evictions; evictions < steps/20 {
-		t.Fatalf("only %d evictions in %d steps: the mix does not exercise replacement", evictions, steps)
-	}
+	})
 }
