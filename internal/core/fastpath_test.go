@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"ocb/internal/backend"
 	"ocb/internal/lewis"
@@ -118,33 +117,20 @@ func TestRunPhaseEngineAllocFree(t *testing.T) {
 	if _, err := r.RunPhase("warm", 200, 7); err != nil {
 		t.Fatal(err)
 	}
-	// The per-op hook costs the loop one nil check unset, and nothing but
-	// its own body when set.
-	var ios uint64
-	for _, hook := range []struct {
-		name string
-		fn   func(op, objects int, ios uint64, d time.Duration)
-	}{
-		{"no hook", nil},
-		{"counting hook", func(_, _ int, n uint64, _ time.Duration) { ios += n }},
-	} {
-		measure := func(n int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				spec := r.PhaseSpec("alloc", n, 7)
-				spec.OnOp = hook.fn
-				if _, err := workload.Run(spec); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		base, double := measure(200), measure(400)
-		if perTx := (double - base) / 200; perTx > 0.5 {
-			t.Fatalf("%s: engine measured loop allocates %.3f per transaction, want ~0 (phase setup only: %0.f/%0.f allocs)",
-				hook.name, perTx, base, double)
-		}
-		if base > 200 {
-			t.Fatalf("%s: per-phase setup costs %.0f allocs for 200 tx, want bounded setup", hook.name, base)
-		}
+	measure := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := workload.Run(r.PhaseSpec("alloc", n, 7)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base, double := measure(200), measure(400)
+	if perTx := (double - base) / 200; perTx > 0.5 {
+		t.Fatalf("engine measured loop allocates %.3f per transaction, want ~0 (phase setup only: %0.f/%0.f allocs)",
+			perTx, base, double)
+	}
+	if base > 200 {
+		t.Fatalf("per-phase setup costs %.0f allocs for 200 tx, want bounded setup", base)
 	}
 }
 

@@ -24,6 +24,7 @@ package hypermodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -125,8 +126,11 @@ type Database struct {
 	GenTime time.Duration
 
 	byHundred [][]int // hundred attribute index
-	byMillion []int   // node ids sorted by million attribute
-	src       *lewis.Source
+	byMillion []int   // node ids sorted by (Million, ID)
+	// mu guards the node attributes and indexes: every Scenario op's Run
+	// holds it through AccessStream.End, exclusively for the three edits.
+	mu  sync.RWMutex
+	src *lewis.Source
 }
 
 // Generate builds the HyperModel database level by level. A generation
@@ -209,11 +213,7 @@ func Generate(p Params) (db *Database, err error) {
 		db.byMillion = append(db.byMillion, id)
 	}
 	sort.Slice(db.byMillion, func(i, j int) bool {
-		a, b := db.Nodes[db.byMillion[i]], db.Nodes[db.byMillion[j]]
-		if a.Million != b.Million {
-			return a.Million < b.Million
-		}
-		return a.ID < b.ID
+		return millionLess(db.Nodes[db.byMillion[i]], db.Nodes[db.byMillion[j]])
 	})
 
 	if err := st.Commit(); err != nil {
@@ -341,15 +341,24 @@ func (db *Database) passBody(name OpName, inputs []int, src *lewis.Source, s *wo
 // opPair returns the engine ops of one HyperModel operation under the
 // setup/cold/warm protocol: "<name>/cold" precomputes the inputs untimed,
 // drops the cache, and runs the first pass; "<name>/warm" repeats the
-// same inputs against the warmed cache. The editing operations mutate
-// node attributes, so they take the spec's exclusive lock.
+// same inputs against the warmed cache. Both passes run under db.mu:
+// exclusive for the editing operations, which mutate node attributes,
+// shared for the rest.
 func (db *Database) opPair(name OpName) []workload.Op {
-	mutating := name == EditNode || name == EditText || name == EditMillion
+	lock, unlock := db.mu.RLock, db.mu.RUnlock
+	if name == EditNode || name == EditText || name == EditMillion {
+		lock, unlock = db.mu.Lock, db.mu.Unlock
+	}
+	run := func(ctx *workload.Ctx) (int, error) {
+		st := ctx.State.(*hmClient)
+		lock()
+		defer unlock()
+		return db.passBody(name, st.inputs[name], ctx.Src, &st.stream)
+	}
 	return []workload.Op{
 		{
-			Name:     string(name) + "/cold",
-			Weight:   1,
-			Mutating: mutating,
+			Name:   string(name) + "/cold",
+			Weight: 1,
 			Pre: func(ctx *workload.Ctx) error {
 				st := ctx.State.(*hmClient)
 				st.inputs[name] = db.drawInputs(ctx.Src)
@@ -358,15 +367,11 @@ func (db *Database) opPair(name OpName) []workload.Op {
 				db.Store.DropCache()
 				return nil
 			},
-			Run: func(ctx *workload.Ctx) (int, error) {
-				st := ctx.State.(*hmClient)
-				return db.passBody(name, st.inputs[name], ctx.Src, &st.stream)
-			},
+			Run: run,
 		},
 		{
-			Name:     string(name) + "/warm",
-			Weight:   1,
-			Mutating: mutating,
+			Name:   string(name) + "/warm",
+			Weight: 1,
 			Pre: func(ctx *workload.Ctx) error {
 				// A warm pass sampled without a preceding cold one (a
 				// user-authored mix) draws its own inputs.
@@ -376,10 +381,7 @@ func (db *Database) opPair(name OpName) []workload.Op {
 				}
 				return nil
 			},
-			Run: func(ctx *workload.Ctx) (int, error) {
-				st := ctx.State.(*hmClient)
-				return db.passBody(name, st.inputs[name], ctx.Src, &st.stream)
-			},
+			Run: run,
 		},
 	}
 }
@@ -402,7 +404,6 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		Clients:     clients,
 		Seed:        db.P.Seed,
 		Backend:     db.Store,
-		Lock:        new(sync.RWMutex),
 		Ops:         ops,
 		// Single client continues the generation stream (bit-identical
 		// CLIENTN=1 replay); multi-client runs derive every source so no
@@ -448,10 +449,7 @@ func (db *Database) execute(name OpName, input int, src *lewis.Source, s *worklo
 		// Retrieve nodes with million in [lo, lo+1%), via the sorted index.
 		lo := db.Nodes[input].Million
 		hi := lo + db.P.MillionRange/100
-		start := sort.Search(len(db.byMillion), func(i int) bool {
-			return db.Nodes[db.byMillion[i]].Million >= lo
-		})
-		for i := start; i < len(db.byMillion); i++ {
+		for i := db.millionPos(db.byMillion, &Node{Million: lo}); i < len(db.byMillion); i++ {
 			nd := db.Nodes[db.byMillion[i]]
 			if nd.Million >= hi {
 				break
@@ -506,7 +504,7 @@ func (db *Database) execute(name OpName, input int, src *lewis.Source, s *worklo
 			return 0, err
 		}
 		if name == EditMillion {
-			node.Million = src.Intn(db.P.MillionRange)
+			db.setMillion(node, src.Intn(db.P.MillionRange))
 		}
 		if s.Policy != nil {
 			s.Policy.ObserveRoot(node.OID)
@@ -531,6 +529,25 @@ func (db *Database) execute(name OpName, input int, src *lewis.Source, s *worklo
 	default:
 		return 0, fmt.Errorf("hypermodel: unknown operation %q", name)
 	}
+}
+
+// millionLess is the byMillion index order: by Million, then by ID.
+func millionLess(a, b *Node) bool {
+	return a.Million < b.Million || a.Million == b.Million && a.ID < b.ID
+}
+
+// millionPos returns where key sorts in ids, a byMillion index.
+func (db *Database) millionPos(ids []int, key *Node) int {
+	return sort.Search(len(ids), func(i int) bool { return !millionLess(db.Nodes[ids[i]], key) })
+}
+
+// setMillion sets a node's million attribute and moves its id to its new
+// place, so byMillion stays sorted for the range lookup.
+func (db *Database) setMillion(n *Node, m int) {
+	i := db.millionPos(db.byMillion, n)
+	ids := slices.Delete(db.byMillion, i, i+1)
+	n.Million = m
+	db.byMillion = slices.Insert(ids, db.millionPos(ids, n), n.ID)
 }
 
 type relKind int
@@ -643,6 +660,29 @@ func Check(db *Database) error {
 		}
 		if n.RefTo == backend.NilOID {
 			return fmt.Errorf("hypermodel: node %d has no refTo", id)
+		}
+	}
+	// Index completeness: byHundred files every node once, under its
+	// hundred attribute; byMillion holds every node once, in millionLess
+	// order.
+	filed := make([]bool, db.NumNodes()+1)
+	for h, ids := range db.byHundred {
+		for _, id := range ids {
+			if id < 1 || id > db.NumNodes() || filed[id] || db.Nodes[id].Hundred != h {
+				return fmt.Errorf("hypermodel: hundred index files node %d under %d", id, h)
+			}
+			filed[id] = true
+		}
+	}
+	if id := slices.Index(filed[1:], false) + 1; id > 0 {
+		return fmt.Errorf("hypermodel: hundred index misses node %d", id)
+	}
+	if len(db.byMillion) != db.NumNodes() {
+		return fmt.Errorf("hypermodel: million index holds %d of %d nodes", len(db.byMillion), db.NumNodes())
+	}
+	for i, id := range db.byMillion {
+		if id < 1 || id > db.NumNodes() || i > 0 && !millionLess(db.Nodes[db.byMillion[i-1]], db.Nodes[id]) {
+			return fmt.Errorf("hypermodel: million index out of order at entry %d (node %d)", i, id)
 		}
 	}
 	return nil

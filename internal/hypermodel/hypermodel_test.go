@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ocb/internal/backend"
+	"ocb/internal/lewis"
 	"ocb/internal/workload"
 )
 
@@ -186,6 +187,49 @@ func TestRangeLookupMillionSelectivity(t *testing.T) {
 	}
 	if n != want {
 		t.Fatalf("million range matched %d, want %d", n, want)
+	}
+}
+
+// TestRangeLookupMillionAfterEdits edits every node's million attribute,
+// then checks every node's range lookup against a brute-force count: an
+// edit must move the node within the sorted index the lookup searches.
+func TestRangeLookupMillionAfterEdits(t *testing.T) {
+	p := smallParams()
+	p.Levels = 4
+	db, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := lewis.New(7)
+	s := &workload.AccessStream{Store: db.Store}
+	for id := 1; id <= db.NumNodes(); id++ {
+		if _, err := db.execute(EditMillion, id, src, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrong := 0
+	for input := 1; input <= db.NumNodes(); input++ {
+		lo := db.Nodes[input].Million
+		hi := lo + db.P.MillionRange/100
+		want := 0
+		for id := 1; id <= db.NumNodes(); id++ {
+			if m := db.Nodes[id].Million; m >= lo && m < hi {
+				want++
+			}
+		}
+		n, _, err := execute(db, RangeLookupMillion, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("after editing every million, %d of %d range lookups miscount", wrong, db.NumNodes())
+	}
+	if err := Check(db); err != nil {
+		t.Fatal(err)
 	}
 }
 

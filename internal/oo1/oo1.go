@@ -138,6 +138,9 @@ type Database struct {
 	// GenTime is the database creation wall-clock time.
 	GenTime time.Duration
 
+	// mu guards the dictionaries: every Scenario op's Run holds it
+	// through AccessStream.End, exclusively for insert.
+	mu  sync.RWMutex
 	src *lewis.Source
 }
 
@@ -327,8 +330,8 @@ func (db *Database) TraverseFrom(s *workload.AccessStream, root backend.OID, rev
 // every draw is a pure function of the client's private stream and
 // concurrent clients insert schedule-independently. n0 == 0 is live
 // mode: targets zone around the new part's own id over the current part
-// count, replaying the pre-engine benchmark draw for draw. Callers
-// serialize insertions either way.
+// count, replaying the pre-engine benchmark draw for draw. Callers hold
+// db.mu exclusively either way.
 func (db *Database) insertOnce(src *lewis.Source, n0 int) (int, error) {
 	n := 0
 	for i := 0; i < db.P.Inserts; i++ {
@@ -361,9 +364,8 @@ func (db *Database) insertOnce(src *lewis.Source, n0 int) (int, error) {
 // for op sampling and reads, one for inserts — and freezes the draw
 // universe at the scenario-build part count, so each client's operation
 // stream is a pure function of its seed regardless of scheduling. The
-// suite's in-memory dictionaries are not concurrency-safe, so the spec
-// carries a lock the engine takes around every op (shared for reads,
-// exclusive for inserts).
+// suite's in-memory dictionaries are not concurrency-safe, so every op
+// takes db.mu in its Run (shared for reads, exclusive for inserts).
 func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec {
 	if clients > 1 && policy != nil {
 		policy = cluster.Synchronize(policy)
@@ -390,7 +392,7 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		return db.NumParts()
 	}
 	// ins are the per-client insert streams. Insert draws cannot ride the
-	// op-sampling streams — the engine samples ctx.Src outside the lock,
+	// op-sampling streams — the engine samples ctx.Src outside db.mu,
 	// so sharing it with bodies drawing under the lock would race — and
 	// they cannot share db.src across clients, or the op stream each
 	// client sees would depend on the others' schedules. Client 0 of a
@@ -407,17 +409,25 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 	stream := func(ctx *workload.Ctx) *workload.AccessStream { return ctx.State.(*workload.AccessStream) }
 	ops := []workload.Op{
 		{Name: "lookup", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
+			db.mu.RLock()
+			defer db.mu.RUnlock()
 			return end(db.lookupOnce(ctx.Src, span(), stream(ctx)))
 		}},
 		{Name: "traversal", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
+			db.mu.RLock()
+			defer db.mu.RUnlock()
 			root := db.ByID[ctx.Src.IntRange(1, span())]
 			return end(db.TraverseFrom(stream(ctx), root, false))
 		}},
 		{Name: "reverse-traversal", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
+			db.mu.RLock()
+			defer db.mu.RUnlock()
 			root := db.ByID[ctx.Src.IntRange(1, span())]
 			return end(db.TraverseFrom(stream(ctx), root, true))
 		}},
-		{Name: "insert", Weight: 1, Count: nruns, Mutating: true, Run: func(ctx *workload.Ctx) (int, error) {
+		{Name: "insert", Weight: 1, Count: nruns, Run: func(ctx *workload.Ctx) (int, error) {
+			db.mu.Lock()
+			defer db.mu.Unlock()
 			return end(db.insertOnce(ins[ctx.Client], n0))
 		}},
 	}
@@ -427,14 +437,13 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		Clients:     clients,
 		Seed:        db.P.Seed,
 		Backend:     db.Store,
-		Lock:        new(sync.RWMutex),
 		Ops:         ops,
 		// A single client continues the database's own generation stream
 		// (CLIENTN=1 runs replay the pre-engine benchmark bit for bit).
 		// Multi-client runs derive every client's source instead: the
-		// engine samples mixed-mode ops from ctx.Src outside the lock,
-		// and sharing db.src with the insert bodies (which draw from it
-		// under the exclusive lock) would race.
+		// engine samples mixed-mode ops from ctx.Src outside db.mu, and
+		// sharing db.src with the insert bodies (which draw from it under
+		// the exclusive lock) would race.
 		Source: func(c int) *lewis.Source {
 			if c == 0 && clients <= 1 {
 				return db.src

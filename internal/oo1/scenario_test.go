@@ -2,6 +2,7 @@ package oo1
 
 import (
 	"testing"
+	"time"
 
 	"ocb/internal/workload"
 )
@@ -124,5 +125,38 @@ func TestScenarioMixedMode(t *testing.T) {
 	}
 	if res.Executed != 60 || res.PerOp[0].Count != 60 {
 		t.Fatalf("mixed run executed %d ops, lookup %d", res.Executed, res.PerOp[0].Count)
+	}
+}
+
+// TestLockWaitIsResponseTime: an insert queued on db.mu behind a reader
+// carries the wait in its recorded latency, because the suite takes its
+// lock inside the timed Run. The holder keeps its read lock for hold
+// after the insert's writer is seen pending (TryRLock fails once a writer
+// waits), so the wait is at least hold however the host schedules the
+// goroutines.
+func TestLockWaitIsResponseTime(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	db, err := Generate(smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.mu.RLock()
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		defer db.mu.RUnlock()
+		for db.mu.TryRLock() {
+			db.mu.RUnlock()
+			select {
+			case <-done: // the insert never waited: fail, don't hang
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		time.Sleep(hold)
+	}()
+	insert := runOp(t, db, "insert")
+	if got := time.Duration(insert.Response.Max() * float64(time.Microsecond)); got < hold {
+		t.Fatalf("insert latency %v leaves out a lock wait of at least %v", got, hold)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // structural insert+delete included — as a CLIENTN=clients weighted mix,
 // recording each client's op stream as name:objects labels. Every OO7 op
 // count is schedule-independent (the insert-delete round trip is atomic
-// under the spec's exclusive lock, and Q1/T8/Q4 draw over the frozen
+// under db.mu's exclusive lock, and Q1/T8/Q4 draw over the frozen
 // snapshot), so the labels pin object counts for all ops.
 func runMixed(t *testing.T, clients, measured int) ([][]string, *Database) {
 	t.Helper()

@@ -171,7 +171,12 @@ type Database struct {
 	BaseAssm []backend.OID
 
 	GenTime time.Duration
-	src     *lewis.Source
+
+	// mu guards the dictionaries and assemblies: every Scenario op's Run
+	// holds it through AccessStream.End, exclusively for T2a/T2b/T3a and
+	// insert-delete.
+	mu  sync.RWMutex
+	src *lewis.Source
 }
 
 // Generate builds the OO7 database: the composite-part library first
@@ -550,7 +555,7 @@ func (db *Database) q8Body(s *workload.AccessStream) error {
 // insertBody creates count new composite parts and wires each into ten
 // random base assemblies, then commits. All draws come from src; the
 // base-assembly set is fixed at generation, so with a private stream the
-// insertion is schedule-independent (callers serialize insertions).
+// insertion is schedule-independent (callers hold db.mu exclusively).
 func (db *Database) insertBody(src *lewis.Source, count int) (ids []int, n int, err error) {
 	for i := 0; i < count; i++ {
 		comp, err := db.newComposite(src)
@@ -629,7 +634,7 @@ func (db *Database) deleteBody(ids []int) (int, error) {
 
 // oo7OpDef is one benchmark operation as an engine-ready op body; the
 // update traversals (T2a/T2b/T3a write atomic parts and commit) are
-// marked mutating so multi-client runs serialize them against readers.
+// marked mutating so they take db.mu exclusively.
 // A body faults through the client's stream and returns only an error:
 // the op's object count is the stream's.
 type oo7OpDef struct {
@@ -700,7 +705,7 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 	}
 	// ins are the per-client insert streams (see the oo1 scenario for the
 	// full rationale): insert draws cannot ride ctx.Src, which the engine
-	// samples outside the lock, and cannot share db.src across clients
+	// samples outside db.mu, and cannot share db.src across clients
 	// without making each client's stream depend on the others' schedules.
 	// A single client's stream is db.src itself, preserving the CLIENTN=1
 	// replay.
@@ -714,25 +719,31 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 	var ops []workload.Op
 	for _, d := range db.readOpDefs(atomicSpan, compSpan) {
 		body := d.body
+		lock, unlock := db.mu.RLock, db.mu.RUnlock
+		if d.mutating {
+			lock, unlock = db.mu.Lock, db.mu.Unlock
+		}
 		ops = append(ops, workload.Op{
-			Name:     d.name,
-			Weight:   1,
-			Mutating: d.mutating,
+			Name:   d.name,
+			Weight: 1,
 			Run: func(ctx *workload.Ctx) (int, error) {
+				lock()
+				defer unlock()
 				s := ctx.State.(*workload.AccessStream)
 				return end(s.End(body(ctx, s)))
 			},
 		})
 	}
 	ops = append(ops, workload.Op{
-		Name:     "insert-delete",
-		Weight:   1,
-		Mutating: true,
+		Name:   "insert-delete",
+		Weight: 1,
 		Run: func(ctx *workload.Ctx) (int, error) {
 			// A self-contained structural round trip: one new
 			// composite wired into the hierarchy, then removed —
 			// safe to interleave with other clients' traversals
-			// under the spec's exclusive lock.
+			// under db.mu's exclusive lock.
+			db.mu.Lock()
+			defer db.mu.Unlock()
 			ids, n, err := db.insertBody(ins[ctx.Client], 1)
 			if err != nil {
 				return n, err
@@ -747,11 +758,10 @@ func (db *Database) Scenario(policy cluster.Policy, clients int) *workload.Spec 
 		Clients:     clients,
 		Seed:        db.P.Seed,
 		Backend:     db.Store,
-		Lock:        new(sync.RWMutex),
 		Ops:         ops,
 		// Single client: continue the generation stream (bit-identical
 		// CLIENTN=1 replay). Multi-client: derive every source — the
-		// mixed-mode sampler reads ctx.Src outside the lock, and sharing
+		// mixed-mode sampler reads ctx.Src outside db.mu, and sharing
 		// db.src with insertBody's draws (exclusive lock) would race.
 		Source: func(c int) *lewis.Source {
 			if c == 0 && clients <= 1 {

@@ -36,8 +36,8 @@ package workload
 //     costs a remote backend one round trip per object. The flush rules:
 //     Flush before any other store call (Update, Create, Delete, Commit,
 //     DropCache) and before Policy.EndTransaction; return through
-//     End(err), still under Spec.Lock. End flushes on success and drops
-//     the queue on error, so no op leaves faults queued for the next.
+//     End(err), still under your suite's lock. End flushes on success and
+//     drops the queue on error, so no op leaves faults queued for the next.
 //   - Put untimed protocol steps (input precomputation, cache drops) in
 //     Pre, not Run — Pre executes immediately before each run of the op,
 //     outside the measurement window.
@@ -64,12 +64,12 @@ package workload
 //
 // # 4. What is shared, and who may write it?
 //
-// If your in-memory dictionaries are not concurrency-safe, set
-// Spec.Lock and mark the ops that restructure them Mutating: the engine
-// takes the lock shared for reads and exclusive for mutations, and lock
-// wait correctly counts toward the op's measured response time. Ops
-// whose layers synchronize internally (core's executor does its own
-// locking; plain Store calls are always safe) leave Lock nil.
+// The engine takes no lock. If your in-memory dictionaries are not
+// concurrency-safe, guard them the way core's executor does: one
+// sync.RWMutex on your database, taken in Run (shared for reads,
+// exclusive for the ops that restructure them) from the first queued
+// fault through AccessStream.End. Its wait then counts as response time.
+// Plain Store calls are always safe and need no lock.
 //
 // Per-client suite state (executors, precomputed inputs) goes in
 // NewClient; read it back via ctx.State. To keep CLIENTN=1 runs
@@ -107,17 +107,6 @@ package workload
 //     from latency and throughput) instead of aborting — for overload
 //     scenarios where shed load is the measurement, paired with a
 //     MaxErrorRate bound.
-//
-// # Reading single operations
-//
-// The Result aggregates; a consumer that needs each operation's own
-// figures — a per-operation trace or recorder — sets OnOp. The engine
-// calls it after every recorded successful op with the op's index in Ops,
-// its objects, transaction I/Os and response time, the same values it
-// folds into PerOp; warmup, skips and tolerated errors never reach it. Under Clients > 1 it runs on every client's
-// goroutine at once, and the I/O figure carries the same interleaving
-// caveat as the per-op IOs aggregates. Left nil, it costs the measured
-// loop one nil check.
 //
 // Sweep runs one Spec across a clients × rate grid, and FindMaxRate
 // binary-searches the highest rate that holds a P95 bound — both in

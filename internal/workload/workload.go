@@ -47,9 +47,8 @@ type Op struct {
 	// (Spec.Measured == 0): ops execute in slice order, each Count times
 	// (<= 0 means once). Ignored in mixed mode.
 	Count int
-	// Mutating ops take the spec's Lock exclusively (when one is set);
-	// read-only ops share it. Ops whose own layers synchronize (like
-	// core's executor) leave Spec.Lock nil.
+	// Mutating is ignored by the engine: each suite guards its own state
+	// inside Run (see docs.go). It stays for callers that still set it.
 	Mutating bool
 	// Pre, when set, runs untimed immediately before each execution of the
 	// op — input precomputation, cache drops, anything the benchmark's
@@ -140,11 +139,6 @@ type Spec struct {
 	Backend backend.Backend
 	// Ops is the operation set.
 	Ops []Op
-	// Lock, when set, serializes mutating ops against read-only ones
-	// (suites whose in-memory dictionaries are not concurrency-safe set
-	// it; suites that synchronize internally leave it nil). The time an op
-	// waits for it counts in the op's recorded latency.
-	Lock *sync.RWMutex
 	// Source, when set, supplies each client's random source; the default
 	// is lewis.New(Seed + client*104729). Suites use it to hand client 0
 	// the generator's own stream, which keeps single-client runs
@@ -160,12 +154,6 @@ type Spec struct {
 	// bit-identical. A fixed program (Measured == 0) never calls it, so
 	// setting it there is rejected.
 	Next func(*Ctx) int
-	// OnOp, when set, is called after every recorded successful op with
-	// the op's index in Ops, its accessed objects, transaction I/Os and
-	// response time — the per-operation figures the aggregates fold.
-	// Warmup ops, skips and tolerated errors do not reach it. With
-	// Clients > 1 it is called from every client goroutine concurrently.
-	OnOp func(op, objects int, ios uint64, d time.Duration)
 }
 
 // OpMetrics aggregates one op's measurements across all clients.
@@ -237,7 +225,8 @@ func (m *OpMetrics) Merge(o *OpMetrics) {
 // vary slightly between runs. The per-operation IOs welfords and
 // IOsTotal are approximate: each operation's I/O delta is read from the
 // shared disk counters, so it includes faults that concurrent clients
-// interleaved into the window. Response times are wall-clock and
+// interleaved into the window, which for a suite op also spans its wait
+// for the suite's lock. Response times are wall-clock and
 // naturally vary run to run. With Clients == 1 every metric but the
 // response times is exact and reproducible.
 type Result struct {
@@ -677,14 +666,11 @@ func (s *Spec) weightedSampler() func(*Ctx) int {
 	}
 }
 
-// step executes one operation instance: untimed Pre, optional lock, timed
-// Run with the I/O delta sampled around it, then metric recording. A skip
-// (ErrSkip or a missing backend capability) is recorded, not failed.
-//
-// The wait for Spec.Lock is response time: it is timed on its own and
-// added to the op's latency, so a client queued behind another client's
-// op carries that wait. The disk-counter reads between the two windows
-// stay untimed.
+// step executes one operation instance: untimed Pre, timed Run with the
+// I/O delta sampled around it, then metric recording. A skip (ErrSkip or
+// a missing backend capability) is recorded, not failed. A suite that
+// locks its own state does so inside Run, so a client queued behind
+// another client's op carries that wait in its latency.
 //
 // A non-zero arrival is the operation's scheduled arrival under open-loop
 // pacing: the recorded latency is time.Since(arrival) at completion, so an
@@ -722,32 +708,13 @@ func (r *Runner) step(ctx *Ctx, cm *clientResult, idx, seq int, record bool, arr
 			return 0, r.wrap(ctx, seq, op, err)
 		}
 	}
-	var wait time.Duration
-	if s.Lock != nil {
-		//ocblint:allow determinism -- harness timing, not op logic
-		w0 := time.Now()
-		if op.Mutating {
-			s.Lock.Lock()
-		} else {
-			s.Lock.RLock()
-		}
-		//ocblint:allow determinism -- harness timing, not op logic
-		wait = time.Since(w0)
-	}
 	ioBefore := s.Backend.DiskStats().TransactionIOs()
 	//ocblint:allow determinism -- harness timing, not op logic
 	t0 := time.Now()
 	objects, err := op.Run(ctx)
 	//ocblint:allow determinism -- harness timing, not op logic
-	d := time.Since(t0) + late + wait
+	d := time.Since(t0) + late
 	ios := s.Backend.DiskStats().TransactionIOs() - ioBefore
-	if s.Lock != nil {
-		if op.Mutating {
-			s.Lock.Unlock()
-		} else {
-			s.Lock.RUnlock()
-		}
-	}
 	if err != nil {
 		if isSkip(err) {
 			// Warmup skips are not recorded, mirroring successful warmup
@@ -772,9 +739,6 @@ func (r *Runner) step(ctx *Ctx, cm *clientResult, idx, seq int, record bool, arr
 	if record {
 		cm.perOp[idx].add(objects, ios, d)
 		cm.total.add(objects, ios, d)
-		if s.OnOp != nil {
-			s.OnOp(idx, objects, ios, d)
-		}
 	}
 	return objects, nil
 }

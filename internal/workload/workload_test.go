@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -238,46 +237,6 @@ func TestPreRunsUntimed(t *testing.T) {
 	}
 }
 
-// TestLockWaitIsResponseTime: an op queued on Spec.Lock behind another
-// holder carries the wait in its recorded latency. The holder keeps its
-// read lock for hold after the op's writer is seen pending (TryRLock fails
-// once a writer waits), so the wait is at least hold however the host
-// schedules the goroutines.
-func TestLockWaitIsResponseTime(t *testing.T) {
-	const hold = 20 * time.Millisecond
-	var mu sync.RWMutex
-	var got time.Duration
-	spec := &Spec{
-		Name:    "lockwait",
-		Backend: testBackend(t, 1),
-		Lock:    &mu,
-		Ops: []Op{{
-			Name:     "insert",
-			Mutating: true,
-			Run:      func(*Ctx) (int, error) { return 1, nil },
-		}},
-		OnOp: func(_, _ int, _ uint64, d time.Duration) { got = d },
-	}
-	mu.RLock()
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		for mu.TryRLock() {
-			mu.RUnlock()
-			time.Sleep(50 * time.Microsecond)
-		}
-		time.Sleep(hold)
-		mu.RUnlock()
-	}()
-	if _, err := Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	<-released
-	if got < hold {
-		t.Fatalf("latency %v leaves out a lock wait of at least %v", got, hold)
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	be := testBackend(t, 1)
 	run := func(*Ctx) (int, error) { return 1, nil }
@@ -413,48 +372,6 @@ func TestCustomNextAndState(t *testing.T) {
 		if om.Count != 3 {
 			t.Fatalf("op %d count = %d, want 3 (round robin)", i, om.Count)
 		}
-	}
-}
-
-// TestOnOpSeesEachMeasuredOp pins the per-op hook at CLIENTN=1 on a paged
-// store whose buffer is smaller than the data: it fires once per measured
-// op, never during warmup, and its op indices, objects and I/Os add up to
-// the run's own aggregates.
-func TestOnOpSeesEachMeasuredOp(t *testing.T) {
-	be, err := backend.Open("paged", backend.Config{PageSize: 4096, BufferPages: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := be.Create(400); err != nil {
-			t.Fatal(err)
-		}
-	}
-	calls := make([]int64, 2)
-	var objects int64
-	var ios uint64
-	spec := &Spec{
-		Name: "hook", Backend: be, Warmup: 20, Measured: 50, Seed: 5, ColdStart: true,
-		Ops: []Op{accessOp("a", be, 100, 1, 0), accessOp("b", be, 100, 1, 0)},
-		OnOp: func(op, n int, io uint64, _ time.Duration) {
-			calls[op]++
-			objects += int64(n)
-			ios += io
-		},
-	}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls[0]+calls[1] != 50 || calls[0] != res.PerOp[0].Count || calls[1] != res.PerOp[1].Count {
-		t.Fatalf("hook calls per op = %v, want the measured counts %d/%d",
-			calls, res.PerOp[0].Count, res.PerOp[1].Count)
-	}
-	if objects != res.Total.ObjectsTotal {
-		t.Fatalf("hook objects = %d, run total %d", objects, res.Total.ObjectsTotal)
-	}
-	if ios == 0 || ios != res.Total.IOsTotal {
-		t.Fatalf("hook I/Os = %d, run IOsTotal %d (want equal and non-zero)", ios, res.Total.IOsTotal)
 	}
 }
 
