@@ -568,3 +568,51 @@ func TestGetBatchError(t *testing.T) {
 		t.Fatal("prefix/suffix residency wrong after mid-batch error")
 	}
 }
+
+// TestGetBatchChargesReadsMade: the pool charges a call's reads in one add
+// before it releases its lock, so when the k-th read of a batch fails the
+// disk has been charged exactly the k-1 reads before it, hits in between
+// charge nothing, and every read was offered to the hook first.
+func TestGetBatchChargesReadsMade(t *testing.T) {
+	errInjected := errors.New("injected read failure")
+	for k := 1; k <= 6; k++ {
+		d, ids := newDisk(t, 12)
+		p, err := New(d, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.GetBatch(ids[:2]); err != nil { // two hits to come
+			t.Fatal(err)
+		}
+		d.ResetStats()
+		p.ResetStats()
+		calls := 0
+		d.FailureHook = func(op disk.Op, id disk.PageID) error {
+			if op != disk.OpRead {
+				return nil
+			}
+			if calls++; calls == k {
+				return errInjected
+			}
+			return nil
+		}
+		// Misses on 2..7 with hits on 0 and 1 among them.
+		batch := []disk.PageID{ids[2], ids[0], ids[3], ids[1], ids[4], ids[5], ids[6], ids[7]}
+		n, err := p.GetBatch(batch)
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("k=%d: GetBatch = %d, %v; want the injected error", k, n, err)
+		}
+		if calls != k {
+			t.Fatalf("k=%d: the hook saw %d reads", k, calls)
+		}
+		if got := d.Stats().TotalReads(); got != uint64(k-1) {
+			t.Fatalf("k=%d: disk charged %d reads, want %d", k, got, k-1)
+		}
+		if st := p.Stats(); st.Misses != uint64(k) {
+			t.Fatalf("k=%d: pool counts %d misses, want %d", k, st.Misses, k)
+		}
+		if batch[n] != ids[k+1] {
+			t.Fatalf("k=%d: GetBatch stopped at page %d, want %d", k, batch[n], ids[k+1])
+		}
+	}
+}

@@ -154,7 +154,9 @@ func (m *modelPool) agrees(p *Pool, ids []disk.PageID) error {
 // mutating call, ids that are not on the disk included. After every step
 // the pool must agree with the model, and the disk must have been asked
 // for the same reads and writes in the same order — which pins the victim
-// sequence and the flush order.
+// sequence and the flush order — and its read counter must equal the
+// successful reads in that sequence, though the pool charges a call's
+// reads in one add.
 func TestPoolMatchesModel(t *testing.T) {
 	// One exact-LRU Pool: no shards.
 	t.Run("lru/shards=0", func(t *testing.T) {
@@ -174,6 +176,7 @@ func TestPoolMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := newModelPool(capacity, onDisk, &want)
+		var reads uint64 // successful reads the disk was asked for so far
 
 		rng := rand.New(rand.NewSource(0))
 		for step := 0; step < steps; step++ {
@@ -220,6 +223,14 @@ func TestPoolMatchesModel(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d %s: disk I/O %v, model %v", step, op, got, want)
+			}
+			for _, e := range got {
+				if e.op == disk.OpRead && onDisk(e.id) {
+					reads++
+				}
+			}
+			if charged := d.Stats().TotalReads(); charged != reads {
+				t.Fatalf("step %d %s: disk charged %d reads, it made %d", step, op, charged, reads)
 			}
 			got, want = got[:0], want[:0]
 		}

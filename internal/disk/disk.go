@@ -13,11 +13,13 @@
 // rather than real bytes, because OCB objects carry only a synthetic Filler
 // payload whose single observable property is its size.
 //
-// Concurrency: the device is safe for concurrent use by many clients. The
-// page catalog is guarded by a read/write mutex (reads and writes of
-// existing pages only share-lock it; allocation and deallocation take it
-// exclusively), and all I/O counters are atomic, so concurrent benchmark
-// clients never serialize on statistics updates.
+// Concurrency: the device is safe for concurrent use by many clients.
+// Reading the page catalogue takes no lock: Read, Peek and Write's lookup
+// are plain loads from fixed-size chunks that never move once published.
+// Allocate, Free, Import and Write's install of a detached copy serialize
+// on one mutex. All I/O counters are atomic, and a caller that makes many
+// reads (the buffer pool) may charge them in one add with ChargeReads, so
+// concurrent benchmark clients never serialize on statistics updates.
 package disk
 
 import (
@@ -153,17 +155,20 @@ var (
 )
 
 // Disk is a simulated paged storage device. It is safe for concurrent use;
-// page lookups take a shared lock and counters are atomic, so concurrent
+// catalogue reads take no lock and counters are atomic, so concurrent
 // readers proceed in parallel.
 //
 // Page ids are issued densely from 1 and never reused, so the catalogue is
-// a slice indexed by id (slot 0 unused, nil = freed): 8 bytes per id ever
-// issued, and a lookup is a bounds check, not a hash probe.
+// indexed by id (slot 0 unused, nil = never issued or freed): 8 bytes per
+// id ever issued, and a lookup is a bounds check and three loads, not a
+// hash probe. It is cut into fixed-size chunks reached through a directory
+// that Allocate only appends to, so a published slot never moves and
+// readers need no lock.
 type Disk struct {
-	mu       sync.RWMutex // guards pages, live and next
+	mu       sync.Mutex // serializes every catalogue store; guards live and next
 	pageSize int
-	pages    []*Page // indexed by PageID; len(pages) == next
-	live     int     // non-nil entries of pages
+	dir      atomic.Pointer[[]*chunk] // chunk i holds ids [i*chunkSize, (i+1)*chunkSize)
+	live     int                      // non-nil catalogue slots
 	next     PageID
 
 	reads  [numClasses]atomic.Uint64
@@ -172,10 +177,19 @@ type Disk struct {
 
 	// FailureHook, if set, is consulted before every I/O; a non-nil error
 	// aborts the operation without charging it. Used for fault injection.
-	// Set it only while the disk is quiescent; with concurrent clients the
-	// hook itself must be safe for concurrent use.
+	// It is read without a lock, so set it only while the disk is
+	// quiescent; with concurrent clients the hook itself must be safe for
+	// concurrent use.
 	FailureHook func(op Op, id PageID) error
 }
+
+const (
+	chunkShift = 10 // a catalogue chunk holds 1024 slots, 8 KB
+	chunkSize  = 1 << chunkShift
+)
+
+// chunk is one fixed-size run of catalogue slots.
+type chunk [chunkSize]atomic.Pointer[Page]
 
 // New returns an empty disk with the given page size
 // (DefaultPageSize if pageSize <= 0).
@@ -183,15 +197,24 @@ func New(pageSize int) *Disk {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &Disk{
-		pageSize: pageSize,
-		pages:    make([]*Page, 1),
-		next:     1,
-	}
+	d := &Disk{pageSize: pageSize, next: 1}
+	d.dir.Store(new([]*chunk))
+	return d
 }
 
 // PageSize returns the page size in bytes.
 func (d *Disk) PageSize() int { return d.pageSize }
+
+// slot returns id's catalogue slot, nil when no chunk covers id. Only
+// Allocate and Import add chunks, so an id from outside can never size
+// the catalogue.
+func (d *Disk) slot(id PageID) *atomic.Pointer[Page] {
+	dir := *d.dir.Load()
+	if c := uint64(id >> chunkShift); c < uint64(len(dir)) {
+		return &dir[c][id&(chunkSize-1)]
+	}
+	return nil
+}
 
 // Allocate creates a fresh empty page. Allocation itself charges no I/O;
 // the page is charged when first written.
@@ -200,60 +223,66 @@ func (d *Disk) Allocate() *Page {
 	defer d.mu.Unlock()
 	p := &Page{ID: d.next}
 	d.next++
-	d.pages = append(d.pages, p)
+	if dir := *d.dir.Load(); int(p.ID>>chunkShift) == len(dir) {
+		// Ids are issued in order, so at most one chunk is missing. The
+		// append writes past the length every reader holds, or copies.
+		dir = append(dir, new(chunk))
+		d.dir.Store(&dir)
+	}
+	d.slot(p.ID).Store(p)
 	d.live++
 	return p
 }
 
-// pageLocked returns the catalogue entry for id, nil when id was never
-// issued or has been freed; caller holds d.mu. Only Allocate and Import
-// size the catalogue, so an id from outside can never grow it.
-func (d *Disk) pageLocked(id PageID) *Page {
-	if uint64(id) >= uint64(len(d.pages)) {
-		return nil
-	}
-	return d.pages[id]
-}
-
 // Read fetches a page, charging one read I/O to the current class.
 func (d *Disk) Read(id PageID) (*Page, error) {
-	d.mu.RLock()
-	hook := d.FailureHook
-	p := d.pageLocked(id)
-	d.mu.RUnlock()
-	if hook != nil {
+	p, err := d.Fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	d.ChargeReads(1)
+	return p, nil
+}
+
+// Fetch is Read without the charge. A caller that makes many reads under
+// its own lock (the buffer pool) charges the successful ones with one
+// ChargeReads before it releases that lock.
+//
+//ocblint:allocfree -- steady-state hot path
+func (d *Disk) Fetch(id PageID) (*Page, error) {
+	if hook := d.FailureHook; hook != nil {
 		if err := hook(OpRead, id); err != nil {
 			return nil, err
 		}
 	}
-	if p == nil {
+	p, ok := d.Peek(id)
+	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchPage, id)
 	}
-	d.reads[d.class.Load()].Add(1)
 	return p, nil
 }
+
+// ChargeReads charges n read I/Os to the current class.
+func (d *Disk) ChargeReads(n uint64) { d.reads[d.class.Load()].Add(n) }
 
 // Write persists a page, charging one write I/O to the current class.
 // The page must have been allocated on this disk.
 func (d *Disk) Write(p *Page) error {
-	d.mu.RLock()
-	hook := d.FailureHook
-	cur := d.pageLocked(p.ID)
-	d.mu.RUnlock()
-	if hook != nil {
+	if hook := d.FailureHook; hook != nil {
 		if err := hook(OpWrite, p.ID); err != nil {
 			return err
 		}
 	}
-	if cur == nil {
+	cur, ok := d.Peek(p.ID)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchPage, p.ID)
 	}
 	if cur != p {
 		// The caller holds a detached copy (physical reorganization paths);
 		// install it as the canonical page.
 		d.mu.Lock()
-		if d.pageLocked(p.ID) != nil {
-			d.pages[p.ID] = p
+		if sl := d.slot(p.ID); sl.Load() != nil {
+			sl.Store(p)
 		}
 		d.mu.Unlock()
 	}
@@ -264,10 +293,11 @@ func (d *Disk) Write(p *Page) error {
 // Peek returns a page without charging any I/O. It is intended for
 // integrity checks and tests, not for the data path.
 func (d *Disk) Peek(id PageID) (*Page, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	p := d.pageLocked(id)
-	return p, p != nil
+	if sl := d.slot(id); sl != nil {
+		p := sl.Load()
+		return p, p != nil
+	}
+	return nil, false
 }
 
 // Free removes a page from the disk (no I/O charge; deallocation is a
@@ -275,30 +305,37 @@ func (d *Disk) Peek(id PageID) (*Page, bool) {
 func (d *Disk) Free(id PageID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pageLocked(id) != nil {
-		d.pages[id] = nil
+	if sl := d.slot(id); sl != nil && sl.Swap(nil) != nil {
 		d.live--
 	}
 }
 
 // NumPages returns the number of allocated pages.
 func (d *Disk) NumPages() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.live
 }
 
 // PageIDs returns all allocated page ids in ascending order.
 func (d *Disk) PageIDs() []PageID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	ids := make([]PageID, 0, d.live)
-	for _, p := range d.pages {
-		if p != nil {
-			ids = append(ids, p.ID)
+	d.eachLocked(func(p *Page) { ids = append(ids, p.ID) })
+	return ids
+}
+
+// eachLocked visits every live page in ascending id order; caller holds
+// d.mu.
+func (d *Disk) eachLocked(fn func(*Page)) {
+	for _, c := range *d.dir.Load() {
+		for i := range c {
+			if p := c[i].Load(); p != nil {
+				fn(p)
+			}
 		}
 	}
-	return ids
 }
 
 // SetClass routes subsequent I/O charges to the given class.

@@ -2,7 +2,10 @@ package disk
 
 import (
 	"errors"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -248,7 +251,8 @@ func TestFreeUnknownLeavesCount(t *testing.T) {
 func TestOutsideIDsNeverGrowCatalogue(t *testing.T) {
 	d := New(0)
 	d.Allocate()
-	want := len(d.pages)
+	chunks := func() int { return len(*d.dir.Load()) }
+	want := chunks()
 	for _, id := range []PageID{0, 2, 1 << 31, ^PageID(0)} {
 		if _, err := d.Read(id); !errors.Is(err, ErrNoSuchPage) {
 			t.Fatalf("Read(%d) = %v, want ErrNoSuchPage", id, err)
@@ -260,8 +264,8 @@ func TestOutsideIDsNeverGrowCatalogue(t *testing.T) {
 			t.Fatalf("Peek(%d) found a page", id)
 		}
 		d.Free(id)
-		if len(d.pages) != want {
-			t.Fatalf("id %d grew the catalogue to %d entries, want %d", id, len(d.pages), want)
+		if chunks() != want {
+			t.Fatalf("id %d grew the catalogue to %d chunks, want %d", id, chunks(), want)
 		}
 	}
 	if st := d.Stats(); st.Total() != 0 {
@@ -296,5 +300,95 @@ func TestExportImportKeepsGapsAndOrder(t *testing.T) {
 	}
 	if p := r.Allocate(); p.ID != 7 {
 		t.Fatalf("restored disk issued page %d next, want 7", p.ID)
+	}
+}
+
+// TestCatalogueReadsDuringAllocateAndFree: readers loop on Read, Peek and
+// Write, detached copies included, while one writer allocates across
+// several chunk boundaries and frees every other new page. Every page
+// returned has the id asked for, and an id freed before a read began is
+// absent. Run it under -race: the catalogue's readers take no lock.
+func TestCatalogueReadsDuringAllocateAndFree(t *testing.T) {
+	d := New(0)
+	const stable = 100
+	for i := 0; i < stable; i++ {
+		d.Allocate()
+	}
+	var lastAlloc, lastFreed atomic.Uint32
+	var done atomic.Bool
+	var rounds atomic.Int64 // reader iterations, so the writer can wait for them
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				rounds.Add(1)
+				id := PageID(1 + i%stable)
+				p, err := d.Read(id)
+				if err != nil || p.ID != id {
+					t.Errorf("Read(%d) = %v, %v", id, p, err)
+					return
+				}
+				if q, ok := d.Peek(id); !ok || q.ID != id {
+					t.Errorf("Peek(%d) = %v, %v", id, q, ok)
+					return
+				}
+				if r == 1 && i%7 == 0 {
+					cp := *p // a detached copy replaces the catalogue's page
+					p = &cp
+				}
+				if err := d.Write(p); err != nil {
+					t.Errorf("Write(%d) = %v", id, err)
+					return
+				}
+				if a := PageID(lastAlloc.Load()); a != 0 {
+					// Live or freed since: either way never another page.
+					if p, err := d.Read(a); err == nil && p.ID != a {
+						t.Errorf("Read(%d) returned page %d", a, p.ID)
+						return
+					} else if err != nil && !errors.Is(err, ErrNoSuchPage) {
+						t.Errorf("Read(%d) = %v", a, err)
+						return
+					}
+				}
+				if f := PageID(lastFreed.Load()); f != 0 {
+					if _, err := d.Read(f); !errors.Is(err, ErrNoSuchPage) {
+						t.Errorf("Read of freed page %d = %v, want ErrNoSuchPage", f, err)
+						return
+					}
+					if _, ok := d.Peek(f); ok {
+						t.Errorf("Peek found freed page %d", f)
+						return
+					}
+					if err := d.Write(&Page{ID: f}); !errors.Is(err, ErrNoSuchPage) {
+						t.Errorf("Write of freed page %d = %v, want ErrNoSuchPage", f, err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	const grown = 3*chunkSize + 10
+	for i := 0; i < grown; i++ {
+		if i%32 == 0 { // let the readers in between allocations
+			for r := rounds.Load(); rounds.Load() < r+4 && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
+		p := d.Allocate()
+		lastAlloc.Store(uint32(p.ID))
+		if p.ID%2 == 0 {
+			d.Free(p.ID)
+			lastFreed.Store(uint32(p.ID))
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if want := stable + grown - grown/2; d.NumPages() != want || len(d.PageIDs()) != want {
+		t.Fatalf("%d pages live (%d listed), want %d", d.NumPages(), len(d.PageIDs()), want)
+	}
+	if got := len(*d.dir.Load()); got != (stable+grown)/chunkSize+1 {
+		t.Fatalf("catalogue has %d chunks for %d ids", got, stable+grown)
 	}
 }

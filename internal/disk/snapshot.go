@@ -15,13 +15,9 @@ func (d *Disk) Export() *Snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := &Snapshot{PageSize: d.pageSize, Next: d.next}
-	for _, p := range d.pages { // ascending id order
-		if p == nil {
-			continue
-		}
-		cp := Page{ID: p.ID, Used: p.Used, Slots: append([]Slot(nil), p.Slots...)}
-		s.Pages = append(s.Pages, cp)
-	}
+	d.eachLocked(func(p *Page) {
+		s.Pages = append(s.Pages, Page{ID: p.ID, Used: p.Used, Slots: append([]Slot(nil), p.Slots...)})
+	})
 	return s
 }
 
@@ -34,14 +30,17 @@ func (d *Disk) Import(s *Snapshot) {
 	defer d.mu.Unlock()
 	d.pageSize = s.PageSize
 	d.next = s.Next
-	d.pages = make([]*Page, s.Next)
+	dir := make([]*chunk, (uint64(s.Next)+chunkSize-1)>>chunkShift)
+	for i := range dir {
+		dir[i] = new(chunk)
+	}
+	d.dir.Store(&dir)
 	d.live = 0
 	for _, p := range s.Pages {
 		cp := &Page{ID: p.ID, Used: p.Used, Slots: append([]Slot(nil), p.Slots...)}
-		if d.pages[cp.ID] == nil {
+		if d.slot(cp.ID).Swap(cp) == nil {
 			d.live++
 		}
-		d.pages[cp.ID] = cp
 	}
 	for i := 0; i < int(numClasses); i++ {
 		d.reads[i].Store(0)

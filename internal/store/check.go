@@ -22,21 +22,16 @@ func (s *Store) CheckIntegrity() error {
 	claimed := make(map[disk.PageID]map[OID]bool)
 	live := 0
 	for i, l := range s.table {
-		if l == nil {
+		if l.home == 0 {
 			continue
 		}
 		live++
 		oid := OID(i)
-		if len(l.pages) == 0 {
-			return fmt.Errorf("store: object %d has no pages", oid)
+		pages := l.appendPages(nil)
+		if err := checkRun(oid, int(l.size), len(pages), s.disk.PageSize()); err != nil {
+			return fmt.Errorf("store: %w", err)
 		}
-		if l.size <= 0 {
-			return fmt.Errorf("store: object %d has size %d", oid, l.size)
-		}
-		if l.large() && l.size <= s.disk.PageSize() {
-			return fmt.Errorf("store: object %d spans %d pages but fits one", oid, len(l.pages))
-		}
-		for _, pid := range l.pages {
+		for _, pid := range pages {
 			pg, ok := s.disk.Peek(pid)
 			if !ok {
 				return fmt.Errorf("store: object %d references missing page %d", oid, pid)
@@ -64,7 +59,7 @@ func (s *Store) CheckIntegrity() error {
 			sum += slot.Size
 			oid := OID(slot.Object)
 			l := s.get(oid)
-			if l == nil {
+			if l.home == 0 {
 				return fmt.Errorf("store: page %d holds unknown object %d", pid, oid)
 			}
 			if seen[slot.Object] {
@@ -72,7 +67,7 @@ func (s *Store) CheckIntegrity() error {
 			}
 			seen[slot.Object] = true
 			onPage := false
-			for _, p := range l.pages {
+			for _, p := range l.appendPages(nil) {
 				if p == pid {
 					onPage = true
 					break
@@ -99,7 +94,7 @@ func (s *Store) CheckIntegrity() error {
 			return fmt.Errorf("store: ordered index lists %d objects, the table %d", ix.Len(), live)
 		}
 		for i, l := range s.table {
-			if l == nil {
+			if l.home == 0 {
 				continue
 			}
 			if _, ok := ix.Get(OID(i)); !ok {

@@ -72,6 +72,34 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 	if err := s.CheckIntegrity(); err == nil {
 		t.Fatal("live-object count drift accepted")
 	}
+	s.live--
+
+	// Sizes that disagree with the page run.
+	big, err := s.Create(600) // a 3-page run
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		oid  OID
+		size int32
+	}{
+		{oid, 0}, {oid, -7}, {oid, ObjectHeaderSize - 1}, {oid, 257}, {oid, 5000},
+		{big, 256}, {big, 100}, {big, 512}, {big, 769}, {big, 5000},
+	} {
+		e := &s.table[c.oid]
+		saved := e.size
+		e.size = c.size
+		if err := s.CheckIntegrity(); err == nil {
+			t.Fatalf("object %d of size %d on %d pages accepted", c.oid, c.size, len(e.appendPages(nil)))
+		}
+		e.size = saved
+	}
+	if err := s.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCheckIntegrityProperty drives random create/delete/relocate/access

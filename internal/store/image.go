@@ -34,11 +34,11 @@ func (s *Store) Image() (*Image, error) {
 		Disk:    s.disk.Export(),
 		NextOID: OID(s.next.Load()),
 	}
-	_ = s.forEachLoc(func(oid OID, l *loc) error {
+	_ = s.forEachLoc(func(oid OID, l loc) error {
 		img.Objects = append(img.Objects, ImageObject{
 			OID:   oid,
-			Size:  l.size,
-			Pages: append([]disk.PageID(nil), l.pages...),
+			Size:  int(l.size),
+			Pages: l.appendPages(nil),
 		})
 		return nil
 	})
@@ -52,9 +52,16 @@ func (s *Store) Restore(img *Image) error {
 	if img == nil || img.Disk == nil {
 		return fmt.Errorf("store: nil image")
 	}
+	// Both cursors issue from 1: id 0 is NilOID, and page 0 marks an empty
+	// table entry.
+	if img.Disk.PageSize <= 0 || img.Disk.Next == 0 || img.NextOID == NilOID {
+		return fmt.Errorf("store: image page size %d, cursors %d and %d",
+			img.Disk.PageSize, img.Disk.Next, img.NextOID)
+	}
 	// The page catalogue and the object table are indexed by id, so an id
 	// the image's own cursors did not issue is rejected before it can size
-	// either.
+	// either; a size that disagrees with its page run, or that a table
+	// entry cannot hold, is rejected before anything is installed.
 	for i := range img.Disk.Pages {
 		if id := img.Disk.Pages[i].ID; id == 0 || id >= img.Disk.Next {
 			return fmt.Errorf("store: image page id %d outside [1, %d)", id, img.Disk.Next)
@@ -64,8 +71,8 @@ func (s *Store) Restore(img *Image) error {
 		if o.OID == NilOID || o.OID >= img.NextOID {
 			return fmt.Errorf("store: image object id %d outside [1, %d)", o.OID, img.NextOID)
 		}
-		if len(o.Pages) == 0 {
-			return fmt.Errorf("store: image object %d has no pages", o.OID)
+		if err := checkRun(o.OID, o.Size, len(o.Pages), img.Disk.PageSize); err != nil {
+			return fmt.Errorf("store: image %w", err)
 		}
 	}
 	s.mu.Lock()
@@ -74,11 +81,16 @@ func (s *Store) Restore(img *Image) error {
 	s.next.Store(uint64(img.NextOID))
 	s.idx.tree = nil // the next ordered call rebuilds it from this directory
 	for _, o := range img.Objects {
-		s.setLoc(o.OID, &loc{pages: append([]disk.PageID(nil), o.Pages...), size: o.Size})
+		l := loc{home: o.Pages[0], size: int32(o.Size)}
+		if len(o.Pages) > 1 {
+			run := append([]disk.PageID(nil), o.Pages...)
+			l.run = &run
+		}
+		s.setLoc(o.OID, l)
 	}
 	// Verify the directory agrees with the pages.
-	return s.forEachLoc(func(oid OID, l *loc) error {
-		for _, pid := range l.pages {
+	return s.forEachLoc(func(oid OID, l loc) error {
+		for _, pid := range l.appendPages(nil) {
 			pg, ok := s.disk.Peek(pid)
 			if !ok {
 				return fmt.Errorf("store: image object %d references missing page %d", oid, pid)

@@ -57,7 +57,7 @@ func (s *Store) lockIndex() *ordindex.Index {
 	ix.mu.Lock()
 	if ix.tree == nil {
 		tree := ordindex.New(indexFanout, false)
-		_ = s.forEachLoc(func(oid OID, _ *loc) error {
+		_ = s.forEachLoc(func(oid OID, _ loc) error {
 			tree.Insert(oid, 0)
 			return nil
 		})

@@ -253,7 +253,7 @@ func TestConcurrentOrderedHammer(t *testing.T) {
 	}
 
 	var want []OID
-	_ = s.forEachLoc(func(oid OID, _ *loc) error {
+	_ = s.forEachLoc(func(oid OID, _ loc) error {
 		want = append(want, oid)
 		return nil
 	})

@@ -19,7 +19,10 @@
 // arrays indexed by the id, which OIDs and page ids allow because both are
 // issued densely from 1 and never reused: a bounds check and a load each,
 // so the response time beside the I/O count is not mostly hashing. The
-// price is 8 bytes per OID, and per page id, ever issued, in each table.
+// object table holds its entries by value, 16 bytes per OID ever issued,
+// so a one-page object resolves to its page with one load and costs no
+// heap object of its own; the frame table and the catalogue cost 8 bytes
+// per page id ever issued.
 //
 // # Concurrency
 //
@@ -31,8 +34,9 @@
 //     operations — Relocate, Commit, DropCache, Image, Layout,
 //     CheckIntegrity, ResetStats — take it exclusively, so a
 //     physical reorganization never observes a half-applied mutation.
-//   - The OID→location table is one slice indexed by the OID (OIDs are
-//     issued densely from 1 and never reused) behind one mutex.
+//   - The OID→location table is one slice of 16-byte entries indexed by
+//     the OID (OIDs are issued densely from 1 and never reused) behind one
+//     mutex; readers get copies of entries.
 //   - The buffer pool is one exact-LRU buffer.Pool of BufferPages frames
 //     behind its own mutex, so the I/O count is that of one buffer
 //     whatever CLIENTN is; all slot-directory edits happen under the pool
@@ -48,6 +52,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,12 +128,13 @@ type Store struct {
 	pool *buffer.Pool
 
 	// tableMu guards the object table: table[oid] is the location of a
-	// live object (nil = never created here, or deleted), 8 bytes per OID
-	// ever issued. Only setLoc grows it, and only for OIDs the store
-	// issued itself.
+	// live object (home 0 = never created here, or deleted), 16 bytes per
+	// OID ever issued. Only setLoc grows it, and only for OIDs the store
+	// issued itself. Relocate, holding s.mu exclusively, edits entries in
+	// place without it.
 	tableMu sync.Mutex
-	table   []*loc
-	live    int // non-nil entries of table
+	table   []loc
+	live    int // entries of table with a home page
 
 	// placeMu serializes creation-order placement (the fill page) and
 	// page emptying on delete.
@@ -151,24 +157,48 @@ type Store struct {
 
 // accessScratch is AccessBatch's reusable working state.
 type accessScratch struct {
-	locs   []*loc
 	pages  []disk.PageID
 	owners []int32 // owners[j] = index into the oid batch owning pages[j]
 }
 
+// loc is one object table entry, held by value. An ordinary object lives
+// on its home page alone; a large object (size > page size) spans a run of
+// dedicated pages, which never share pages with other objects, and only it
+// carries that run.
 type loc struct {
-	// pages holds the object's page run: one entry for ordinary objects,
-	// several dedicated pages for large objects (size > page size), which
-	// never share pages with other objects.
-	pages []disk.PageID
-	size  int
+	home disk.PageID    // the first (directory) page; 0 = no object
+	size int32          // bytes, header included
+	run  *[]disk.PageID // a large object's whole page run, home first; nil otherwise
 }
 
-// home returns the object's first (directory) page.
-func (l *loc) home() disk.PageID { return l.pages[0] }
+// maxObjectSize bounds an object's size, header included, to what a
+// table entry holds.
+const maxObjectSize = math.MaxInt32
 
-// large reports whether the object spans dedicated pages.
-func (l *loc) large() bool { return len(l.pages) > 1 }
+// appendPages appends the object's page run to buf.
+func (l loc) appendPages(buf []disk.PageID) []disk.PageID {
+	if l.run != nil {
+		return append(buf, *l.run...)
+	}
+	return append(buf, l.home)
+}
+
+// checkRun reports an object whose size disagrees with the n pages it
+// spans: at least the header, one page up to pageSize, ⌈size/pageSize⌉
+// pages above it.
+func checkRun(oid OID, size, n, pageSize int) error {
+	if size < ObjectHeaderSize || size > maxObjectSize {
+		return fmt.Errorf("object %d has size %d", oid, size)
+	}
+	want := 1
+	if size > pageSize {
+		want = (size + pageSize - 1) / pageSize
+	}
+	if n != want {
+		return fmt.Errorf("object %d of %d bytes spans %d pages, want %d", oid, size, n, want)
+	}
+	return nil
+}
 
 // Open creates an empty store.
 func Open(cfg Config) (*Store, error) {
@@ -207,32 +237,32 @@ func (s *Store) Pool() *buffer.Pool { return s.pool }
 // PageSize returns the disk page size.
 func (s *Store) PageSize() int { return s.disk.PageSize() }
 
-// get returns oid's location, nil when the OID is not live or past the
-// end of the table; caller holds tableMu.
-func (s *Store) get(oid OID) *loc {
+// get returns a copy of oid's location, the zero loc when the OID is not
+// live or past the end of the table; caller holds tableMu.
+func (s *Store) get(oid OID) loc {
 	if i := uint64(oid); i < uint64(len(s.table)) {
 		return s.table[i]
 	}
-	return nil
+	return loc{}
 }
 
-// lookup returns the location of an OID.
-func (s *Store) lookup(oid OID) (*loc, bool) {
+// lookup returns a copy of the location of an OID.
+func (s *Store) lookup(oid OID) (loc, bool) {
 	s.tableMu.Lock()
 	l := s.get(oid)
 	s.tableMu.Unlock()
-	return l, l != nil
+	return l, l.home != 0
 }
 
 // setLoc installs a location, growing the table to reach the OID's slot.
 // Callers pass only OIDs below s.next.
-func (s *Store) setLoc(oid OID, l *loc) {
+func (s *Store) setLoc(oid OID, l loc) {
 	i := int(oid)
 	s.tableMu.Lock()
 	if n := i + 1 - len(s.table); n > 0 {
-		s.table = append(s.table, make([]*loc, n)...)
+		s.table = append(s.table, make([]loc, n)...)
 	}
-	if s.table[i] == nil {
+	if s.table[i].home == 0 {
 		s.live++
 	}
 	s.table[i] = l
@@ -241,24 +271,24 @@ func (s *Store) setLoc(oid OID, l *loc) {
 
 // takeLoc removes and returns a location; a second concurrent take of the
 // same OID fails, which is what makes Delete linearizable.
-func (s *Store) takeLoc(oid OID) (*loc, bool) {
+func (s *Store) takeLoc(oid OID) (loc, bool) {
 	s.tableMu.Lock()
 	l := s.get(oid)
-	if l != nil {
-		s.table[oid] = nil
+	if l.home != 0 {
+		s.table[oid] = loc{}
 		s.live--
 	}
 	s.tableMu.Unlock()
-	return l, l != nil
+	return l, l.home != 0
 }
 
 // forEachLoc visits every table entry in ascending OID order under
 // tableMu. fn must not call back into the table.
-func (s *Store) forEachLoc(fn func(OID, *loc) error) error {
+func (s *Store) forEachLoc(fn func(OID, loc) error) error {
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
 	for oid, l := range s.table {
-		if l == nil {
+		if l.home == 0 {
 			continue
 		}
 		if err := fn(OID(oid), l); err != nil {
@@ -280,6 +310,9 @@ func (s *Store) Create(payloadSize int) (OID, error) {
 	if payloadSize < 0 {
 		return NilOID, ErrBadSize
 	}
+	if payloadSize > maxObjectSize-ObjectHeaderSize {
+		return NilOID, fmt.Errorf("%w: %d bytes", ErrObjectTooLarge, payloadSize)
+	}
 	size := payloadSize + ObjectHeaderSize
 	oid := OID(s.next.Add(1) - 1)
 	if size > s.disk.PageSize() {
@@ -287,7 +320,7 @@ func (s *Store) Create(payloadSize int) (OID, error) {
 		if err != nil {
 			return NilOID, err
 		}
-		s.setLoc(oid, &loc{pages: pages, size: size})
+		s.setLoc(oid, loc{home: pages[0], size: int32(size), run: &pages})
 		s.idx.noteCreate(oid)
 		return oid, nil
 	}
@@ -339,7 +372,7 @@ func (s *Store) place(oid OID, size int) error {
 				return err
 			}
 			s.fill = pg
-			s.setLoc(oid, &loc{pages: []disk.PageID{pg.ID}, size: size})
+			s.setLoc(oid, loc{home: pg.ID, size: int32(size)})
 			return nil
 		}
 		added := false
@@ -354,7 +387,7 @@ func (s *Store) place(oid OID, size int) error {
 			return err
 		}
 		if added {
-			s.setLoc(oid, &loc{pages: []disk.PageID{s.fill.ID}, size: size})
+			s.setLoc(oid, loc{home: s.fill.ID, size: int32(size)})
 			return nil
 		}
 		s.fill = nil // page full; start a new one
@@ -383,7 +416,8 @@ func (s *Store) Access(oid OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, oid)
 	}
-	for _, pg := range l.pages {
+	var one [1]disk.PageID
+	for _, pg := range l.appendPages(one[:0]) {
 		if _, err := s.pool.Get(pg); err != nil {
 			return s.faultErr(oid, err)
 		}
@@ -396,11 +430,12 @@ func (s *Store) Access(oid OID) error {
 // faults, counters and replacement decisions the equivalent sequence of
 // Access calls would — it is the batched fast path traversal levels and
 // scans use. The saving is in locking, not in I/O: the structural lock is
-// taken once for the whole batch, object locations resolve under one table
-// lock acquisition, and the page faults are issued through the pool's
-// batched getter under a single pool lock acquisition. It returns how many
-// objects of the batch were fully accessed; on error the count covers the
-// prefix that completed, exactly as sequential Access calls would have.
+// taken once for the whole batch, the page run resolves under one table
+// lock acquisition with one entry load per object, and the page faults are
+// issued through the pool's batched getter under a single pool lock
+// acquisition. It returns how many objects of the batch were fully
+// accessed; on error the count covers the prefix that completed, exactly
+// as sequential Access calls would have.
 func (s *Store) AccessBatch(oids []OID) (int, error) {
 	if len(oids) == 0 {
 		return 0, nil
@@ -413,32 +448,30 @@ func (s *Store) AccessBatch(oids []OID) (int, error) {
 	}
 	defer s.scratch.Put(sc)
 
-	// Pass 1: resolve every location under one table lock acquisition.
-	if cap(sc.locs) < len(oids) {
-		sc.locs = make([]*loc, len(oids))
-	}
-	locs := sc.locs[:len(oids)]
-	s.tableMu.Lock()
-	for i, oid := range oids {
-		locs[i] = s.get(oid)
-	}
-	s.tableMu.Unlock()
-
-	// Pass 2: assemble the batch's page run in access order. A missing
-	// object truncates the batch — everything before it is still faulted,
-	// as the equivalent Access sequence would have done before erring.
+	// Assemble the batch's page run in access order under one table lock
+	// acquisition. A missing object truncates the batch — everything
+	// before it is still faulted, as the equivalent Access sequence would
+	// have done before erring.
 	pages, owners := sc.pages[:0], sc.owners[:0]
 	missAt := -1
-	for i, l := range locs {
-		if l == nil {
+	s.tableMu.Lock()
+	for i, oid := range oids {
+		l := s.get(oid)
+		if l.home == 0 {
 			missAt = i
 			break
 		}
-		for _, pg := range l.pages {
+		if l.run == nil {
+			pages = append(pages, l.home)
+			owners = append(owners, int32(i))
+			continue
+		}
+		for _, pg := range *l.run {
 			pages = append(pages, pg)
 			owners = append(owners, int32(i))
 		}
 	}
+	s.tableMu.Unlock()
 	sc.pages, sc.owners = pages, owners
 
 	k, ferr := s.pool.GetBatch(pages)
@@ -468,7 +501,8 @@ func (s *Store) Update(oid OID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, oid)
 	}
-	for _, pg := range l.pages {
+	var one [1]disk.PageID
+	for _, pg := range l.appendPages(one[:0]) {
 		if err := s.pool.Update(pg, func(*disk.Page) bool { return true }); err != nil {
 			return s.faultErr(oid, err)
 		}
@@ -496,7 +530,8 @@ func (s *Store) Delete(oid OID) error {
 	}
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
-	for i, pid := range l.pages {
+	var one [1]disk.PageID
+	for i, pid := range l.appendPages(one[:0]) {
 		fate, err := s.pool.Mutate(pid, func(pg *disk.Page) buffer.PageFate {
 			pg.Remove(uint64(oid))
 			if len(pg.Slots) == 0 {
@@ -543,7 +578,7 @@ func (s *Store) SizeOf(oid OID) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return l.size, true
+	return int(l.size), true
 }
 
 // PageOf returns the (first) page currently holding the object.
@@ -554,7 +589,7 @@ func (s *Store) PageOf(oid OID) (disk.PageID, bool) {
 	if !ok {
 		return 0, false
 	}
-	return l.home(), true
+	return l.home, true
 }
 
 // PagesOf returns the object's whole page run.
@@ -565,7 +600,7 @@ func (s *Store) PagesOf(oid OID) ([]disk.PageID, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]disk.PageID(nil), l.pages...), true
+	return l.appendPages(nil), true
 }
 
 // NumObjects returns the number of live objects.
@@ -660,7 +695,7 @@ func (s *Store) Relocate(clusters [][]OID) (RelocStats, error) {
 	moved := make(map[OID]bool)
 	var order []OID
 	var units [][]OID
-	locs := make(map[OID]*loc)
+	locs := make(map[OID]loc)
 	for _, cl := range clusters {
 		var unit []OID
 		for _, oid := range cl {
@@ -687,8 +722,7 @@ func (s *Store) Relocate(clusters [][]OID) (RelocStats, error) {
 	// Read every distinct source page once and detach the moved objects.
 	srcPages := make(map[disk.PageID]*disk.Page)
 	for _, oid := range order {
-		l := locs[oid]
-		for _, pid := range l.pages {
+		for _, pid := range locs[oid].appendPages(nil) {
 			if _, ok := srcPages[pid]; !ok {
 				pg, err := s.disk.Read(pid)
 				if err != nil {
@@ -744,22 +778,24 @@ func (s *Store) Relocate(clusters [][]OID) (RelocStats, error) {
 	for _, unit := range units {
 		unitSize := 0
 		for _, oid := range unit {
-			unitSize += locs[oid].size
+			unitSize += int(locs[oid].size)
 		}
 		if cur != nil && unitSize <= pageSize && cur.Free(pageSize) < unitSize {
 			if err := flush(); err != nil {
 				return st, err
 			}
 		}
+		// The exclusive s.mu keeps every tableMu holder out, so entries
+		// are edited in place.
 		for _, oid := range unit {
-			l := locs[oid]
-			if l.size > pageSize {
+			size := int(locs[oid].size)
+			if size > pageSize {
 				// Large objects keep dedicated page runs.
 				if err := flush(); err != nil {
 					return st, err
 				}
 				var pages []disk.PageID
-				for remaining := l.size; remaining > 0; remaining -= pageSize {
+				for remaining := size; remaining > 0; remaining -= pageSize {
 					chunk := remaining
 					if chunk > pageSize {
 						chunk = pageSize
@@ -773,20 +809,20 @@ func (s *Store) Relocate(clusters [][]OID) (RelocStats, error) {
 					st.NewPages++
 					pages = append(pages, pg.ID)
 				}
-				l.pages = pages
+				s.table[oid].home, s.table[oid].run = pages[0], &pages
 				st.ObjectsMoved++
 				continue
 			}
-			if cur == nil || !cur.Add(uint64(oid), l.size, pageSize) {
+			if cur == nil || !cur.Add(uint64(oid), size, pageSize) {
 				if err := flush(); err != nil {
 					return st, err
 				}
 				cur = s.disk.Allocate()
-				if !cur.Add(uint64(oid), l.size, pageSize) {
-					return st, fmt.Errorf("%w: object %d (%d bytes)", ErrObjectTooLarge, oid, l.size)
+				if !cur.Add(uint64(oid), size, pageSize) {
+					return st, fmt.Errorf("%w: object %d (%d bytes)", ErrObjectTooLarge, oid, size)
 				}
 			}
-			l.pages = []disk.PageID{cur.ID}
+			s.table[oid].home = cur.ID
 			st.ObjectsMoved++
 		}
 	}

@@ -51,18 +51,34 @@ func TestOutsideOIDsNeverGrowTable(t *testing.T) {
 
 // TestRestoreRejectsHostileImage: an image naming an id its own cursors
 // never issued fails before the id can size the page catalogue or the
-// object table (sized by it, either would not fit in memory).
+// object table (sized by it, either would not fit in memory), and so does
+// one whose cursors would issue id 0, or whose object sizes disagree with
+// their page runs or do not fit a table entry.
 func TestRestoreRejectsHostileImage(t *testing.T) {
 	src := MustOpen(Config{PageSize: 256, BufferPages: 4})
 	populate(t, src, 10, 20)
+	if _, err := src.Create(600); err != nil { // the last object: a 3-page run
+		t.Fatal(err)
+	}
+	last := func(img *Image) *ImageObject { return &img.Objects[len(img.Objects)-1] }
 	for name, corrupt := range map[string]func(*Image){
-		"object id zero":         func(img *Image) { img.Objects[3].OID = NilOID },
-		"object id at NextOID":   func(img *Image) { img.Objects[3].OID = img.NextOID },
-		"object id far past":     func(img *Image) { img.Objects[3].OID = 1 << 60 },
-		"page id zero":           func(img *Image) { img.Disk.Pages[1].ID = 0 },
-		"page id at Next":        func(img *Image) { img.Disk.Pages[1].ID = img.Disk.Next },
-		"page id far past":       func(img *Image) { img.Disk.Pages[1].ID = ^disk.PageID(0) },
-		"page id past zero Next": func(img *Image) { img.Disk.Next = 0 },
+		"object size zero":           func(img *Image) { img.Objects[3].Size = 0 },
+		"object size negative":       func(img *Image) { img.Objects[3].Size = -7 },
+		"object size below header":   func(img *Image) { img.Objects[3].Size = ObjectHeaderSize - 1 },
+		"one page for 5000 bytes":    func(img *Image) { img.Objects[3].Size = 5000 },
+		"object size past a table":   func(img *Image) { img.Objects[3].Size = 1 << 33 },
+		"large run short a page":     func(img *Image) { last(img).Pages = last(img).Pages[:2] },
+		"large run for a small size": func(img *Image) { last(img).Size = 100 },
+		"page size zero":             func(img *Image) { img.Disk.PageSize = 0 },
+		"empty, zero page cursor":    func(img *Image) { img.Disk.Pages, img.Objects, img.Disk.Next = nil, nil, 0 },
+		"empty, zero object cursor":  func(img *Image) { img.Disk.Pages, img.Objects, img.NextOID = nil, nil, 0 },
+		"object id zero":             func(img *Image) { img.Objects[3].OID = NilOID },
+		"object id at NextOID":       func(img *Image) { img.Objects[3].OID = img.NextOID },
+		"object id far past":         func(img *Image) { img.Objects[3].OID = 1 << 60 },
+		"page id zero":               func(img *Image) { img.Disk.Pages[1].ID = 0 },
+		"page id at Next":            func(img *Image) { img.Disk.Pages[1].ID = img.Disk.Next },
+		"page id far past":           func(img *Image) { img.Disk.Pages[1].ID = ^disk.PageID(0) },
+		"page id past zero Next":     func(img *Image) { img.Disk.Next = 0 },
 	} {
 		img, err := src.Image()
 		if err != nil {
@@ -148,9 +164,9 @@ func TestImageRestoreRoundTripSharded(t *testing.T) {
 	}
 
 	var walked []OID
-	_ = src.forEachLoc(func(oid OID, l *loc) error {
+	_ = src.forEachLoc(func(oid OID, l loc) error {
 		walked = append(walked, oid)
-		if size, ok := live[oid]; !ok || l.size != size+ObjectHeaderSize {
+		if size, ok := live[oid]; !ok || int(l.size) != size+ObjectHeaderSize {
 			t.Fatalf("forEachLoc yielded %d (size %d); live = %v, payload %d", oid, l.size, ok, size)
 		}
 		return nil
