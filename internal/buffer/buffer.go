@@ -6,8 +6,7 @@
 // same behaviour explicitly: a bounded set of resident page frames, exact
 // LRU replacement, and exact hit/miss/eviction accounting. A miss charges
 // one disk read; evicting a dirty victim charges one disk write — exactly
-// the I/Os OCB reports. The reads of one call are charged together, in one
-// add, before the call releases the pool lock.
+// the I/Os OCB reports.
 //
 // LRU is the only replacement policy. It is a stack algorithm, so the
 // misses of every capacity follow from one reference string's stack
@@ -76,7 +75,6 @@ type Pool struct {
 	dirty    int      // resident frames with the dirty bit set
 	sentinel *frame   // circular list anchor
 	spare    *frame   // the last victim, reused by the next admit
-	reads    uint64   // successful disk reads not yet charged; see charge
 	stats    Stats
 }
 
@@ -129,9 +127,7 @@ func (p *Pool) Contains(id disk.PageID) bool {
 func (p *Pool) Get(id disk.PageID) (*disk.Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pg, err := p.get(id)
-	p.charge()
-	return pg, err
+	return p.get(id)
 }
 
 // GetBatch faults a run of pages in order, exactly as repeated Get calls
@@ -145,11 +141,9 @@ func (p *Pool) GetBatch(ids []disk.PageID) (int, error) {
 	defer p.mu.Unlock()
 	for i, id := range ids {
 		if _, err := p.get(id); err != nil {
-			p.charge()
 			return i, err
 		}
 	}
-	p.charge()
 	return len(ids), nil
 }
 
@@ -193,7 +187,6 @@ func (p *Pool) Update(id disk.PageID, fn func(*disk.Page) bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pg, err := p.get(id)
-	p.charge()
 	if err != nil {
 		return err
 	}
@@ -250,7 +243,6 @@ func (p *Pool) Mutate(id disk.PageID, fn func(*disk.Page) PageFate) (PageFate, e
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pg, err := p.get(id)
-	p.charge()
 	if err != nil {
 		return KeepClean, err
 	}
@@ -333,8 +325,7 @@ func (p *Pool) ResidentPages() []disk.PageID {
 	return ids
 }
 
-// get is Get without the lock, and without the read charge: the caller
-// calls charge before it releases the lock.
+// get is Get without the lock.
 func (p *Pool) get(id disk.PageID) (*disk.Page, error) {
 	if f := p.lookup(id); f != nil {
 		p.stats.Hits++
@@ -342,23 +333,14 @@ func (p *Pool) get(id disk.PageID) (*disk.Page, error) {
 		return f.page, nil
 	}
 	p.stats.Misses++
-	pg, err := p.d.Fetch(id)
+	pg, err := p.d.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	p.reads++
 	if err := p.admit(pg, false); err != nil {
 		return nil, err
 	}
 	return pg, nil
-}
-
-// charge hands the reads get counted to the disk in one atomic add.
-func (p *Pool) charge() {
-	if p.reads != 0 {
-		p.d.ChargeReads(p.reads)
-		p.reads = 0
-	}
 }
 
 // getIfResident is GetIfResident without the lock.

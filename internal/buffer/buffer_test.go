@@ -569,8 +569,7 @@ func TestGetBatchError(t *testing.T) {
 	}
 }
 
-// TestGetBatchChargesReadsMade: the pool charges a call's reads in one add
-// before it releases its lock, so when the k-th read of a batch fails the
+// TestGetBatchChargesReadsMade: when the k-th read of a batch fails the
 // disk has been charged exactly the k-1 reads before it, hits in between
 // charge nothing, and every read was offered to the hook first.
 func TestGetBatchChargesReadsMade(t *testing.T) {

@@ -155,8 +155,7 @@ func (m *modelPool) agrees(p *Pool, ids []disk.PageID) error {
 // the pool must agree with the model, and the disk must have been asked
 // for the same reads and writes in the same order — which pins the victim
 // sequence and the flush order — and its read counter must equal the
-// successful reads in that sequence, though the pool charges a call's
-// reads in one add.
+// successful reads in that sequence.
 func TestPoolMatchesModel(t *testing.T) {
 	// One exact-LRU Pool: no shards.
 	t.Run("lru/shards=0", func(t *testing.T) {

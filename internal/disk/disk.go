@@ -17,9 +17,8 @@
 // Reading the page catalogue takes no lock: Read, Peek and Write's lookup
 // are plain loads from fixed-size chunks that never move once published.
 // Allocate, Free, Import and Write's install of a detached copy serialize
-// on one mutex. All I/O counters are atomic, and a caller that makes many
-// reads (the buffer pool) may charge them in one add with ChargeReads, so
-// concurrent benchmark clients never serialize on statistics updates.
+// on one mutex. All I/O counters are atomic, so concurrent benchmark
+// clients never serialize on statistics updates.
 package disk
 
 import (
@@ -235,21 +234,9 @@ func (d *Disk) Allocate() *Page {
 }
 
 // Read fetches a page, charging one read I/O to the current class.
-func (d *Disk) Read(id PageID) (*Page, error) {
-	p, err := d.Fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	d.ChargeReads(1)
-	return p, nil
-}
-
-// Fetch is Read without the charge. A caller that makes many reads under
-// its own lock (the buffer pool) charges the successful ones with one
-// ChargeReads before it releases that lock.
 //
 //ocblint:allocfree -- steady-state hot path
-func (d *Disk) Fetch(id PageID) (*Page, error) {
+func (d *Disk) Read(id PageID) (*Page, error) {
 	if hook := d.FailureHook; hook != nil {
 		if err := hook(OpRead, id); err != nil {
 			return nil, err
@@ -259,11 +246,9 @@ func (d *Disk) Fetch(id PageID) (*Page, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchPage, id)
 	}
+	d.reads[d.class.Load()].Add(1)
 	return p, nil
 }
-
-// ChargeReads charges n read I/Os to the current class.
-func (d *Disk) ChargeReads(n uint64) { d.reads[d.class.Load()].Add(n) }
 
 // Write persists a page, charging one write I/O to the current class.
 // The page must have been allocated on this disk.
@@ -290,8 +275,9 @@ func (d *Disk) Write(p *Page) error {
 	return nil
 }
 
-// Peek returns a page without charging any I/O. It is intended for
-// integrity checks and tests, not for the data path.
+// Peek returns a page without charging any I/O or taking any lock: the
+// catalogue lookup that Read and Write are built on, also used by
+// integrity checks and tests.
 func (d *Disk) Peek(id PageID) (*Page, bool) {
 	if sl := d.slot(id); sl != nil {
 		p := sl.Load()

@@ -21,13 +21,14 @@ func (s *Store) CheckIntegrity() error {
 	// so the table is read directly.
 	claimed := make(map[disk.PageID]map[OID]bool)
 	live := 0
+	var one [1]disk.PageID
 	for i, l := range s.table {
 		if l.home == 0 {
 			continue
 		}
 		live++
 		oid := OID(i)
-		pages := l.appendPages(nil)
+		pages := l.pages(&one)
 		if err := checkRun(oid, int(l.size), len(pages), s.disk.PageSize()); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
@@ -67,7 +68,7 @@ func (s *Store) CheckIntegrity() error {
 			}
 			seen[slot.Object] = true
 			onPage := false
-			for _, p := range l.appendPages(nil) {
+			for _, p := range l.pages(&one) {
 				if p == pid {
 					onPage = true
 					break

@@ -3,6 +3,8 @@ package store
 import (
 	"testing"
 	"testing/quick"
+
+	"ocb/internal/disk"
 )
 
 func TestCheckIntegrityCleanStore(t *testing.T) {
@@ -93,7 +95,7 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 		saved := e.size
 		e.size = c.size
 		if err := s.CheckIntegrity(); err == nil {
-			t.Fatalf("object %d of size %d on %d pages accepted", c.oid, c.size, len(e.appendPages(nil)))
+			t.Fatalf("object %d of size %d on %d pages accepted", c.oid, c.size, len(e.pages(new([1]disk.PageID))))
 		}
 		e.size = saved
 	}

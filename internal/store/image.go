@@ -34,11 +34,12 @@ func (s *Store) Image() (*Image, error) {
 		Disk:    s.disk.Export(),
 		NextOID: OID(s.next.Load()),
 	}
+	var one [1]disk.PageID
 	_ = s.forEachLoc(func(oid OID, l loc) error {
 		img.Objects = append(img.Objects, ImageObject{
 			OID:   oid,
 			Size:  int(l.size),
-			Pages: l.appendPages(nil),
+			Pages: append([]disk.PageID(nil), l.pages(&one)...),
 		})
 		return nil
 	})
@@ -61,7 +62,8 @@ func (s *Store) Restore(img *Image) error {
 	// The page catalogue and the object table are indexed by id, so an id
 	// the image's own cursors did not issue is rejected before it can size
 	// either; a size that disagrees with its page run, or that a table
-	// entry cannot hold, is rejected before anything is installed.
+	// entry cannot hold, and a page id outside the image's cursor are
+	// rejected before anything is installed.
 	for i := range img.Disk.Pages {
 		if id := img.Disk.Pages[i].ID; id == 0 || id >= img.Disk.Next {
 			return fmt.Errorf("store: image page id %d outside [1, %d)", id, img.Disk.Next)
@@ -73,6 +75,12 @@ func (s *Store) Restore(img *Image) error {
 		}
 		if err := checkRun(o.OID, o.Size, len(o.Pages), img.Disk.PageSize); err != nil {
 			return fmt.Errorf("store: image %w", err)
+		}
+		// Page 0 would install as an empty table entry.
+		for _, pid := range o.Pages {
+			if pid == 0 || pid >= img.Disk.Next {
+				return fmt.Errorf("store: image object %d on page %d outside [1, %d)", o.OID, pid, img.Disk.Next)
+			}
 		}
 	}
 	s.mu.Lock()
@@ -89,8 +97,9 @@ func (s *Store) Restore(img *Image) error {
 		s.setLoc(o.OID, l)
 	}
 	// Verify the directory agrees with the pages.
+	var one [1]disk.PageID
 	return s.forEachLoc(func(oid OID, l loc) error {
-		for _, pid := range l.appendPages(nil) {
+		for _, pid := range l.pages(&one) {
 			pg, ok := s.disk.Peek(pid)
 			if !ok {
 				return fmt.Errorf("store: image object %d references missing page %d", oid, pid)

@@ -175,12 +175,15 @@ type loc struct {
 // table entry holds.
 const maxObjectSize = math.MaxInt32
 
-// appendPages appends the object's page run to buf.
-func (l loc) appendPages(buf []disk.PageID) []disk.PageID {
+// pages returns the object's page run without copying or allocating: the
+// shared run of a large object, which callers must not modify, or the home
+// page stored into the caller's one-element buffer.
+func (l loc) pages(one *[1]disk.PageID) []disk.PageID {
 	if l.run != nil {
-		return append(buf, *l.run...)
+		return *l.run
 	}
-	return append(buf, l.home)
+	one[0] = l.home
+	return one[:]
 }
 
 // checkRun reports an object whose size disagrees with the n pages it
@@ -417,7 +420,7 @@ func (s *Store) Access(oid OID) error {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, oid)
 	}
 	var one [1]disk.PageID
-	for _, pg := range l.appendPages(one[:0]) {
+	for _, pg := range l.pages(&one) {
 		if _, err := s.pool.Get(pg); err != nil {
 			return s.faultErr(oid, err)
 		}
@@ -502,7 +505,7 @@ func (s *Store) Update(oid OID) error {
 		return fmt.Errorf("%w: %d", ErrNoSuchObject, oid)
 	}
 	var one [1]disk.PageID
-	for _, pg := range l.appendPages(one[:0]) {
+	for _, pg := range l.pages(&one) {
 		if err := s.pool.Update(pg, func(*disk.Page) bool { return true }); err != nil {
 			return s.faultErr(oid, err)
 		}
@@ -531,7 +534,7 @@ func (s *Store) Delete(oid OID) error {
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
 	var one [1]disk.PageID
-	for i, pid := range l.appendPages(one[:0]) {
+	for i, pid := range l.pages(&one) {
 		fate, err := s.pool.Mutate(pid, func(pg *disk.Page) buffer.PageFate {
 			pg.Remove(uint64(oid))
 			if len(pg.Slots) == 0 {
@@ -600,7 +603,8 @@ func (s *Store) PagesOf(oid OID) ([]disk.PageID, bool) {
 	if !ok {
 		return nil, false
 	}
-	return l.appendPages(nil), true
+	var one [1]disk.PageID
+	return append([]disk.PageID(nil), l.pages(&one)...), true
 }
 
 // NumObjects returns the number of live objects.
@@ -721,8 +725,9 @@ func (s *Store) Relocate(clusters [][]OID) (RelocStats, error) {
 
 	// Read every distinct source page once and detach the moved objects.
 	srcPages := make(map[disk.PageID]*disk.Page)
+	var one [1]disk.PageID
 	for _, oid := range order {
-		for _, pid := range locs[oid].appendPages(nil) {
+		for _, pid := range locs[oid].pages(&one) {
 			if _, ok := srcPages[pid]; !ok {
 				pg, err := s.disk.Read(pid)
 				if err != nil {

@@ -52,8 +52,9 @@ func TestOutsideOIDsNeverGrowTable(t *testing.T) {
 // TestRestoreRejectsHostileImage: an image naming an id its own cursors
 // never issued fails before the id can size the page catalogue or the
 // object table (sized by it, either would not fit in memory), and so does
-// one whose cursors would issue id 0, or whose object sizes disagree with
-// their page runs or do not fit a table entry.
+// one whose cursors would issue id 0, whose object sizes disagree with
+// their page runs or do not fit a table entry, or whose objects name page 0
+// (an empty table entry) or a page the cursor never issued.
 func TestRestoreRejectsHostileImage(t *testing.T) {
 	src := MustOpen(Config{PageSize: 256, BufferPages: 4})
 	populate(t, src, 10, 20)
@@ -79,6 +80,9 @@ func TestRestoreRejectsHostileImage(t *testing.T) {
 		"page id at Next":            func(img *Image) { img.Disk.Pages[1].ID = img.Disk.Next },
 		"page id far past":           func(img *Image) { img.Disk.Pages[1].ID = ^disk.PageID(0) },
 		"page id past zero Next":     func(img *Image) { img.Disk.Next = 0 },
+		"object home page zero":      func(img *Image) { img.Objects[3].Pages[0] = 0 },
+		"object home page at Next":   func(img *Image) { img.Objects[3].Pages[0] = img.Disk.Next },
+		"large run page zero":        func(img *Image) { last(img).Pages[1] = 0 },
 	} {
 		img, err := src.Image()
 		if err != nil {
